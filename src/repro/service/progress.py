@@ -9,7 +9,10 @@ from a simulation running in a worker *process* to an HTTP client:
   slow reader the buffer coalesces — consecutive ``tick`` events
   collapse to the newest one; lifecycle events (``phase``/``end``)
   are never dropped — so a stalled consumer costs the run nothing but
-  staler ticks.
+  staler ticks.  ``close()`` ends the stream with
+  :data:`END_OF_STREAM`, which is how the server's reader knows the
+  run is over: pipe EOF never arrives while another forked process
+  (e.g. a pool worker) still holds a copy of the write end.
 * :class:`ProgressLog` lives on the server's RunRecord.  The queue's
   reader thread appends events; any number of SSE streams and
   ``?since=`` pollers read it concurrently.  Events carry the
@@ -32,6 +35,8 @@ SENDER_BUFFER = 256
 #: 32-slice emission (~35 events); the bound is a safety net against a
 #: pathological emitter, not a working limit.
 LOG_BOUND = 4096
+#: The last message on every progress pipe: no events follow it.
+END_OF_STREAM = "end-of-stream"
 
 
 class ProgressSender:
@@ -82,25 +87,26 @@ class ProgressSender:
     def _pump(self) -> None:
         while True:
             self._wake.wait()
-            while True:
-                with self._lock:
-                    if not self._queue:
-                        self._wake.clear()
-                        if self._closed:
-                            return
-                        break
+            with self._lock:
+                if self._queue:
                     payload = self._queue.popleft()
-                if self._broken:
+                elif self._closed:
+                    payload = END_OF_STREAM
+                else:
+                    self._wake.clear()
                     continue
+            if not self._broken:
                 try:
                     self._conn.send(payload)
                     self.sent += 1
                 except (BrokenPipeError, OSError, ValueError):
                     self._broken = True
+            if payload is END_OF_STREAM:
+                return
 
     def close(self, timeout: float = 5.0) -> None:
-        """Flush the buffer, stop the pump, close the worker's pipe end
-        (EOF tells the server-side reader the run is over)."""
+        """Flush the buffer, send :data:`END_OF_STREAM`, stop the pump,
+        and close the worker's pipe end."""
         with self._lock:
             self._closed = True
         self._wake.set()

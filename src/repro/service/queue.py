@@ -21,6 +21,10 @@ every queued run finish, then tears the pool down.  Runs still queued
 when the drain window closes are **not dropped**: each is handed to
 ``on_interrupted`` so the (now durable) registry records it as
 ``interrupted`` and a restart can resubmit it.
+
+A worker process that dies (:class:`BrokenProcessPool`) fails only the
+run it was executing: the queue replaces the broken pool with a fresh
+one from ``pool_factory``, so later runs execute normally.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import multiprocessing as _mp
 import threading
 import traceback
 from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional
 
 from ..core.grid3 import Grid3, Grid3Config
 from ..errors import GridError
-from .progress import ProgressSender
+from .progress import END_OF_STREAM, ProgressSender
 from .reports import collect_reports, summarize_run
 from .store import RunRecord
 
@@ -146,6 +151,7 @@ class JobQueue:
         self.rejected = 0
         if pool_factory is None:
             pool_factory = lambda n: ProcessPoolExecutor(max_workers=n)  # noqa: E731
+        self._pool_factory = pool_factory
         self._pool: Executor = pool_factory(workers)
         self._threads = [
             threading.Thread(target=self._loop, name=f"svc-dispatch-{i}",
@@ -211,7 +217,8 @@ class JobQueue:
     def _run_one(self, record: RunRecord) -> None:
         with self._lock:
             self._busy += 1
-        rconn = wconn = None
+            pool = self._pool
+        wconn = None
         reader: Optional[threading.Thread] = None
         try:
             if self._on_start is not None:
@@ -219,26 +226,20 @@ class JobQueue:
             log = getattr(record, "progress", None)
             if log is not None and _accepts_progress(self._runner):
                 # One pipe per run: the worker's ProgressSender writes,
-                # this reader thread pumps events into the record's log.
-                # Connection objects cross ProcessPoolExecutor's submit
-                # boundary via fd duplication (ForkingPickler).
+                # this reader thread pumps events into the record's log
+                # until the sender's END_OF_STREAM.  Connection objects
+                # cross ProcessPoolExecutor's submit boundary via fd
+                # duplication (ForkingPickler).
                 rconn, wconn = _mp.Pipe(duplex=False)
                 reader = threading.Thread(
                     target=self._pump_progress, args=(rconn, log),
                     name=f"progress-{record.run_id}", daemon=True,
                 )
                 reader.start()
-                future = self._pool.submit(
-                    self._runner, record.config, wconn
-                )
+                future = pool.submit(self._runner, record.config, wconn)
             else:
-                future = self._pool.submit(self._runner, record.config)
+                future = pool.submit(self._runner, record.config)
             payload = future.result()
-            # Drop the parent's write-end copy *before* joining: EOF
-            # reaches the reader only once every write fd is closed.
-            if wconn is not None:
-                wconn.close()
-                wconn = None
             if reader is not None:
                 reader.join(timeout=10.0)
             with self._lock:
@@ -249,6 +250,11 @@ class JobQueue:
             with self._lock:
                 self.executed += 1
                 self.failed += 1
+                if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                    # A worker died; every later submit to this pool
+                    # would fail too, so replace it.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._pool = self._pool_factory(self.workers)
             detail = "".join(
                 traceback.format_exception_only(type(exc), exc)
             ).strip()
@@ -256,28 +262,29 @@ class JobQueue:
                 self._on_error(record, detail)
         finally:
             if wconn is not None:
-                try:
-                    wconn.close()
-                except OSError:
-                    pass
-            if reader is not None and reader.is_alive():
+                if reader.is_alive():
+                    # The run ended without its sender's END_OF_STREAM
+                    # (it failed, or its worker died): end it here.
+                    try:
+                        wconn.send(END_OF_STREAM)
+                    except OSError:
+                        pass
+                wconn.close()
                 reader.join(timeout=5.0)
-            if rconn is not None:
-                try:
-                    rconn.close()
-                except OSError:
-                    pass
             with self._lock:
                 self._busy -= 1
 
     @staticmethod
     def _pump_progress(rconn, log) -> None:
-        """Reader-thread body: drain the pipe into the run's log."""
+        """Reader-thread body: drain the pipe into the run's log until
+        END_OF_STREAM (or EOF)."""
         try:
             while True:
                 try:
                     event = rconn.recv()
                 except (EOFError, OSError):
+                    return
+                if event == END_OF_STREAM:
                     return
                 if isinstance(event, dict):
                     log.append(event)

@@ -20,8 +20,11 @@ Pending work lives in two structures (see :mod:`repro.sim.timewheel`):
   insertion order with no keys at all;
 * a **time wheel** of exact-time buckets for scheduled occurrences
   (timeouts) — same-instant events share one bucket in insertion
-  order, and the engine batch-dispatches a whole bucket per clock
-  store.
+  order; :meth:`Engine.step` claims a whole bucket with one clock
+  store and then dispatches its entries one per call.
+
+:meth:`Engine.step` is the only dispatch path: :meth:`Engine.run` is a
+loop over it.
 
 Determinism: urgent entries fire before bucket entries at the same
 instant, and each lane preserves insertion order, which reproduces the
@@ -31,33 +34,13 @@ repeated runs with the same seeds are bit-identical.
 
 from __future__ import annotations
 
-import heapq
-import sys
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 from collections import deque
 
 from .timewheel import TimeWheel
 
-#: Priority for "process a triggered event now" entries — these must
-#: run before ordinary timeouts scheduled at the same instant.  Kept as
-#: the public vocabulary for :meth:`Engine._push`.
-URGENT = 0
-#: Priority for ordinary scheduled occurrences.
-NORMAL = 1
-
 PENDING = object()
-
-#: CPython exposes refcounts, which lets the run loop prove a popped
-#: Timeout is unreachable from user code and recycle it.  On other
-#: implementations the pool simply stays empty (0 never matches a real
-#: refcount test).
-_getrefcount = getattr(sys, "getrefcount", None) or (lambda _obj: 0)
-
-#: Upper bound on recycled Timeout objects kept per engine.
-_POOL_CAP = 1024
-
-_INF = float("inf")
 
 
 class Interrupt(Exception):
@@ -169,8 +152,8 @@ class Timeout(Event):
     """An event that fires automatically after ``delay`` sim-seconds.
 
     This is the kernel's dominant allocation (every sleep, queue poll,
-    and monitoring tick is one), so construction is inlined: no
-    ``super().__init__`` chain, one direct bucket insert into the
+    and monitoring tick is one), so construction skips the
+    ``super().__init__`` chain; the timeout goes straight into the
     engine's time wheel.
     """
 
@@ -186,14 +169,7 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self.delay = delay
-        wheel = engine._wheel
-        time = engine._now + delay
-        bucket = wheel.buckets.get(time)
-        if bucket is None:
-            wheel.buckets[time] = [self]
-            heapq.heappush(wheel.times, time)
-        else:
-            bucket.append(self)
+        engine._wheel.schedule(engine._now + delay, self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -230,9 +206,8 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # Parking appends the process itself to an event's callback
-        # list (it is callable, below); Engine.run() recognises it there
-        # and drives the generator without an intermediate frame, using
-        # these prebound send/throw.
+        # list (it is callable, below); _resume drives the generator
+        # through these prebound send/throw.
         self._gen_send = generator.send
         self._gen_throw = generator.throw
         self._target: Optional[Event] = Initialize(engine, self)
@@ -257,7 +232,8 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
         interrupt_event.callbacks.append(self)
-        self.engine._push(self.engine.now, URGENT, interrupt_event)
+        engine = self.engine
+        engine._urgent.append((engine._now, interrupt_event))
 
     def _resume(self, event: Event) -> None:
         if self._value is not PENDING:
@@ -331,7 +307,7 @@ class ConditionEvent(Event):
         if not self.events:
             self._ok = True
             self._value = {}
-            engine._push(engine.now, URGENT, self)
+            engine._urgent.append((engine._now, self))
             return
         for ev in self.events:
             if ev.callbacks is None:
@@ -397,72 +373,27 @@ class Engine:
       bucket behind it.
     """
 
-    # Slots for the per-event-hot attributes; __dict__ stays so the
-    # instance-bound timeout() closure and external instrumentation
-    # (e.g. Tracer patching step) keep working.
+    # Slots for the per-event-hot attributes; __dict__ stays so
+    # instrumentation can replace step() on the instance (the Tracer).
     __slots__ = (
         "_now", "_urgent", "_wheel", "_bucket", "_bucket_i", "_bucket_time",
-        "_active_process", "_timeout_pool", "__dict__", "__weakref__",
+        "_active_process", "__dict__", "__weakref__",
     )
 
     def __init__(self) -> None:
         self._now = 0.0
         self._urgent: Deque = deque()
         self._wheel = TimeWheel()
-        #: The bucket currently being consumed by step()/run(), with the
-        #: index of the next un-dispatched entry and the bucket's
-        #: instant.  run() claims whole buckets; step() walks them one
-        #: entry at a time; both leave a partially consumed bucket here
-        #: so the other can pick up exactly where it stopped.
+        #: The bucket step() is walking, with the index of its next
+        #: un-dispatched entry and the bucket's instant.
         self._bucket: List = []
         self._bucket_i = 0
         self._bucket_time = 0.0
         self._active_process: Optional[Process] = None
-        #: Recycled Timeout objects (see :meth:`run`), kept pre-reset:
-        #: empty attached callbacks list, _ok True, not processed.
-        self._timeout_pool: List[Timeout] = []
-        #: Lifetime count of dispatched events (kept cheap: one add per
-        #: claimed bucket in run(), one per urgent/stepped event).  The
+        #: Lifetime count of dispatched events: one per urgent event,
+        #: plus each wheel bucket's length when it is claimed.  The
         #: scale benchmarks divide this by wall time for events/s.
         self.dispatched = 0
-
-        # timeout() is the kernel's hottest factory (every sleep, queue
-        # poll, and monitoring tick), so each engine binds a closure
-        # with the wheel and pool preloaded into cells; the instance
-        # attribute shadows the plain method below.
-        wheel = self._wheel
-        buckets = wheel.buckets
-        btimes = wheel.times
-        pool = self._timeout_pool
-
-        def timeout(
-            delay: float,
-            value: Any = None,
-            _push=heapq.heappush,
-            _bget=buckets.get,
-            _pop=pool.pop,
-            _new=Timeout,
-            _engine=self,
-        ) -> "Timeout":
-            # Pooled timeouts come back pre-reset (empty callbacks
-            # list, _ok True, not processed) — see run().
-            if pool:
-                if delay < 0:
-                    raise ValueError(f"negative timeout delay {delay!r}")
-                t = _pop()
-                t._value = value
-                t.delay = delay
-                time = _engine._now + delay
-                bucket = _bget(time)
-                if bucket is None:
-                    buckets[time] = [t]
-                    _push(btimes, time)
-                else:
-                    bucket.append(t)
-                return t
-            return _new(_engine, delay, value)
-
-        self.timeout = timeout  # type: ignore[method-assign]
 
     # -- clock --------------------------------------------------------------
     @property
@@ -481,24 +412,7 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now.
-
-        Reuses a pooled Timeout when one is available — the run loop
-        recycles timeouts it can prove are unreachable, so the dominant
-        "single waiter sleeps" pattern allocates nothing per cycle.
-        (Each instance shadows this method with a preloaded closure; see
-        ``__init__``.  This definition keeps the API discoverable and
-        serves subclasses that override ``__init__``.)
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay {delay!r}")
-            t = pool.pop()
-            t._value = value
-            t.delay = delay
-            self._wheel.schedule(self._now + delay, t)
-            return t
+        """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -513,20 +427,6 @@ class Engine:
         """Event firing when the first of ``events`` triggers."""
         return AnyOf(self, events)
 
-    # -- scheduling internals -------------------------------------------------
-    def _push(self, time: float, priority: int, event: Event) -> None:
-        """Queue ``event``.  URGENT entries must be scheduled for the
-        current instant (every internal caller does); NORMAL entries go
-        to the wheel at any future time."""
-        if priority == URGENT:
-            self._urgent.append((time, event))
-        else:
-            self._wheel.schedule(time, event)
-
-    def _schedule_event(self, event: Event) -> None:
-        """Queue a just-triggered event's callback processing."""
-        self._urgent.append((self._now, event))
-
     # -- execution --------------------------------------------------------------
     def step(self) -> bool:
         """Process one event.  Returns False if nothing is pending.
@@ -539,10 +439,6 @@ class Engine:
         if urgent:
             time, event = urgent.popleft()
             self._now = time
-            if event._value is PENDING:
-                # A cancelled entry: it stores its outcome eagerly, so
-                # PENDING here means nothing to deliver.
-                return True
             self.dispatched += 1
             event._process()
             return True
@@ -559,12 +455,10 @@ class Engine:
             self._bucket_time = time
             self._now = time
             i = 0
-            # Wheel buckets are counted whole at the claim (see run()).
+            # Wheel buckets are counted whole at the claim.
             self.dispatched += len(bucket)
         event = bucket[i]
         self._bucket_i = i + 1
-        if event._value is PENDING:
-            return True
         event._process()
         return True
 
@@ -595,239 +489,18 @@ class Engine:
         """Run until nothing is pending or the clock reaches ``until``.
 
         When ``until`` is given the clock is advanced to exactly that
-        time even if no event falls on it.
-
-        This is the kernel's hottest loop, so dispatch is inlined: the
-        urgent FIFO drains first, then whole wheel buckets are claimed
-        and batch-dispatched (one clock store per distinct instant).
-        The dominant pattern — a single parked process sleeping on a
-        Timeout that nothing else references — takes a *lean* path: the
-        refcount proves no user code can ever observe the Timeout
-        again, so the processed-state flips are skipped entirely and
-        the object goes straight back to the engine pool (CPython only;
-        elsewhere the pool stays empty and behavior is identical).
-
-        Note: while a bucket is being batch-dispatched, :meth:`peek` /
-        :meth:`peek_event` (called from inside an event callback) report
-        the bucket's own instant rather than looking past it.
+        time even if no event falls on it.  Every event goes through
+        :meth:`step`, so instrumentation that replaces ``step`` on the
+        instance (e.g. the Tracer) sees every dispatch.
         """
-        if "step" in self.__dict__:
-            # step() has been instance-patched (e.g. by a Tracer): take
-            # the slow path so the instrumentation sees every event.
-            return self._run_stepped(until)
-        if until is None:
-            limit = _INF
-        else:
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
-            limit = until
-        urgent = self._urgent
-        upop = urgent.popleft
-        wheel = self._wheel
-        buckets = wheel.buckets
-        btimes = wheel.times
-        pop = heapq.heappop
-        pool = self._timeout_pool
-        padd = pool.append
-        getref = _getrefcount
-        pending = PENDING
-        timeout_cls = Timeout
-        process_cls = Process
-        pool_cap = _POOL_CAP
-        _len = len
-        # Urgent entries were pushed at the instant the clock already
-        # shows (now only advances at bucket acquisition, which requires
-        # the FIFO to be empty), so the drains below never store _now.
-        try:
-            while True:
-                # Urgent entries are always due now (<= any bucket).
-                while urgent:
-                    _t, event = upop()
-                    if event._value is pending:
-                        continue
-                    self.dispatched += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    for callback in callbacks or ():
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        raise SimulationError(
-                            f"unhandled failure in {event!r}: {event._value!r}"
-                        ) from event._value
-                # Claim the next bucket: first any bucket step() left
-                # partially consumed, then the wheel's earliest.
-                i = self._bucket_i
-                bucket = self._bucket
-                if i < len(bucket):
-                    if i:
-                        bucket = bucket[i:]
-                        self._bucket = bucket
-                        self._bucket_i = 0
-                    # Its instant is the current clock (step() set it),
-                    # so it is within any valid ``until``.
-                elif btimes:
-                    time = btimes[0]
-                    if time > limit:
-                        break
-                    pop(btimes)
-                    bucket = buckets.pop(time)
-                    self._now = time
-                    self._bucket = bucket
-                    self._bucket_time = time
-                    self._bucket_i = 0
-                    # Count each wheel bucket exactly once, at the claim
-                    # (partial handoffs to/from step() are not recounted).
-                    self.dispatched += _len(bucket)
-                else:
-                    break
-                try:
-                    for ev in bucket:
-                        cbs = ev.callbacks
-                        if ev.__class__ is timeout_cls and _len(cbs) == 1:
-                            cb = cbs[0]
-                            if cb.__class__ is process_cls and getref(ev) == 4:
-                                # The dominant pattern, lean path.  The
-                                # four references are exactly: this
-                                # bucket, the ``ev`` local, the parked
-                                # process's _target, and getrefcount's
-                                # argument — so no user code can ever
-                                # observe ``ev`` again and the
-                                # processed-state flips are skipped.
-                                # Timeouts are born succeeded (no
-                                # _ok/_defused checks needed).
-                                self._active_process = cb
-                                try:
-                                    nxt = cb._gen_send(ev._value)
-                                except StopIteration as stop:
-                                    ev.callbacks = None
-                                    ev._processed = True
-                                    cb._target = None
-                                    cb.succeed(stop.value)
-                                except BaseException as exc:  # noqa: BLE001
-                                    ev.callbacks = None
-                                    ev._processed = True
-                                    cb._target = None
-                                    cb.fail(exc)
-                                else:
-                                    if nxt.__class__ is timeout_cls:
-                                        ncbs = nxt.callbacks
-                                        if ncbs is not None:
-                                            # Park on the fresh timeout
-                                            # and recycle this one:
-                                            # detaching cb leaves it
-                                            # pre-reset already.  The
-                                            # pool cap is enforced per
-                                            # bucket, not per event.
-                                            ncbs.append(cb)
-                                            cb._target = nxt
-                                            cbs.pop()
-                                            padd(ev)
-                                        else:
-                                            ev.callbacks = None
-                                            ev._processed = True
-                                            cb._target = None
-                                            cb._resume(nxt)
-                                    elif isinstance(nxt, Event):
-                                        ncbs = nxt.callbacks
-                                        if ncbs is not None:
-                                            ncbs.append(cb)
-                                            cb._target = nxt
-                                            cbs.pop()
-                                            padd(ev)
-                                        else:
-                                            ev.callbacks = None
-                                            ev._processed = True
-                                            cb._target = None
-                                            cb._resume(nxt)
-                                    else:
-                                        ev.callbacks = None
-                                        ev._processed = True
-                                        cb._target = None
-                                        cb.fail(TypeError(
-                                            f"process {cb.name!r} yielded "
-                                            f"non-event {nxt!r}"
-                                        ))
-                                # Events triggered by this dispatch
-                                # fire before later bucket entries.
-                                while urgent:
-                                    _t, event = upop()
-                                    if event._value is pending:
-                                        continue
-                                    callbacks = event.callbacks
-                                    event.callbacks = None
-                                    event._processed = True
-                                    for callback in callbacks or ():
-                                        callback(event)
-                                    if event._ok is False and not event._defused:
-                                        raise SimulationError(
-                                            f"unhandled failure in {event!r}: "
-                                            f"{event._value!r}"
-                                        ) from event._value
-                                continue
-                        # Generic path: cancelled entries, multi-callback
-                        # events, user-held timeouts.
-                        if ev._value is pending:
-                            continue
-                        ev.callbacks = None
-                        ev._processed = True
-                        for callback in cbs or ():
-                            callback(ev)
-                        if ev._ok is False and not ev._defused:
-                            raise SimulationError(
-                                f"unhandled failure in {ev!r}: {ev._value!r}"
-                            ) from ev._value
-                        if (
-                            ev.__class__ is timeout_cls
-                            and getref(ev) == 3
-                        ):
-                            # Only this bucket, the local, and the
-                            # getrefcount argument hold it: recycle.
-                            cbs.clear()
-                            ev.callbacks = cbs
-                            ev._processed = False
-                            if len(pool) < pool_cap:
-                                pool.append(ev)
-                        while urgent:
-                            _t, event = upop()
-                            if event._value is pending:
-                                continue
-                            callbacks = event.callbacks
-                            event.callbacks = None
-                            event._processed = True
-                            for callback in callbacks or ():
-                                callback(event)
-                            if event._ok is False and not event._defused:
-                                raise SimulationError(
-                                    f"unhandled failure in {event!r}: "
-                                    f"{event._value!r}"
-                                ) from event._value
-                except BaseException:
-                    # Leave the un-dispatched remainder claimable by a
-                    # later run()/step().  ``ev`` is the entry whose
-                    # dispatch raised; objects appear in a bucket at
-                    # most once, so index() is unambiguous.
-                    self._bucket_i = bucket.index(ev) + 1
-                    raise
-                self._bucket_i = len(bucket)
-                if len(pool) > pool_cap:
-                    del pool[pool_cap:]
-        finally:
-            self._active_process = None
-        if until is not None:
-            self._now = max(self._now, until)
-
-    def _run_stepped(self, until: Optional[float] = None) -> None:
-        """The un-inlined run loop, one ``self.step()`` call per event."""
         if until is None:
             while self.step():
                 pass
             return
         if until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        while self.peek() <= until:
-            if not self.step():
-                break
+        while self.peek() <= until and self.step():
+            pass
         self._now = max(self._now, until)
 
     def run_process(self, generator: Generator, name: str = "") -> Any:

@@ -17,8 +17,8 @@ Scheduling an event whose fire time already has a bucket is an O(1)
 ``list.append``; only the *first* event at a new time pays the heap
 push.  Because a Python list preserves insertion order, same-instant
 ties need no sequence numbers at all — the bucket *is* the tie-break —
-and the engine can batch-dispatch a whole bucket after a single clock
-store.  Far-future (and even ``inf``) times need no special casing:
+and the engine claims a whole bucket with a single clock store, then
+dispatches its entries in order.  Far-future (and even ``inf``) times need no special casing:
 they are just buckets that sort late in ``times``, so the heap doubles
 as the fallback calendar for sparse long-range events.
 
@@ -28,11 +28,6 @@ engine drains its urgent FIFO (triggered events, which are always
 scheduled for the *current* instant) before opening the next bucket —
 together this reproduces exactly the old heap's
 ``(time, priority, insertion-seq)`` order.
-
-The engine inlines the hot-path insert (see ``Engine.__init__`` and
-``Timeout.__init__``) by touching ``buckets``/``times`` directly; the
-methods here are the readable reference implementation and serve the
-non-hot paths (``step``, ``peek``, diagnostics).
 """
 
 from __future__ import annotations

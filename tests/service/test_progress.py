@@ -11,6 +11,7 @@ from repro.monitoring.progress import (
     slice_times,
 )
 from repro.service.progress import (
+    END_OF_STREAM,
     ProgressLog,
     ProgressSender,
     parse_sse_stream,
@@ -74,7 +75,10 @@ def test_sender_delivers_in_order_and_closes_conn():
     for i in range(20):
         sender.emit(tick(i))
     sender.close()
-    assert [e["seq"] for e in conn.sent] == list(range(20))
+    # The stream ends with exactly one END_OF_STREAM, after every event.
+    *events, last = conn.sent
+    assert last == END_OF_STREAM
+    assert [e["seq"] for e in events] == list(range(20))
     assert conn.closed and sender.coalesced == 0
 
 
@@ -86,13 +90,15 @@ def test_sender_coalesces_ticks_under_slow_reader():
         sender.emit(tick(i))
     sender.emit(tick(40, kind="end"))
     sender.close(timeout=10.0)
-    seqs = [e["seq"] for e in conn.sent]
+    *events, last = conn.sent
+    assert last == END_OF_STREAM
+    seqs = [e["seq"] for e in events]
     # Some ticks were superseded, none reordered, lifecycle survived.
     assert sender.coalesced > 0
     assert seqs == sorted(seqs)
-    assert conn.sent[0]["kind"] == "phase"
-    assert conn.sent[-1]["kind"] == "end"
-    assert len(conn.sent) == 41 - sender.coalesced
+    assert events[0]["kind"] == "phase"
+    assert events[-1]["kind"] == "end"
+    assert len(events) == 41 - sender.coalesced
 
 
 def test_sender_emit_never_blocks_on_slow_reader():

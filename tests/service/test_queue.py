@@ -1,12 +1,15 @@
 """JobQueue dispatch, backpressure, failure accounting, and drain."""
 
+import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import Grid3Config
 from repro.service import JobQueue, QueueFullError
+from repro.service.progress import ProgressSender
 from repro.service.store import RunStore
 
 
@@ -124,3 +127,65 @@ def test_queue_validates_construction():
         make_queue(lambda c: {}, workers=0)
     with pytest.raises(ValueError):
         make_queue(lambda c: {}, depth=0)
+
+
+# -- out-of-process workers ---------------------------------------------------
+# Module-level runners, so they cross the process-pool boundary.
+
+def _streaming_runner(config, progress):
+    """Streams two events, then exits the worker for ``seed=13``."""
+    sender = ProgressSender(progress)
+    sender.emit({"seq": 0, "kind": "phase", "phase": "sim"})
+    sender.emit({"seq": 1, "kind": "tick", "phase": "sim"})
+    if config.seed == 13:
+        os._exit(1)
+    sender.close()
+    return {"seed": config.seed}
+
+
+def _process_queue(store):
+    return JobQueue(
+        workers=1, depth=4, runner=_streaming_runner,
+        on_start=store.mark_running,
+        on_done=lambda record, payload: store.mark_done(record, payload, 0),
+        on_error=store.mark_failed,
+    )
+
+
+def test_first_run_on_fresh_process_queue_does_not_wait_for_pipe_eof():
+    """The worker forked by the first submit inherits that run's pipe,
+    so EOF never reaches the progress reader; the sender's end-of-stream
+    message must end the run, well inside the reader's 10 s / 5 s join
+    timeouts."""
+    store = RunStore()
+    queue = _process_queue(store)
+    try:
+        record = store.create("d1", Grid3Config(seed=5))
+        start = time.monotonic()
+        queue.submit(record)
+        assert record.progress.wait_for(1, timeout=30.0)[1]  # log closed
+        assert time.monotonic() - start < 3.0
+        assert record.state == "done"
+        assert [e["seq"] for e in record.progress.since(-1)[0]] == [0, 1]
+    finally:
+        queue.shutdown()
+
+
+def test_dead_worker_fails_only_its_run_and_the_pool_is_rebuilt():
+    store = RunStore()
+    queue = _process_queue(store)
+    try:
+        doomed = store.create("d1", Grid3Config(seed=13))
+        queue.submit(doomed)
+        assert queue.drain(timeout=30.0)
+        assert doomed.state == "failed"
+        assert "BrokenProcessPool" in doomed.error
+        survivor = store.create("d2", Grid3Config(seed=2))
+        queue.submit(survivor)
+        assert queue.drain(timeout=30.0)
+        assert survivor.state == "done"
+        assert survivor.payload == {"seed": 2}
+        stats = queue.stats()
+        assert stats["executed"] == 2 and stats["failed"] == 1
+    finally:
+        queue.shutdown()

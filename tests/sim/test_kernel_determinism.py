@@ -1,9 +1,7 @@
-"""Determinism of the pooled/fast-path kernel.
+"""Determinism of the kernel.
 
-The run loop recycles Timeout objects and drives parked processes
-inline; none of that may perturb event ordering.  Same seeds must give
-bit-identical runs — both at the raw-engine level and through a full
-Grid3 window (same ``acdc_db`` contents).
+Same seeds must give bit-identical runs — both at the raw-engine level
+and through a full Grid3 window (same ``acdc_db`` contents).
 """
 
 from dataclasses import replace
@@ -14,7 +12,7 @@ from repro.sim import Engine
 
 
 def _engine_trace():
-    """A mixed workload exercising pooled timeouts, same-instant ties,
+    """A mixed workload exercising timeouts, same-instant ties,
     events, and interrupts; returns the observed (time, token) trace."""
     eng = Engine()
     trace = []

@@ -8,7 +8,7 @@ buckets plus an urgent FIFO.  These tests pin the ordering contract:
 * a randomized workload at pinned seeds fires in exactly the order a
   reference (stable-sorted) schedule predicts;
 * cancel/defuse shapes — orphaned timeouts parked in wheel slots after
-  an interrupt — stay no-ops and feed the recycling pool;
+  an interrupt — stay no-ops;
 * a full 7-day grid run is same-seed byte-identical.
 """
 
@@ -168,10 +168,9 @@ def test_mixed_workload_trace_stable_across_runs():
 
 # -- cancelled / orphaned entries in wheel slots ------------------------------
 
-def test_interrupt_orphans_timeout_in_wheel_and_recycles_it():
+def test_interrupt_orphans_timeout_in_wheel_as_noop():
     """Interrupting a sleeper leaves its timeout parked in a wheel
-    bucket with no callbacks; reaching its instant must be a no-op and
-    the object must flow into the recycling pool."""
+    bucket with no callbacks; reaching its instant must be a no-op."""
     eng = Engine()
     seen = []
 
@@ -196,14 +195,10 @@ def test_interrupt_orphans_timeout_in_wheel_and_recycles_it():
     eng.run(until=20.0)
     assert seen == ["interrupted"]
     assert eng.peek() == float("inf")
-    # ...and was recycled: the next timeout reuses the pooled object.
-    pooled = list(eng._timeout_pool)
-    t = eng.timeout(1.0)
-    assert any(t is p for p in pooled)
 
 
 def test_interrupted_then_new_timeouts_stay_deterministic():
-    """Pool reuse after an orphan recycle must not perturb ordering."""
+    """Fresh timeouts after an orphaned one must not perturb ordering."""
 
     def one_trace():
         eng = Engine()
@@ -214,7 +209,7 @@ def test_interrupted_then_new_timeouts_stay_deterministic():
                 yield eng.timeout(50.0)
             except BaseException:  # noqa: BLE001
                 out.append((eng.now, "int"))
-            # Keep going with fresh (possibly recycled) timeouts.
+            # Keep going with fresh timeouts.
             for i in range(5):
                 yield eng.timeout(1.0)
                 out.append((eng.now, f"tick{i}"))
@@ -266,19 +261,6 @@ def test_defused_failure_in_urgent_lane_does_not_crash():
     ev.fail(RuntimeError("boom"))
     eng.run()  # defused: must not raise
     assert ev.processed and not ev.ok
-
-
-def test_pool_is_bounded():
-    from repro.sim.engine import _POOL_CAP
-    eng = Engine()
-
-    def sleeper():
-        yield eng.timeout(1.0)
-
-    for _ in range(3000):
-        eng.process(sleeper())
-    eng.run()
-    assert len(eng._timeout_pool) <= _POOL_CAP
 
 
 # -- full-system byte identity ------------------------------------------------

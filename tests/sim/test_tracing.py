@@ -89,7 +89,8 @@ def test_tracer_render_and_validation():
 
 
 def test_traced_run_matches_untraced():
-    """Tracing must not perturb simulation outcomes."""
+    """Tracing must not perturb simulation outcomes, nor the dispatched
+    count (which includes process completions fired mid-bucket)."""
 
     def scenario(trace):
         eng = Engine()
@@ -103,7 +104,7 @@ def test_traced_run_matches_untraced():
         for i in range(100):
             eng.process(worker(i))
         eng.run()
-        return results
+        return results, eng.dispatched
 
     assert scenario(False) == scenario(True)
 
@@ -209,3 +210,21 @@ def test_tail_is_a_suffix_view():
     eng.run()
     assert tracer.tail(3) == list(tracer.entries)[-3:]
     assert tracer.tail(999) == list(tracer.entries)
+
+
+def test_grid_exposition_identical_with_and_without_tracer():
+    """A same-seed Grid3 run with a Tracer attached renders the same
+    dispatched count and the same Prometheus exposition bytes."""
+    from repro import Grid3, Grid3Config
+    from repro.monitoring.prometheus import grid_exposition
+
+    def run(trace):
+        grid = Grid3(Grid3Config(seed=7, scale=400, duration_days=2))
+        if trace:
+            Tracer(grid.engine, capacity=16)
+        grid.run_full()
+        return grid.engine.dispatched, grid_exposition(grid)
+
+    plain, traced = run(False), run(True)
+    assert plain[0] > 0
+    assert plain == traced
