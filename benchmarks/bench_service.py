@@ -43,15 +43,15 @@ def http(method, url, payload=None):
 def cold_round_trip(base):
     """Submit a new config, poll to done, fetch one report page."""
     start = time.perf_counter()
-    _status, submitted = http("POST", f"{base}/runs", {"config": CONFIG})
+    _status, submitted = http("POST", f"{base}/v1/runs", {"config": CONFIG})
     run_id = submitted["run_id"]
     while True:
-        _status, view = http("GET", f"{base}/runs/{run_id}")
+        _status, view = http("GET", f"{base}/v1/runs/{run_id}")
         if view["state"] in ("done", "failed"):
             break
         time.sleep(0.02)
     assert view["state"] == "done", view
-    http("GET", f"{base}/runs/{run_id}/report/ops?limit=50")
+    http("GET", f"{base}/v1/runs/{run_id}/report/ops?limit=50")
     return time.perf_counter() - start
 
 
@@ -59,7 +59,7 @@ def hot_burst(base):
     """Identical resubmissions: every one must be a cache hit."""
     start = time.perf_counter()
     for _ in range(HOT_REQUESTS):
-        status, answer = http("POST", f"{base}/runs", {"config": CONFIG})
+        status, answer = http("POST", f"{base}/v1/runs", {"config": CONFIG})
         assert status == 200 and answer["dedup"] == "cached", answer
     return time.perf_counter() - start
 
@@ -76,7 +76,7 @@ def test_service_round_trip_smoke(benchmark):
             return results
 
         benchmark.pedantic(flow, rounds=1, iterations=1)
-        _status, gauges = http("GET", f"{base}/metrics?format=json")
+        _status, gauges = http("GET", f"{base}/v1/metrics?format=json")
     finally:
         service.close(drain=True, timeout=60.0)
 

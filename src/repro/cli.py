@@ -406,7 +406,8 @@ def cmd_alerts(args, out=print) -> int:
     if args.url:
         import json as _json
         from urllib.request import urlopen
-        with urlopen(args.url.rstrip("/") + "/alerts", timeout=10) as resp:
+        with urlopen(args.url.rstrip("/") + "/v1/alerts",
+                     timeout=10) as resp:
             payload = _json.loads(resp.read().decode("utf-8"))
         rows = payload["rules"]
         out(render_table(
@@ -490,7 +491,7 @@ def cmd_top(args, out=print) -> int:
     if args.poll:
         since = -1
         while True:
-            with urlopen(f"{base}/runs/{args.run_id}/events?since={since}",
+            with urlopen(f"{base}/v1/runs/{args.run_id}/events?since={since}",
                          timeout=30) as resp:
                 payload = _json.loads(resp.read().decode("utf-8"))
             for event in payload["events"]:
@@ -500,7 +501,7 @@ def cmd_top(args, out=print) -> int:
                 out(f"run {args.run_id} finished ({payload['state']})")
                 return 0
             _time.sleep(args.interval)
-    with urlopen(f"{base}/runs/{args.run_id}/events", timeout=60) as resp:
+    with urlopen(f"{base}/v1/runs/{args.run_id}/events", timeout=60) as resp:
         for event in iter_sse_events(resp):
             out(render_progress_line(event))
     out(f"run {args.run_id} finished")

@@ -104,6 +104,12 @@ APP_CLASSES = {
 }
 
 
+def did_you_mean(value: object, allowed) -> str:
+    """``"; did you mean 'x'?"`` for the closest of ``allowed``, or ``""``."""
+    hit = difflib.get_close_matches(str(value), [str(a) for a in allowed], n=1)
+    return f"; did you mean {hit[0]!r}?" if hit else ""
+
+
 @dataclass
 class Grid3Config:
     """Knobs for one Grid3 simulation run."""
@@ -202,16 +208,12 @@ class Grid3Config:
         from ..errors import ConfigurationError
         from ..scheduling.policy import POLICY_SETS
 
-        def _suggest(value: str, allowed) -> str:
-            hit = difflib.get_close_matches(str(value), [str(a) for a in allowed], n=1)
-            return f"; did you mean {hit[0]!r}?" if hit else ""
-
         known = {f.name for f in fields(self)}
         for name in vars(self):
             if name not in known:
                 raise ConfigurationError(
                     f"unknown Grid3Config knob {name!r}"
-                    f"{_suggest(name, sorted(known))}"
+                    f"{did_you_mean(name, sorted(known))}"
                 )
         for knob, allowed in (
             ("matchmaking", ("smart", "random")),
@@ -221,7 +223,7 @@ class Grid3Config:
             if value not in allowed:
                 raise ConfigurationError(
                     f"{knob}={value!r} is not one of {allowed}"
-                    f"{_suggest(value, allowed)}"
+                    f"{did_you_mean(value, allowed)}"
                 )
         for knob in ("scale", "duration_days", "disk_scale",
                      "fair_share_half_life_hours", "alert_interval_hours"):
@@ -263,7 +265,7 @@ class Grid3Config:
             if unknown:
                 raise ConfigurationError(
                     f"unknown app(s) {unknown!r}"
-                    f"{_suggest(unknown[0], sorted(APP_CLASSES))}"
+                    f"{did_you_mean(unknown[0], sorted(APP_CLASSES))}"
                 )
         if self.fabric is not None:
             import inspect
@@ -284,7 +286,7 @@ class Grid3Config:
                 if unknown:
                     raise ConfigurationError(
                         f"unknown fabric knob(s) {unknown!r}"
-                        f"{_suggest(unknown[0], sorted(allowed))}"
+                        f"{did_you_mean(unknown[0], sorted(allowed))}"
                     )
         if self.metrics_memory_budget_mb is not None:
             if not self.metrics_memory_budget_mb > 0:

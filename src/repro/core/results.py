@@ -9,17 +9,14 @@ all query surfaces now share:
 * results are **frozen dataclasses** — named, typed, hashable fields;
 * ``as_dict()`` returns the plain-dict view (nested records included);
 * ``to_json()`` serialises with **sorted keys**, so equal records
-  produce byte-identical JSON (diffable, cacheable);
-* dict-style access (``row["field"]``, ``"field" in row``, ``.keys()``)
-  still works as a *thin deprecated alias* for the old return shapes.
+  produce byte-identical JSON (diffable, cacheable).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 
 def _jsonable(value: Any) -> Any:
@@ -35,8 +32,7 @@ class ReportRecord:
     """Mixin base for frozen result dataclasses.
 
     Subclasses are ``@dataclass(frozen=True)``; this base supplies the
-    uniform ``as_dict``/``to_json`` surface plus deprecated dict-style
-    access so pre-redesign callers keep working.
+    uniform ``as_dict``/``to_json`` surface.
     """
 
     def as_dict(self) -> Dict[str, Any]:
@@ -47,42 +43,6 @@ class ReportRecord:
         """Sorted-key JSON — equal records serialise identically."""
         return json.dumps(self.as_dict(), sort_keys=True, default=_jsonable)
 
-    # -- deprecated dict-shape aliases ----------------------------------
-    def _warn(self, how: str) -> None:
-        warnings.warn(
-            f"{how} on {type(self).__name__} is deprecated; use attribute "
-            "access or .as_dict()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> Any:
-        self._warn(f"dict-style access [{key!r}]")
-        return self.as_dict()[key]
-
-    def __contains__(self, key: str) -> bool:
-        self._warn(f"membership test {key!r} in record")
-        return key in self.as_dict()
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn("iteration")
-        return iter(self.as_dict())
-
-    def keys(self):
-        """Deprecated: the old dict shape's keys."""
-        self._warn(".keys()")
-        return self.as_dict().keys()
-
-    def items(self):
-        """Deprecated: the old dict shape's items."""
-        self._warn(".items()")
-        return self.as_dict().items()
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Deprecated: the old dict shape's .get()."""
-        self._warn(f".get({key!r})")
-        return self.as_dict().get(key, default)
-
 
 @dataclasses.dataclass(frozen=True)
 class ReportPage(ReportRecord):
@@ -92,9 +52,7 @@ class ReportPage(ReportRecord):
     the whole tree.
 
     ``rows`` holds the page's records — :class:`ReportRecord` instances
-    or plain dicts (the field is named ``rows`` because the deprecated
-    dict-alias surface already claims ``.items()``); ``as_dict()`` emits
-    the wire shape::
+    or plain dicts; ``as_dict()`` emits the wire shape::
 
         {"items": [...], "total": N, "slice": {"offset": o, "limit": l,
          "returned": len(items)}}

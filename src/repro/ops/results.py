@@ -4,8 +4,7 @@ Every :class:`~repro.ops.troubleshooting.TroubleshootingAPI` accounting
 query used to return an ad-hoc ``dict`` with its own shape.  These are
 the replacement records — frozen dataclasses on the shared
 :class:`~repro.core.results.ReportRecord` convention (``as_dict()``,
-sorted-key ``to_json()``, deprecated dict-style access for the old
-shapes).
+sorted-key ``to_json()``).
 """
 
 from __future__ import annotations

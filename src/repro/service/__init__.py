@@ -15,12 +15,11 @@ Layering (each module one concern):
 
 * :mod:`~repro.service.schemas`     — request parsing/validation (400s)
   and the uniform error envelope;
-* :mod:`~repro.service.store`       — the run registry and state machine;
-* :mod:`~repro.service.persistence` — the durable journal the registry
-  replays on restart (``--state-dir``);
+* :mod:`~repro.service.store`       — the run registry: state machine,
+  byte-budgeted LRU of resident results, and one sqlite table that
+  survives restarts (``--state-dir``);
 * :mod:`~repro.service.admission`   — fair-share dispatch order, lanes,
   and per-client quotas;
-* :mod:`~repro.service.cache`       — byte-budgeted LRU result cache;
 * :mod:`~repro.service.queue`       — bounded queue + process worker pool;
 * :mod:`~repro.service.reports`     — report payload builders (the byte-
   identity contract with the ``repro`` facade lives here);
@@ -42,8 +41,6 @@ the typed in-process client is :class:`repro.client.GridClient`.
 
 from .admission import LANES, AdmissionPolicy, QuotaExceededError
 from .app import API_PREFIX, ReproService, ServiceApp, serve, strip_version
-from .cache import ResultCache
-from .persistence import JournalEntry, RunJournal
 from .progress import (
     ProgressLog,
     ProgressSender,
@@ -75,7 +72,6 @@ __all__ = [
     "ERROR_CODES",
     "HealthView",
     "JobQueue",
-    "JournalEntry",
     "LANES",
     "ProgressLog",
     "ProgressSender",
@@ -83,9 +79,7 @@ __all__ = [
     "QuotaExceededError",
     "REPORT_KINDS",
     "ReproService",
-    "ResultCache",
     "RunEvents",
-    "RunJournal",
     "RunRecord",
     "RunRequest",
     "RunStore",

@@ -7,12 +7,10 @@ shim).  :class:`ReproService` wraps it in a ``ThreadingHTTPServer``
 (stdlib only, so tier-1 stays hermetic) on an ephemeral or fixed port;
 :func:`serve` is the blocking CLI entry.
 
-The API is **versioned**: every endpoint lives under ``/v1/`` and the
-bare legacy paths answer identically while carrying a ``Deprecation``
-header plus a ``Link: </v1/...>; rel="successor-version"`` pointing at
-the canonical route.
+The API is **versioned**: every endpoint lives under ``/v1/``; a bare
+unversioned path answers ``404 not_found`` with a hint pointing there.
 
-Endpoints (all under ``/v1``, legacy aliases without the prefix)::
+Endpoints::
 
     POST /v1/runs                         submit (dedup via result cache;
                                           fair-share admission + quotas)
@@ -27,7 +25,7 @@ Endpoints (all under ``/v1``, legacy aliases without the prefix)::
     GET  /v1/metrics                      Prometheus text (service gauges,
                                           admission gauges, per-run
                                           progress, alert states;
-                                          ?format=json = legacy flat JSON)
+                                          ?format=json = flat JSON)
     GET  /v1/alerts                       live alert-rule states
 
 Every non-2xx response carries the uniform envelope
@@ -39,10 +37,10 @@ first run's id with ``dedup`` set to ``"cached"`` (finished) or
 ``"joined"`` (still in flight), observable via the
 ``service.queue.executed`` counter.
 
-Durability: pass ``state_dir`` and every run-registry mutation is
-journaled to sqlite (WAL); a restart replays the journal, so finished
-runs serve byte-identical report bytes across restarts and in-flight
-runs come back ``interrupted`` (terminal, resubmittable).
+Durability: pass ``state_dir`` and the run registry's sqlite table
+lives in ``<state_dir>/runs.sqlite3`` (WAL); a restart reopens it, so
+finished runs serve byte-identical report bytes across restarts and
+in-flight runs come back ``interrupted`` (terminal, resubmittable).
 
 Admission: submissions name a ``client`` and a ``lane``; dispatch is
 fair-share-ordered via :class:`~repro.service.admission.AdmissionPolicy`
@@ -53,6 +51,7 @@ fair-share-ordered via :class:`~repro.service.admission.AdmissionPolicy`
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
@@ -62,8 +61,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.grid3 import Grid3Config
 from ..core.results import paginate
 from .admission import AdmissionPolicy, QuotaExceededError
-from .cache import ResultCache
-from .persistence import RunJournal
 from .progress import sse_end_frame, sse_format
 from .queue import JobQueue, QueueFullError, execute_run
 from .reports import REPORT_KINDS
@@ -106,8 +103,15 @@ def strip_version(path: str) -> Tuple[str, bool]:
     return path, False
 
 
+def _no_route(path: str) -> Tuple[int, str]:
+    return 404, ApiError(
+        code="not_found", message=f"no route {path}",
+        hint=f"canonical routes live under {API_PREFIX}/",
+    ).to_json()
+
+
 class ServiceApp:
-    """The service brain: store + cache + queue behind a route table."""
+    """The service brain: run store + queue behind a route table."""
 
     def __init__(
         self,
@@ -123,11 +127,14 @@ class ServiceApp:
     ) -> None:
         self._clock = clock
         self.started_at = clock()
-        #: The durable journal (None = in-memory registry, the embedded
-        #: and unit-test default).
-        self.journal = RunJournal(state_dir) if state_dir is not None else None
-        self.store = RunStore(clock=clock, journal=self.journal)
-        self.cache = ResultCache(cache_bytes)
+        #: Where the run registry persists (None = in memory, the
+        #: embedded and unit-test default).
+        self.state_dir = state_dir
+        path = ":memory:"
+        if state_dir is not None:
+            os.makedirs(state_dir, exist_ok=True)
+            path = os.path.join(state_dir, "runs.sqlite3")
+        self.store = RunStore(path, clock=clock, cache_bytes=cache_bytes)
         self.admission = AdmissionPolicy(
             quota=quota_per_client, half_life=admission_half_life_s,
             clock=clock,
@@ -146,16 +153,6 @@ class ServiceApp:
             on_interrupted=self._on_interrupted,
             admission=self.admission,
         )
-        # Replayed finished runs re-enter the result cache (journal
-        # order approximates recency; the byte budget may evict the
-        # oldest payloads right back out, journaled as drops).
-        finished = [r for r in self.store.runs()
-                    if r.state == "done" and r.payload is not None]
-        finished.sort(key=lambda r: (r.finished_at or 0.0, r.run_id))
-        for record in finished:
-            for _digest, victim_id in self.cache.put(
-                    record.digest, record.run_id, record.payload_bytes):
-                self.store.drop_payload(victim_id)
         # Scrape history: every /metrics hit appends the service.*
         # gauges as samples, so the estate's MetricStore query surface
         # (series/window_stats) works on service telemetry too.
@@ -185,12 +182,8 @@ class ServiceApp:
                 record.client, max(0.0, finished - record.started_at))
 
     def _on_done(self, record: RunRecord, payload: Dict[str, object]) -> None:
-        raw = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-        self.store.mark_done(record, payload, len(raw), raw=raw)
+        self.store.mark_done(record, payload)
         self._charge(record)
-        for _digest, victim_id in self.cache.put(record.digest,
-                                                 record.run_id, len(raw)):
-            self.store.drop_payload(victim_id)
 
     def _on_error(self, record: RunRecord, detail: str) -> None:
         self.store.mark_failed(record, detail)
@@ -207,16 +200,12 @@ class ServiceApp:
         config = request.config
         digest = config.canonical_digest()
         with self._submit_lock:
-            cached_id = self.cache.get(digest)
-            if cached_id is not None:
-                record = self.store.get(cached_id)
-                if record is not None and record.payload is not None:
-                    return 200, RunSubmitted(
-                        run_id=record.run_id, state=record.state,
-                        dedup="cached", digest=digest,
-                    )
-                # Stale cache entry (payload dropped out of band).
-                self.cache.remove(digest)
+            cached = self.store.cached(digest)
+            if cached is not None:
+                return 200, RunSubmitted(
+                    run_id=cached.run_id, state=cached.state,
+                    dedup="cached", digest=digest,
+                )
             existing = self.store.lookup(digest)
             if existing is not None and existing.state in ("queued", "running"):
                 self.joined += 1
@@ -252,7 +241,7 @@ class ServiceApp:
     def service_metrics(self) -> Dict[str, float]:
         """Every ``service.*`` gauge/counter, flat."""
         out: Dict[str, float] = {}
-        for key, value in self.cache.stats().items():
+        for key, value in self.store.cache_stats().items():
             out[f"service.cache.{key}"] = value
         queue_stats = self.queue.stats()
         for key in ("depth", "max_depth", "executed", "failed", "rejected"):
@@ -327,7 +316,7 @@ class ServiceApp:
     # -- the route table -------------------------------------------------------
     @staticmethod
     def _known_path(bare: str) -> bool:
-        """Is ``bare`` the shape of a real route (for alias headers)?"""
+        """Is ``bare`` the shape of a real route (405, not 404)?"""
         return bool(
             bare in ("/healthz", "/metrics", "/runs", "/alerts")
             or _RUN_PATH.match(bare) or _REPORT_PATH.match(bare)
@@ -338,18 +327,15 @@ class ServiceApp:
                 body: bytes) -> Response:
         """Dispatch one request; ``(status, json_body, headers)``.
 
-        Accepts canonical ``/v1/...`` paths and the deprecated bare
-        aliases; aliases answer identically plus a ``Deprecation``
-        header and a ``Link`` to the successor route.
+        Only canonical ``/v1/...`` paths route; anything else is a 404.
         """
         bare, versioned = strip_version(path)
         headers: List[Tuple[str, str]] = []
-        if not versioned and self._known_path(bare):
-            headers.append(("Deprecation", "true"))
-            headers.append(
-                ("Link", f'<{API_PREFIX}{bare}>; rel="successor-version"'))
         try:
-            status, payload = self._route(method, bare, query, body)
+            if not versioned:
+                status, payload = _no_route(path)
+            else:
+                status, payload = self._route(method, bare, query, body)
         except SchemaError as exc:
             message, hint = split_hint(str(exc))
             status, payload = 400, ApiError(
@@ -390,7 +376,7 @@ class ServiceApp:
                 uptime_s=round(self._clock() - self.started_at, 6),
                 queue_depth=self.queue.depth,
                 workers=self.queue.workers,
-                durable=self.journal is not None,
+                durable=self.state_dir is not None,
                 recovered_runs=self.store.recovered_interrupted,
             ).to_json()
         if path == "/metrics" and method == "GET":
@@ -437,10 +423,7 @@ class ServiceApp:
                 message=f"{method} {path}",
                 hint="see docs/API.md for each route's methods",
             ).to_json()
-        return 404, ApiError(
-            code="not_found", message=f"no route {path}",
-            hint=f"canonical routes live under {API_PREFIX}/",
-        ).to_json()
+        return _no_route(path)
 
     def _not_finished(self, record: RunRecord,
                       run_id: int) -> Optional[Tuple[int, str]]:
@@ -543,11 +526,10 @@ class ServiceApp:
     # -- lifecycle -------------------------------------------------------------
     def close(self, drain: bool = True, timeout: float = 300.0) -> bool:
         """Shut the queue down.  With ``drain`` the accepted work
-        finishes; whatever stays queued is journaled ``interrupted``
+        finishes; whatever stays queued is stored ``interrupted``
         (resubmittable), never silently dropped."""
         finished = self.queue.shutdown(drain=drain, timeout=timeout)
-        if self.journal is not None:
-            self.journal.close()
+        self.store.close()
         return finished
 
 
@@ -565,15 +547,11 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         body = self.rfile.read(length) if length else b""
         bare, versioned = strip_version(split.path)
-        if (method == "GET" and "since" not in query
-                and _EVENTS_PATH.match(bare)):
-            match = _EVENTS_PATH.match(bare)
-            extra = []
-            if not versioned:
-                extra = [("Deprecation", "true"),
-                         ("Link", f'<{API_PREFIX}{bare}>; '
-                                  f'rel="successor-version"')]
-            self._stream_events(int(match.group(1)), extra)  # type: ignore[union-attr]
+        match = _EVENTS_PATH.match(bare)
+        record = self.app.store.get(int(match.group(1))) if match else None
+        if (method == "GET" and versioned and "since" not in query
+                and record is not None):
+            self._stream_events(record)
             return
         status, payload, headers = self.app.respond(
             method, split.path, query, body)
@@ -589,11 +567,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _stream_events(self, run_id: int,
-                       extra_headers: Optional[List[Tuple[str, str]]] = None,
-                       ) -> None:
+    def _stream_events(self, record: RunRecord) -> None:
         """``GET /v1/runs/{id}/events`` without ``?since=``: the SSE
-        path.
+        path (an unknown run falls through to the routed 404).
 
         Streams the run's ProgressLog as Server-Sent Events until the
         run reaches a terminal state (then an ``end`` frame and EOF).
@@ -601,20 +577,6 @@ class _Handler(BaseHTTPRequestHandler):
         log, and other streams are unaffected.  ``Last-Event-ID``
         resumes a reconnect from where the previous stream stopped.
         """
-        record = self.app.store.get(run_id)
-        if record is None:
-            payload = ApiError(
-                code="not_found", message=f"no run {run_id}",
-                hint="list runs at GET /v1/runs",
-            ).to_json().encode("utf-8")
-            self.send_response(404)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            for name, value in extra_headers or []:
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
-            return
         try:
             seq = int(self.headers.get("Last-Event-ID") or -1)
         except ValueError:
@@ -623,8 +585,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
         self.send_header("Connection", "close")
-        for name, value in extra_headers or []:
-            self.send_header(name, value)
         self.end_headers()
         self.close_connection = True
         log = record.progress
@@ -755,7 +715,7 @@ def serve(
     out(f"grid-as-a-service listening on {service.url} "
         f"({workers} worker(s), queue depth {queue_depth}, {durable})")
     if recovered:
-        out(f"  recovered {len(service.app.store)} run(s) from the journal; "
+        out(f"  recovered {len(service.app.store)} run(s) from the state dir; "
             f"{recovered} interrupted run(s) are resubmittable")
     out(f"  POST {service.url}/v1/runs                submit a simulation "
         f"(client= and lane= for admission)")
@@ -771,7 +731,5 @@ def serve(
     out(f"  GET  {service.url}/v1/metrics             Prometheus text "
         f"(?format=json for flat JSON)")
     out(f"  GET  {service.url}/v1/alerts              live alert-rule states")
-    out("  (legacy unversioned paths still answer, with a Deprecation "
-        "header)")
     service.serve_forever()
     return 0

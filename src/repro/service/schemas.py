@@ -20,10 +20,11 @@ did-you-mean suggestions live there, not inside the message.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.grid3 import Grid3Config
+from ..core.grid3 import Grid3Config, did_you_mean
 from ..core.results import ReportRecord
 from ..errors import GridError
 
@@ -165,6 +166,32 @@ class RunEvents(ReportRecord):
     events: List[Dict[str, object]]
 
 
+def _wire_value(knob: str, default: object, value: object) -> object:
+    """Type-check one JSON knob value against its field default's type.
+
+    A bool knob takes ``true``/``false``, an int knob a JSON integer
+    (not a bool), and a float knob any finite number — JSON has one
+    number type, so 14 is accepted for a 14.0 knob.  Knobs whose
+    default is none of these are left to :meth:`Grid3Config.validate`.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = number and isinstance(value, int), "a JSON integer"
+    elif isinstance(default, float):
+        # Comparing, not converting: NaN, infinities and integers too
+        # large for a float all fail it without raising.
+        ok = number and abs(value) <= sys.float_info.max  # type: ignore[arg-type]
+        want = "a finite number"
+        value = float(value) if ok else value  # type: ignore[arg-type]
+    else:
+        return value
+    if not ok:
+        raise SchemaError(f"knob {knob!r} must be {want}, got {value!r}")
+    return value
+
+
 def parse_submission(body: bytes) -> RunRequest:
     """Parse and validate a `POST /v1/runs` body.
 
@@ -183,7 +210,7 @@ def parse_submission(body: bytes) -> RunRequest:
 
     try:
         payload = json.loads(body or b"{}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise SchemaError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError(
@@ -232,16 +259,12 @@ def parse_submission(body: bytes) -> RunRequest:
                 f"knob {knob!r} is not settable over the API (it takes a "
                 f"live object); pick a 'scenario' that configures it"
             )
-    known = {f.name for f in fields(Grid3Config)}
+    defaults = {f.name: f.default for f in fields(Grid3Config)}
     for knob, value in overrides.items():
-        default = getattr(config, knob) if knob in known else None
-        if (
-            isinstance(default, float) and not isinstance(default, bool)
-            and isinstance(value, int) and not isinstance(value, bool)
-        ):
-            # JSON has one number type; accept 14 for a 14.0 knob.
-            value = float(value)
-        setattr(config, knob, value)
+        if knob not in defaults:
+            raise SchemaError(f"unknown Grid3Config knob {knob!r}"
+                              f"{did_you_mean(knob, sorted(defaults))}")
+        setattr(config, knob, _wire_value(knob, defaults[knob], value))
     try:
         config.validate()
     except ConfigurationError as exc:

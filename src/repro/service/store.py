@@ -3,36 +3,39 @@
 One :class:`RunRecord` per *distinct* simulation (dedup means an
 identical resubmission returns the existing record's id rather than
 minting a new one).  The store owns the ``queued -> running -> done |
-failed | interrupted`` transitions and the digest index the dedup path
-looks up; the byte-budgeted decision of *which* finished payloads stay
-resident belongs to :class:`~repro.service.cache.ResultCache` — when
-the cache evicts a run, the store drops its payload and unlinks the
-digest so a future identical submission re-runs.
+failed | interrupted`` transitions, the digest index the dedup path
+looks up, and the byte-budgeted LRU of resident finished payloads: an
+identical what-if query costs one run while its result is resident,
+and an evicted run re-runs.
 
-Durability is pluggable: hand the store a
-:class:`~repro.service.persistence.RunJournal` and every transition is
-appended to the sqlite journal *inside* the mutating critical section,
-so the on-disk order always matches the in-memory order.  A store
-constructed over a non-empty journal replays it first — finished runs
-come back with their exact payload bytes, and runs that were still
-``queued``/``running`` when the process died are re-marked
-``interrupted`` (a terminal, resubmittable state: the digest index
-skips them, so submitting the same config re-runs instead of joining a
-ghost).
+Grid3 ran as a *persistent* service whose accounting survived restarts
+(§5–6), so the registry is one sqlite table ``runs`` with a row per
+run.  Each transition is one ``INSERT``/``UPDATE`` committed inside the
+mutating critical section (WAL, ``synchronous=NORMAL``); a ``done`` and
+the evictions it causes share one commit.  Reads are served from the
+in-memory records; the table is read only at open, which is also crash
+recovery: rows still ``queued``/``running`` become ``interrupted`` (a
+terminal, resubmittable state the digest index skips), finished runs
+come back with their exact payload bytes, and the LRU is rebuilt in
+``(finished_at, run_id)`` order.  Without a state directory the table
+lives in ``":memory:"`` — the same code path.
 
-All methods are thread-safe: HTTP handler threads and queue dispatcher
-threads touch the same records.
+Configs are stored as pickles, as they already cross the worker-pool
+boundary; payloads as the sorted-key JSON bytes the service serves.
+All methods are thread-safe.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
+import sqlite3
 import threading
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.grid3 import Grid3Config
-from .persistence import RunJournal
 from .progress import ProgressLog
 from .schemas import RunView
 
@@ -46,6 +49,29 @@ INTERRUPTED_ERROR = (
     "run interrupted by service shutdown before completion; "
     "resubmit the same config to re-run it"
 )
+
+#: The table layout's version (bumped only on incompatible change).
+SCHEMA_VERSION = 2
+
+_RUNS_TABLE = """
+CREATE TABLE runs (
+    run_id       INTEGER PRIMARY KEY,
+    digest       TEXT NOT NULL,
+    client       TEXT NOT NULL,
+    lane         TEXT NOT NULL,
+    config       BLOB NOT NULL,
+    state        TEXT NOT NULL,
+    submitted_at REAL NOT NULL,
+    started_at   REAL,
+    finished_at  REAL,
+    error        TEXT,
+    payload      BLOB
+)
+"""
+
+
+class StoreError(Exception):
+    """The state file is unusable (schema version mismatch)."""
 
 
 class RunRecord:
@@ -73,7 +99,7 @@ class RunRecord:
         self.finished_at: Optional[float] = None
         self.error: Optional[str] = None
         #: ``{"reports": {...}, "summary": {...}}`` once done (and until
-        #: the result cache evicts it).
+        #: the LRU evicts it).
         self.payload: Optional[Dict[str, object]] = None
         self.payload_bytes = 0
         #: Live progress events streamed from the worker; closed when
@@ -102,89 +128,156 @@ class RunRecord:
 
 
 class RunStore:
-    """Registry of every run, with the digest index dedup consults.
+    """Registry of every run over one sqlite ``runs`` table.
 
-    ``journal=None`` keeps the pre-durability in-memory behaviour
-    byte-for-byte; with a journal every mutation is persisted and the
-    constructor replays whatever the journal already holds.
+    ``path`` is the database file (``":memory:"`` for a registry that
+    dies with the process); opening a non-empty file recovers it.
+    ``cache_bytes`` is the budget of resident finished payloads.
     """
 
-    def __init__(self, clock=time.time,
-                 journal: Optional[RunJournal] = None) -> None:
+    def __init__(self, path: str = ":memory:", clock=time.time,
+                 cache_bytes: int = 64 * 1024 * 1024) -> None:
+        if cache_bytes < 1:
+            raise ValueError(f"cache_bytes must be >= 1, got {cache_bytes}")
         self._clock = clock
         self._lock = threading.RLock()
         self._runs: Dict[int, RunRecord] = {}
         self._by_digest: Dict[str, int] = {}
         self._seq = 0
-        self._journal = journal
-        #: Runs recovered as ``interrupted`` at the last replay (the
+        #: Resident finished runs, least recently used first.
+        self._lru: "OrderedDict[str, RunRecord]" = OrderedDict()
+        self._bytes = 0
+        #: The resident-payload budget (bytes).
+        self.max_bytes = cache_bytes
+        #: LRU counters (the dedup proof the acceptance test reads).
+        self._counters = {"hits": 0, "misses": 0, "evictions": 0}
+        #: Runs recovered as ``interrupted`` at open (the
         #: restart-visibility number ``/healthz`` and metrics report).
         self.recovered_interrupted = 0
-        if journal is not None:
-            self._replay(journal)
+        self._closed = False
+        self._db = sqlite3.connect(path, check_same_thread=False,
+                                   timeout=30.0)
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        self._open(path)
 
-    # -- journal replay -------------------------------------------------------
-    def _replay(self, journal: RunJournal) -> None:
-        """Fold the journal back into records (boot path, pre-traffic)."""
+    # -- open & recovery ------------------------------------------------------
+    def _open(self, path: str) -> None:
+        """Check the schema, recover a dead process's rows, load them."""
+        db = self._db
+        db.execute("CREATE TABLE IF NOT EXISTS meta "
+                   "(key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        row = db.execute(
+            "SELECT value FROM meta WHERE key='schema_version'").fetchone()
+        if row is None:
+            db.execute("INSERT INTO meta (key, value) "
+                       "VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
+            db.execute(_RUNS_TABLE)
+        elif int(row[0]) != SCHEMA_VERSION:
+            db.close()
+            raise StoreError(
+                f"{path} has schema version {row[0]}, this build expects "
+                f"{SCHEMA_VERSION}; move the state dir aside"
+            )
+        # Crash recovery: anything non-terminal lost its worker when the
+        # old process died.
+        self.recovered_interrupted = db.execute(
+            "UPDATE runs SET state='interrupted', finished_at=?, error=? "
+            "WHERE state IN ('queued', 'running')",
+            (self._clock(), INTERRUPTED_ERROR),
+        ).rowcount
+        db.commit()
+        finished = []
+        for (run_id, digest, client, lane, config, state, submitted_at,
+             started_at, finished_at, error, payload) in db.execute(
+                "SELECT * FROM runs ORDER BY run_id"):
+            record = RunRecord(run_id, digest, pickle.loads(config),
+                               submitted_at, client=client, lane=lane)
+            record.state = state
+            record.started_at = started_at
+            record.finished_at = finished_at
+            record.error = error
+            if payload is not None:
+                record.payload = json.loads(payload.decode("utf-8"))
+                record.payload_bytes = len(payload)
+                finished.append(record)
+            # No loaded run has a live worker: SSE streams against it
+            # terminate immediately.
+            record.progress.close()
+            self._runs[run_id] = record
+            self._seq = run_id
+            # A later run of the same digest supersedes an earlier one;
+            # interrupted and evicted runs never satisfy dedup.
+            if state == "interrupted" or (state == "done" and payload is None):
+                self._by_digest.pop(digest, None)
+            else:
+                self._by_digest[digest] = run_id
+        finished.sort(key=lambda r: (r.finished_at or 0.0, r.run_id))
+        self._write([write for record in finished
+                     for write in self._admit(record)])
+
+    def _write(self, statements: Sequence[Tuple[str, tuple]]) -> None:
+        """Run ``(sql, params)`` statements as one commit (lock held).
+
+        Writes after :meth:`close` are dropped: they are late-shutdown
+        stragglers (a worker finishing after the drain window closed)
+        whose runs the next open marks ``interrupted`` — recording a
+        result the service never served would be the lie.
+        """
+        if self._closed or not statements:
+            return
+        for sql, params in statements:
+            self._db.execute(sql, params)
+        self._db.commit()
+
+    # -- the resident-payload LRU ------------------------------------------------
+    def _admit(self, record: RunRecord) -> List[Tuple[str, tuple]]:
+        """Make ``record`` the most recent resident run, evicting the
+        least recent to stay under the byte budget (lock held); return
+        the writes that drop the evicted payloads.
+
+        The newest entry always stays, even if it alone exceeds the
+        budget — otherwise an oversized (but just-computed) result would
+        be instantly forgotten and identical submissions would re-run
+        forever.
+        """
+        replaced = self._lru.pop(record.digest, None)
+        if replaced is not None:
+            self._bytes -= replaced.payload_bytes
+        self._lru[record.digest] = record
+        self._bytes += record.payload_bytes
+        evicted = []
+        while self._bytes > self.max_bytes and len(self._lru) > 1:
+            _digest, victim = self._lru.popitem(last=False)
+            self._bytes -= victim.payload_bytes
+            self._counters["evictions"] += 1
+            victim.payload = None
+            victim.payload_bytes = 0
+            # Metadata stays queryable, but an identical future
+            # submission re-runs instead of hitting the cache.
+            if self._by_digest.get(victim.digest) == victim.run_id:
+                del self._by_digest[victim.digest]
+            evicted.append(("UPDATE runs SET payload=NULL WHERE run_id=?",
+                            (victim.run_id,)))
+        return evicted
+
+    def cached(self, digest: str) -> Optional[RunRecord]:
+        """The resident finished run for ``digest`` (counts a hit or a
+        miss and refreshes recency)."""
         with self._lock:
-            for entry in journal.replay():
-                record = self._runs.get(entry.run_id)
-                if entry.kind == "created":
-                    config = journal.decode_config(entry.blob)
-                    record = RunRecord(
-                        entry.run_id,
-                        str(entry.data["digest"]),
-                        config,
-                        entry.at,
-                        client=str(entry.data.get("client", "anonymous")),
-                        lane=str(entry.data.get("lane", "batch")),
-                    )
-                    self._runs[record.run_id] = record
-                    self._by_digest[record.digest] = record.run_id
-                    self._seq = max(self._seq, record.run_id)
-                elif record is None:
-                    continue  # a torn journal head; skip orphan rows
-                elif entry.kind == "running":
-                    record.state = "running"
-                    record.started_at = entry.at
-                elif entry.kind == "done":
-                    record.state = "done"
-                    record.finished_at = entry.at
-                    record.payload = json.loads(entry.blob.decode("utf-8"))
-                    record.payload_bytes = int(
-                        entry.data.get("payload_bytes", len(entry.blob)))
-                elif entry.kind == "failed":
-                    record.state = "failed"
-                    record.finished_at = entry.at
-                    record.error = str(entry.data.get("error", ""))
-                elif entry.kind == "interrupted":
-                    record.state = "interrupted"
-                    record.finished_at = entry.at
-                    record.error = INTERRUPTED_ERROR
-                    if self._by_digest.get(record.digest) == record.run_id:
-                        del self._by_digest[record.digest]
-                elif entry.kind == "payload_dropped":
-                    record.payload = None
-                    record.payload_bytes = 0
-                    if self._by_digest.get(record.digest) == record.run_id:
-                        del self._by_digest[record.digest]
-            # Crash recovery: anything non-terminal got no terminal row
-            # before the old process died.  Append the row it was owed.
-            now = self._clock()
-            for run_id in sorted(self._runs):
-                record = self._runs[run_id]
-                if record.state in ("queued", "running"):
-                    record.state = "interrupted"
-                    record.finished_at = now
-                    record.error = INTERRUPTED_ERROR
-                    if self._by_digest.get(record.digest) == run_id:
-                        del self._by_digest[record.digest]
-                    self.recovered_interrupted += 1
-                    journal.append(run_id, "interrupted", now)
-            # No replayed run has a live worker: close every log so SSE
-            # streams against recovered runs terminate immediately.
-            for record in self._runs.values():
-                record.progress.close()
+            record = self._lru.get(digest)
+            if record is None:
+                self._counters["misses"] += 1
+                return None
+            self._lru.move_to_end(digest)
+            self._counters["hits"] += 1
+            return record
+
+    def cache_stats(self) -> Dict[str, int]:
+        """The ``service.cache.*`` counter snapshot."""
+        with self._lock:
+            return dict(self._counters, entries=len(self._lru),
+                        stored_bytes=self._bytes, max_bytes=self.max_bytes)
 
     # -- creation & lookup --------------------------------------------------
     def create(self, digest: str, config: Grid3Config,
@@ -196,12 +289,13 @@ class RunStore:
                                client=client, lane=lane)
             self._runs[record.run_id] = record
             self._by_digest[digest] = record.run_id
-            if self._journal is not None:
-                self._journal.append(
-                    record.run_id, "created", record.submitted_at,
-                    {"digest": digest, "client": client, "lane": lane},
-                    RunJournal.encode_config(config),
-                )
+            self._write([(
+                "INSERT INTO runs (run_id, digest, client, lane, config, "
+                "state, submitted_at) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (record.run_id, digest, client, lane,
+                 pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL),
+                 record.state, record.submitted_at),
+            )])
             return record
 
     def get(self, run_id: int) -> Optional[RunRecord]:
@@ -224,79 +318,61 @@ class RunStore:
         with self._lock:
             record.state = "running"
             record.started_at = self._clock()
-            if self._journal is not None:
-                self._journal.append(record.run_id, "running",
-                                     record.started_at)
+            self._write([(
+                "UPDATE runs SET state=?, started_at=? WHERE run_id=?",
+                (record.state, record.started_at, record.run_id),
+            )])
 
-    def mark_done(self, record: RunRecord, payload: Dict[str, object],
-                  payload_bytes: int, raw: Optional[bytes] = None) -> None:
-        """Finish a run.  ``raw`` is the payload's canonical sorted-key
-        JSON encoding when the caller already has it (the journal stores
-        exactly those bytes, so replay serves byte-identical reports)."""
+    def mark_done(self, record: RunRecord, payload: Dict[str, object]) -> None:
+        """Finish a run and make its result resident.
+
+        The payload is stored as its sorted-key JSON encoding, so a
+        reopened store serves byte-identical reports; that encoding's
+        length is what the LRU budget counts.
+        """
+        raw = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
         with self._lock:
             record.state = "done"
             record.finished_at = self._clock()
             record.payload = payload
-            record.payload_bytes = payload_bytes
-            if self._journal is not None:
-                if raw is None:
-                    raw = json.dumps(
-                        payload, sort_keys=True, default=repr,
-                    ).encode("utf-8")
-                self._journal.append(
-                    record.run_id, "done", record.finished_at,
-                    {"payload_bytes": payload_bytes}, raw,
-                )
+            record.payload_bytes = len(raw)
+            self._write([(
+                "UPDATE runs SET state=?, finished_at=?, payload=? "
+                "WHERE run_id=?",
+                (record.state, record.finished_at, raw, record.run_id),
+            )] + self._admit(record))
         # Outside the lock: closing wakes every waiting SSE stream.
         record.progress.close()
 
     def mark_failed(self, record: RunRecord, error: str) -> None:
+        # A failed digest stays indexed, so the app can see the failure
+        # and choose to re-run.
         with self._lock:
-            record.state = "failed"
-            record.finished_at = self._clock()
-            record.error = error
-            # A failed digest must not satisfy future dedup lookups as
-            # if it had a result; leave the index pointing here so the
-            # app can see the failure and choose to re-run.
-            if self._journal is not None:
-                self._journal.append(record.run_id, "failed",
-                                     record.finished_at, {"error": error})
+            self._finish(record, "failed", error)
         record.progress.close()
 
     def mark_interrupted(self, record: RunRecord) -> None:
         """Terminal shutdown state for a run that never got to finish:
         the graceful-drain leftover path (queued work persisted, not
-        dropped) and the crash-replay path both land here."""
+        dropped) lands here; the crash path is recovered at open."""
         with self._lock:
             if record.state in ("done", "failed", "interrupted"):
                 return  # already terminal; nothing to interrupt
-            record.state = "interrupted"
-            record.finished_at = self._clock()
-            record.error = INTERRUPTED_ERROR
             # Interrupted digests never satisfy dedup: resubmission of
             # the same config must re-run, not join a dead record.
             if self._by_digest.get(record.digest) == record.run_id:
                 del self._by_digest[record.digest]
-            if self._journal is not None:
-                self._journal.append(record.run_id, "interrupted",
-                                     record.finished_at)
+            self._finish(record, "interrupted", INTERRUPTED_ERROR)
         record.progress.close()
 
-    # -- cache eviction hook -------------------------------------------------
-    def drop_payload(self, run_id: int) -> None:
-        """Forget a finished run's result tree (cache eviction): the
-        record and its metadata stay queryable, but an identical future
-        submission re-runs instead of hitting the cache."""
-        with self._lock:
-            record = self._runs.get(run_id)
-            if record is None:
-                return
-            record.payload = None
-            record.payload_bytes = 0
-            if self._by_digest.get(record.digest) == run_id:
-                del self._by_digest[record.digest]
-            if self._journal is not None:
-                self._journal.append(run_id, "payload_dropped", self._clock())
+    def _finish(self, record: RunRecord, state: str, error: str) -> None:
+        record.state = state
+        record.finished_at = self._clock()
+        record.error = error
+        self._write([(
+            "UPDATE runs SET state=?, finished_at=?, error=? WHERE run_id=?",
+            (state, record.finished_at, error, record.run_id),
+        )])
 
     def unlink(self, digest: str) -> None:
         """Remove a digest from the dedup index (e.g. before re-running
@@ -304,7 +380,7 @@ class RunStore:
         with self._lock:
             self._by_digest.pop(digest, None)
 
-    # -- stats ----------------------------------------------------------------
+    # -- stats & lifecycle ------------------------------------------------------
     def counts(self) -> Dict[str, int]:
         """Run counts by state (every state present, zero-filled)."""
         with self._lock:
@@ -314,9 +390,18 @@ class RunStore:
             out["total"] = len(self._runs)
             return out
 
-    def now(self) -> float:
-        return self._clock()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._runs)
+
+    def close(self) -> None:
+        """Commit and release the database; later writes are dropped."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            try:
+                self._db.commit()
+                self._db.close()
+            except sqlite3.Error:
+                pass

@@ -72,17 +72,17 @@ def test_job_timeline(api_with_run):
 def test_gram_accounting_no_log_parsing(api_with_run):
     api, _handles, sites = api_with_run
     acct = api.gram_accounting("Frag0")
-    assert acct["accepted"] == 4
-    assert acct["managed_jobs"] == 0  # all finished
-    assert acct["peak_load"] > 0
-    assert api.gram_accounting("Frag1")["accepted"] == 0
+    assert acct.accepted == 4
+    assert acct.managed_jobs == 0  # all finished
+    assert acct.peak_load > 0
+    assert api.gram_accounting("Frag1").accepted == 0
 
 
 def test_gridftp_accounting(api_with_run):
     api, _handles, _sites = api_with_run
     acct = api.gridftp_accounting("Frag0")
-    assert acct["failure_rate"] == 0.0
-    assert "bytes_sent" in acct
+    assert acct.failure_rate == 0.0
+    assert acct.bytes_sent >= 0
 
 
 def test_error_summary_and_worst_sites():

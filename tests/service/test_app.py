@@ -36,13 +36,13 @@ def call(app, method, path, query=None, body=b""):
 
 
 def submit(app, seed=1):
-    return call(app, "POST", "/runs",
+    return call(app, "POST", "/v1/runs",
                 body=json.dumps({"config": {"seed": seed}}).encode())
 
 
 def wait_done(app, run_id, timeout=10.0):
     assert app.queue.drain(timeout=timeout)
-    status, view = call(app, "GET", f"/runs/{run_id}")
+    status, view = call(app, "GET", f"/v1/runs/{run_id}")
     assert status == 200 and view["state"] == "done", view
     return view
 
@@ -52,7 +52,7 @@ def test_submit_poll_report_roundtrip(app):
     assert status == 202 and sub["dedup"] == "new"
     view = wait_done(app, sub["run_id"])
     assert view["summary"]["seed"] == 3
-    status, page = call(app, "GET", f"/runs/{sub['run_id']}/report/ops",
+    status, page = call(app, "GET", f"/v1/runs/{sub['run_id']}/report/ops",
                         query={"offset": "1", "limit": "2"})
     assert status == 200
     assert page["total"] == 5
@@ -100,9 +100,9 @@ def test_failed_run_reports_409_and_digest_can_rerun(app):
     app.queue._runner = flaky
     _, first = submit(app, seed=9)
     assert app.queue.drain(timeout=10.0)
-    status, view = call(app, "GET", f"/runs/{first['run_id']}")
+    status, view = call(app, "GET", f"/v1/runs/{first['run_id']}")
     assert view["state"] == "failed" and "transient" in view["error"]
-    status, body = call(app, "GET", f"/runs/{first['run_id']}/report/ops")
+    status, body = call(app, "GET", f"/v1/runs/{first['run_id']}/report/ops")
     assert status == 409 and body["error"]["code"] == "run_failed"
     assert "transient" in body["error"]["message"]
     # A failed digest does not poison dedup: resubmission re-runs.
@@ -116,24 +116,24 @@ def test_report_before_done_is_409(app):
     gate = threading.Event()
     app.queue._runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]
     _, sub = submit(app, seed=2)
-    status, body = call(app, "GET", f"/runs/{sub['run_id']}/report/ops")
+    status, body = call(app, "GET", f"/v1/runs/{sub['run_id']}/report/ops")
     assert status == 409 and body["error"]["code"] == "run_not_finished"
     gate.set()
     wait_done(app, sub["run_id"])
 
 
 def test_evicted_payload_is_410_and_resubmit_reruns(app):
+    app.store.max_bytes = 1  # each finished run evicts the one before
     _, sub = submit(app, seed=4)
     wait_done(app, sub["run_id"])
-    # Simulate the cache dropping this run out from under the store.
-    app.cache.remove(app.store.get(sub["run_id"]).digest)
-    app.store.drop_payload(sub["run_id"])
-    status, body = call(app, "GET", f"/runs/{sub['run_id']}/report/ops")
+    _, newer = submit(app, seed=5)
+    wait_done(app, newer["run_id"])
+    status, body = call(app, "GET", f"/v1/runs/{sub['run_id']}/report/ops")
     assert status == 410 and body["error"]["code"] == "result_evicted"
     status, again = submit(app, seed=4)
     assert status == 202 and again["dedup"] == "new"
     wait_done(app, again["run_id"])
-    assert app.service_metrics()["service.queue.executed"] == 2
+    assert app.service_metrics()["service.queue.executed"] == 3
 
 
 def test_queue_full_maps_to_429(app):
@@ -155,10 +155,10 @@ def test_queue_full_maps_to_429(app):
 
 
 def test_malformed_body_is_400(app):
-    status, body = call(app, "POST", "/runs", body=b"{nope")
+    status, body = call(app, "POST", "/v1/runs", body=b"{nope")
     assert status == 400 and body["error"]["code"] == "bad_request"
     status, body = call(
-        app, "POST", "/runs",
+        app, "POST", "/v1/runs",
         body=json.dumps({"config": {"scal": 2}}).encode(),
     )
     assert status == 400
@@ -168,22 +168,22 @@ def test_malformed_body_is_400(app):
 
 
 def test_unknown_paths_and_methods(app):
-    assert call(app, "GET", "/nope")[0] == 404
-    assert call(app, "GET", "/runs/999")[0] == 404
-    assert call(app, "GET", "/runs/1/report/nope")[0] == 404
-    assert call(app, "POST", "/healthz")[0] == 405
-    assert call(app, "DELETE", "/runs")[0] == 405
+    assert call(app, "GET", "/v1/nope")[0] == 404
+    assert call(app, "GET", "/v1/runs/999")[0] == 404
+    assert call(app, "GET", "/v1/runs/1/report/nope")[0] == 404
+    assert call(app, "POST", "/v1/healthz")[0] == 405
+    assert call(app, "DELETE", "/v1/runs")[0] == 405
 
 
 def test_healthz_and_runs_listing(app):
-    status, health = call(app, "GET", "/healthz")
+    status, health = call(app, "GET", "/v1/healthz")
     assert status == 200 and health["status"] == "ok"
     assert health["workers"] == 1
     _, a = submit(app, seed=1)
     wait_done(app, a["run_id"])
     submit(app, seed=2)
     assert app.queue.drain(timeout=10.0)
-    status, page = call(app, "GET", "/runs", query={"limit": "1"})
+    status, page = call(app, "GET", "/v1/runs", query={"limit": "1"})
     assert status == 200 and page["total"] == 2
     assert page["items"][0]["run_id"] == 1
 
@@ -191,19 +191,19 @@ def test_healthz_and_runs_listing(app):
 def test_metrics_scrape_feeds_metric_store(app):
     _, sub = submit(app, seed=1)
     wait_done(app, sub["run_id"])
-    status, gauges = call(app, "GET", "/metrics", query={"format": "json"})
+    status, gauges = call(app, "GET", "/v1/metrics", query={"format": "json"})
     assert status == 200
     assert gauges["service.runs.done"] == 1
     assert gauges["service.queue.executed"] == 1
     assert gauges["service.cache.entries"] == 1
     # Scrapes append history into the estate's MetricStore surface.
-    call(app, "GET", "/metrics", query={"format": "json"})
+    call(app, "GET", "/v1/metrics", query={"format": "json"})
     _times, values = app.metrics_store.series("service.queue.executed")
     assert list(values) == [1.0, 1.0]
 
 
 def test_metrics_default_is_prometheus_text(app):
-    status, text = app.handle("GET", "/metrics", {}, b"")
+    status, text = app.handle("GET", "/v1/metrics", {}, b"")
     assert status == 200
     lines = text.splitlines()
     assert "# TYPE service_queue_depth gauge" in lines
@@ -216,14 +216,14 @@ def test_metrics_default_is_prometheus_text(app):
 def test_metrics_scrape_history_is_bounded(app):
     from repro.service.app import SCRAPE_HISTORY
     for _ in range(5):
-        call(app, "GET", "/metrics", query={"format": "json"})
+        call(app, "GET", "/v1/metrics", query={"format": "json"})
     assert app.metrics_store.max_samples == SCRAPE_HISTORY
     series = app.metrics_store._samples["service.queue.depth"]
     assert series.maxlen == SCRAPE_HISTORY and len(series) == 5
 
 
 def test_alerts_endpoint_lists_service_rules(app):
-    status, payload = call(app, "GET", "/alerts")
+    status, payload = call(app, "GET", "/v1/alerts")
     assert status == 200
     names = [r["name"] for r in payload["rules"]]
     assert "queue-backlog" in names and "workers-saturated" in names
@@ -234,16 +234,16 @@ def test_events_delta_poll_and_bad_since(app):
     _, sub = submit(app, seed=1)
     run_id = sub["run_id"]
     wait_done(app, run_id)
-    status, payload = call(app, "GET", f"/runs/{run_id}/events",
+    status, payload = call(app, "GET", f"/v1/runs/{run_id}/events",
                            query={"since": "-1"})
     assert status == 200
     assert payload["closed"] is True
     # Fake runners emit nothing; the envelope still closes cleanly.
     assert payload["events"] == []
     assert payload["next_since"] == -1
-    assert call(app, "GET", "/runs/999/events",
+    assert call(app, "GET", "/v1/runs/999/events",
                 query={"since": "-1"})[0] == 404
-    assert call(app, "GET", f"/runs/{run_id}/events",
+    assert call(app, "GET", f"/v1/runs/{run_id}/events",
                 query={"since": "zap"})[0] == 400
 
 
@@ -265,7 +265,7 @@ def test_progress_capable_runner_streams_into_record_log():
     )
     try:
         status, payload = instance.handle(
-            "POST", "/runs", {},
+            "POST", "/v1/runs", {},
             json.dumps({"config": {"seed": 9}}).encode())
         assert status == 202
         run_id = json.loads(payload)["run_id"]
@@ -276,43 +276,13 @@ def test_progress_capable_runner_streams_into_record_log():
         assert closed  # terminal state closed the log
         # The delta poll serves the same sequence.
         status, body = instance.handle(
-            "GET", f"/runs/{run_id}/events", {"since": "1"}, b"")
+            "GET", f"/v1/runs/{run_id}/events", {"since": "1"}, b"")
         assert status == 200
         delta = json.loads(body)
         assert [e["seq"] for e in delta["events"]] == [2, 3]
         assert delta["closed"] is True and delta["next_since"] == 3
     finally:
         instance.close(drain=True, timeout=10.0)
-
-
-def test_v1_and_legacy_paths_answer_identically(app):
-    """Every route answers under /v1 and bare; bare is deprecated."""
-    _, sub = submit(app, seed=6)
-    wait_done(app, sub["run_id"])
-    for path in ("/healthz", "/runs", f"/runs/{sub['run_id']}",
-                 f"/runs/{sub['run_id']}/report/ops", "/alerts"):
-        status_v1, body_v1, headers_v1 = app.respond(
-            "GET", f"/v1{path}", {}, b"")
-        status_old, body_old, headers_old = app.respond("GET", path, {}, b"")
-        assert status_v1 == status_old == 200
-        # healthz/runs views carry a live uptime/elapsed; compare keys.
-        assert json.loads(body_v1).keys() == json.loads(body_old).keys()
-        assert dict(headers_v1) == {}
-        assert dict(headers_old)["Deprecation"] == "true"
-        assert dict(headers_old)["Link"] == \
-            f'</v1{path}>; rel="successor-version"'
-    # Submission works under /v1 too, and dedups against legacy submits.
-    status, again, _ = (lambda s, b, h: (s, json.loads(b), h))(
-        *app.respond("POST", "/v1/runs", {},
-                     json.dumps({"config": {"seed": 6}}).encode()))
-    assert status == 200 and again["dedup"] == "cached"
-
-
-def test_unknown_legacy_path_gets_no_deprecation_header(app):
-    status, body, headers = app.respond("GET", "/nope", {}, b"")
-    assert status == 404
-    assert "Deprecation" not in dict(headers)
-    assert json.loads(body)["error"]["code"] == "not_found"
 
 
 def test_every_error_validates_against_the_envelope(app):
@@ -393,13 +363,13 @@ def test_quota_breach_is_429_with_retry_after(app):
 
 
 def test_cache_eviction_drops_store_payload(app):
-    app.cache.max_bytes = 1  # next put evicts everything else
+    app.store.max_bytes = 1  # next finished run evicts everything else
     _, a = submit(app, seed=1)
     wait_done(app, a["run_id"])
     _, b = submit(app, seed=2)
     wait_done(app, b["run_id"])
     assert app.store.get(a["run_id"]).payload is None
-    status, _body = call(app, "GET", f"/runs/{a['run_id']}/report/ops")
+    status, _body = call(app, "GET", f"/v1/runs/{a['run_id']}/report/ops")
     assert status == 410
     # The newest result is still servable.
-    assert call(app, "GET", f"/runs/{b['run_id']}/report/ops")[0] == 200
+    assert call(app, "GET", f"/v1/runs/{b['run_id']}/report/ops")[0] == 200

@@ -1,9 +1,8 @@
-"""ResultCache LRU/byte-budget behaviour and RunStore's state machine."""
+"""RunStore's resident-payload LRU and its run state machine."""
 
 import pytest
 
 from repro import Grid3Config
-from repro.service import ResultCache
 from repro.service.store import RunStore
 
 
@@ -18,67 +17,59 @@ class FakeClock:
         self.t += dt
 
 
-# -- ResultCache ---------------------------------------------------------------
+# -- the resident-payload LRU -------------------------------------------------
+
+def done(store, digest, nbytes=10):
+    """A finished run whose stored payload encodes to ``nbytes`` bytes."""
+    record = store.create(digest, Grid3Config())
+    store.mark_done(record, {"p": "x" * (nbytes - 9)})
+    assert record.payload_bytes == nbytes
+    return record
+
 
 def test_cache_hit_miss_counters():
-    cache = ResultCache(max_bytes=100)
-    assert cache.get("a") is None
-    cache.put("a", 1, 10)
-    assert cache.get("a") == 1
-    assert cache.stats()["hits"] == 1
-    assert cache.stats()["misses"] == 1
-
-
-def test_cache_contains_does_not_count():
-    cache = ResultCache(max_bytes=100)
-    cache.put("a", 1, 10)
-    assert "a" in cache and "b" not in cache
-    stats = cache.stats()
-    assert stats["hits"] == 0 and stats["misses"] == 0
+    store = RunStore(clock=FakeClock(), cache_bytes=100)
+    assert store.cached("a") is None
+    record = done(store, "a")
+    assert store.cached("a") is record
+    assert store.cache_stats()["hits"] == 1
+    assert store.cache_stats()["misses"] == 1
 
 
 def test_cache_evicts_lru_under_byte_budget():
-    cache = ResultCache(max_bytes=30)
-    cache.put("a", 1, 10)
-    cache.put("b", 2, 10)
-    cache.put("c", 3, 10)
-    assert cache.stored_bytes == 30 and len(cache) == 3
+    store = RunStore(clock=FakeClock(), cache_bytes=30)
+    a, b, c = done(store, "a"), done(store, "b"), done(store, "c")
+    stats = store.cache_stats()
+    assert stats["stored_bytes"] == 30 and stats["entries"] == 3
     # Touch "a" so "b" is the least recently used.
-    assert cache.get("a") == 1
-    evicted = cache.put("d", 4, 10)
-    assert evicted == [("b", 2)]
-    assert "a" in cache and "c" in cache and "d" in cache
-    assert cache.stats()["evictions"] == 1
+    assert store.cached("a") is a
+    done(store, "d")
+    assert b.payload is None and b.payload_bytes == 0
+    assert a.payload is not None and c.payload is not None
+    assert store.cache_stats()["evictions"] == 1
 
 
 def test_cache_keeps_oversize_newest_entry():
-    cache = ResultCache(max_bytes=10)
-    cache.put("small", 1, 5)
-    evicted = cache.put("huge", 2, 50)
-    assert ("small", 1) in evicted
-    assert "huge" in cache  # never instantly forgotten
-    assert cache.stored_bytes == 50
+    store = RunStore(clock=FakeClock(), cache_bytes=10)
+    small = done(store, "small", 9)
+    huge = done(store, "huge", 50)
+    assert small.payload is None
+    assert store.cached("huge") is huge  # never instantly forgotten
+    assert store.cache_stats()["stored_bytes"] == 50
 
 
 def test_cache_put_same_digest_replaces_bytes():
-    cache = ResultCache(max_bytes=100)
-    cache.put("a", 1, 10)
-    cache.put("a", 1, 30)
-    assert cache.stored_bytes == 30 and len(cache) == 1
-
-
-def test_cache_remove_is_not_an_eviction():
-    cache = ResultCache(max_bytes=100)
-    cache.put("a", 1, 10)
-    cache.remove("a")
-    cache.remove("ghost")  # no-op
-    assert len(cache) == 0 and cache.stored_bytes == 0
-    assert cache.stats()["evictions"] == 0
+    store = RunStore(clock=FakeClock(), cache_bytes=100)
+    done(store, "a", 12)
+    store.unlink("a")
+    done(store, "a", 30)
+    stats = store.cache_stats()
+    assert stats["stored_bytes"] == 30 and stats["entries"] == 1
 
 
 def test_cache_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
-        ResultCache(max_bytes=0)
+        RunStore(cache_bytes=0)
 
 
 # -- RunStore ------------------------------------------------------------------
@@ -92,7 +83,7 @@ def test_store_lifecycle_and_views():
     clock.tick()
     store.mark_running(record)
     clock.tick()
-    store.mark_done(record, {"reports": {}, "summary": {"jobs": 3}}, 42)
+    store.mark_done(record, {"reports": {}, "summary": {"jobs": 3}})
     view = record.view(clock())
     assert view.state == "done"
     assert view.summary == {"jobs": 3}
@@ -113,22 +104,21 @@ def test_store_mark_failed_records_error():
 
 
 def test_store_drop_payload_unlinks_digest():
-    store = RunStore(clock=FakeClock())
-    record = store.create("d1", Grid3Config())
-    store.mark_done(record, {"reports": {}, "summary": {}}, 42)
-    store.drop_payload(record.run_id)
+    store = RunStore(clock=FakeClock(), cache_bytes=10)
+    record = done(store, "d1")
+    done(store, "d2")  # evicts d1's payload
     assert record.payload is None and record.payload_bytes == 0
     assert store.lookup("d1") is None      # identical resubmits re-run
     assert store.get(record.run_id) is record  # metadata stays queryable
-    store.drop_payload(999)  # unknown id is a no-op
 
 
 def test_store_drop_payload_spares_newer_digest_owner():
-    store = RunStore(clock=FakeClock())
-    old = store.create("d1", Grid3Config())
+    store = RunStore(clock=FakeClock(), cache_bytes=10)
+    old = done(store, "d1")
     store.unlink("d1")
     new = store.create("d1", Grid3Config())
-    store.drop_payload(old.run_id)
+    done(store, "d2")  # evicts old's payload
+    assert old.payload is None
     # The index still points at the newer record.
     assert store.lookup("d1") is new
 

@@ -1,6 +1,7 @@
 """GridClient: the typed stdlib client against a live v1 server."""
 
 import json
+import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,15 +91,17 @@ def test_runs_listing_pages(client):
     assert listing.total >= 1 and len(listing.rows) == 1
 
 
-def test_legacy_paths_emit_deprecation_headers(service):
-    with urllib.request.urlopen(
-            f"{service.url}/healthz", timeout=30) as response:
-        assert response.status == 200
-        assert response.headers["Deprecation"] == "true"
-        assert response.headers["Link"] == \
-            '</v1/healthz>; rel="successor-version"'
-        assert json.loads(response.read())["status"] == "ok"
-    with urllib.request.urlopen(
-            f"{service.url}/v1/healthz", timeout=30) as response:
-        assert response.status == 200
-        assert response.headers["Deprecation"] is None
+def test_bare_path_is_404_without_deprecation_header(service):
+    """Only /v1 routes answer; a bare path (the SSE one included) gets
+    the not_found envelope pointing there, and no alias headers."""
+    for path in ("/healthz", "/metrics", "/alerts", "/runs", "/runs/1",
+                 "/runs/1/events"):
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(f"{service.url}{path}", timeout=30)
+        with caught.value as error:
+            assert error.code == 404, path
+            assert error.headers["Deprecation"] is None, path
+            assert error.headers["Link"] is None, path
+            envelope = json.loads(error.read())["error"]
+        assert envelope["code"] == "not_found", path
+        assert "/v1/" in envelope["hint"], path

@@ -34,13 +34,13 @@ def http(method, url, payload=None):
 
 
 def submit(base, config):
-    status, body = http("POST", f"{base}/runs", {"config": config})
+    status, body = http("POST", f"{base}/v1/runs", {"config": config})
     assert status in (200, 202), body  # 200 = dedup'd to a finished run
     return json.loads(body)
 
 
 def poll_events(base, run_id, since=-1):
-    status, body = http("GET", f"{base}/runs/{run_id}/events?since={since}")
+    status, body = http("GET", f"{base}/v1/runs/{run_id}/events?since={since}")
     assert status == 200, body
     return json.loads(body)
 
@@ -58,7 +58,7 @@ def test_sse_stream_and_delta_poll_agree(service):
 
     streamed = []
     third_event_wall = None
-    with urllib.request.urlopen(f"{base}/runs/{run_id}/events",
+    with urllib.request.urlopen(f"{base}/v1/runs/{run_id}/events",
                                 timeout=60) as response:
         assert response.status == 200
         assert response.headers["Content-Type"] == "text/event-stream"
@@ -71,7 +71,7 @@ def test_sse_stream_and_delta_poll_agree(service):
     # arrived before the run finished (so the stream overlapped the
     # in-flight run rather than replaying a closed log).
     assert len(streamed) >= 3
-    status, body = http("GET", f"{base}/runs/{run_id}")
+    status, body = http("GET", f"{base}/v1/runs/{run_id}")
     view = json.loads(body)
     assert view["state"] == "done", view
     assert third_event_wall is not None
@@ -103,7 +103,7 @@ def test_last_event_id_resumes_mid_sequence(service):
     # Wait for the run to finish so the log is complete and stable.
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
-        if json.loads(http("GET", f"{base}/runs/{run_id}")[1])["state"] in (
+        if json.loads(http("GET", f"{base}/v1/runs/{run_id}")[1])["state"] in (
                 "done", "failed"):
             break
         time.sleep(0.05)
@@ -111,7 +111,7 @@ def test_last_event_id_resumes_mid_sequence(service):
     assert everything, "run produced no events"
     resume_from = everything[1]["seq"]
     request = urllib.request.Request(
-        f"{base}/runs/{run_id}/events",
+        f"{base}/v1/runs/{run_id}/events",
         headers={"Last-Event-ID": str(resume_from)},
     )
     with urllib.request.urlopen(request, timeout=30) as response:
@@ -124,14 +124,14 @@ def test_mid_run_disconnect_leaves_run_unaffected(service):
     run_id = submit(base, dict(SLOW, seed=12))["run_id"]
     # Open a stream, read a few bytes, then drop the connection
     # mid-run: only the handler thread dies.
-    response = urllib.request.urlopen(f"{base}/runs/{run_id}/events",
+    response = urllib.request.urlopen(f"{base}/v1/runs/{run_id}/events",
                                       timeout=30)
     response.read1(512)
     response.close()
     deadline = time.monotonic() + 60
     view = None
     while time.monotonic() < deadline:
-        view = json.loads(http("GET", f"{base}/runs/{run_id}")[1])
+        view = json.loads(http("GET", f"{base}/v1/runs/{run_id}")[1])
         if view["state"] in ("done", "failed"):
             break
         time.sleep(0.05)
@@ -146,15 +146,15 @@ def test_mid_run_disconnect_leaves_run_unaffected(service):
 
 def test_events_404_and_run_metrics_endpoint(service):
     base = service.url
-    assert http("GET", f"{base}/runs/424242/events")[0] == 404
+    assert http("GET", f"{base}/v1/runs/424242/events")[0] == 404
     run_id = submit(base, SLOW)["run_id"]
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
-        if json.loads(http("GET", f"{base}/runs/{run_id}")[1])["state"] in (
+        if json.loads(http("GET", f"{base}/v1/runs/{run_id}")[1])["state"] in (
                 "done", "failed"):
             break
         time.sleep(0.05)
-    status, body = http("GET", f"{base}/runs/{run_id}/metrics")
+    status, body = http("GET", f"{base}/v1/runs/{run_id}/metrics")
     assert status == 200
     text = body.decode("utf-8")
     assert "# TYPE repro_run_progress_frac gauge" in text

@@ -38,7 +38,7 @@ def http(method, url, payload=None):
 def poll_done(base, run_id, timeout=60.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, body = http("GET", f"{base}/runs/{run_id}")
+        status, body = http("GET", f"{base}/v1/runs/{run_id}")
         assert status == 200, body
         view = json.loads(body)
         if view["state"] in ("done", "failed"):
@@ -55,7 +55,7 @@ def service():
 
 
 def metrics(base):
-    status, body = http("GET", f"{base}/metrics?format=json")
+    status, body = http("GET", f"{base}/v1/metrics?format=json")
     assert status == 200
     return json.loads(body)
 
@@ -64,11 +64,11 @@ def test_full_grid_as_a_service_flow(service):
     base = service.url
 
     # Liveness first.
-    status, body = http("GET", f"{base}/healthz")
+    status, body = http("GET", f"{base}/v1/healthz")
     assert status == 200 and json.loads(body)["status"] == "ok"
 
     # Submit and poll to completion.
-    status, body = http("POST", f"{base}/runs", {"config": TINY})
+    status, body = http("POST", f"{base}/v1/runs", {"config": TINY})
     assert status == 202, body
     submitted = json.loads(body)
     assert submitted["dedup"] == "new"
@@ -80,7 +80,7 @@ def test_full_grid_as_a_service_flow(service):
     # The dedup acceptance criterion: an identical resubmission is
     # answered from cache and no second simulation ever runs.
     executed_before = metrics(base)["service.queue.executed"]
-    status, body = http("POST", f"{base}/runs", {"config": dict(
+    status, body = http("POST", f"{base}/v1/runs", {"config": dict(
         sorted(TINY.items(), reverse=True))})  # different key order, same run
     assert status == 200, body
     duplicate = json.loads(body)
@@ -91,14 +91,14 @@ def test_full_grid_as_a_service_flow(service):
     assert after["service.cache.hits"] >= 1
 
     # Paginated report walk: slices concatenate back to the full report.
-    status, body = http("GET", f"{base}/runs/{run_id}/report/ops?limit=1000")
+    status, body = http("GET", f"{base}/v1/runs/{run_id}/report/ops?limit=1000")
     assert status == 200
     full = json.loads(body)
     assert full["total"] == len(full["items"]) > 0
     walked, offset = [], 0
     while offset < full["total"]:
         status, body = http(
-            "GET", f"{base}/runs/{run_id}/report/ops?offset={offset}&limit=2")
+            "GET", f"{base}/v1/runs/{run_id}/report/ops?offset={offset}&limit=2")
         assert status == 200
         page = json.loads(body)
         assert page["total"] == full["total"]
@@ -113,27 +113,27 @@ def test_full_grid_as_a_service_flow(service):
     grid.run_full()
     local_rows = collect_reports(grid)["ops"]
     expected = paginate(local_rows, 0, 1000).to_json().encode("utf-8")
-    status, body = http("GET", f"{base}/runs/{run_id}/report/ops?limit=1000")
+    status, body = http("GET", f"{base}/v1/runs/{run_id}/report/ops?limit=1000")
     assert status == 200
     assert body == expected
 
     # Every report kind is servable.
     for kind in ("troubleshooting", "trace"):
-        status, body = http("GET", f"{base}/runs/{run_id}/report/{kind}")
+        status, body = http("GET", f"{base}/v1/runs/{run_id}/report/{kind}")
         assert status == 200, (kind, body)
 
     # Malformed requests: non-JSON, typo'd knob, bad pagination.
-    status, body = http("POST", f"{base}/runs", {"config": {"scal": 2}})
+    status, body = http("POST", f"{base}/v1/runs", {"config": {"scal": 2}})
     assert status == 400 and b"did you mean" in body
     request = urllib.request.Request(
-        f"{base}/runs", data=b"{nope", method="POST")
+        f"{base}/v1/runs", data=b"{nope", method="POST")
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
             status = response.status
     except urllib.error.HTTPError as error:
         status = error.code
     assert status == 400
-    status, _ = http("GET", f"{base}/runs/{run_id}/report/ops?offset=-1")
+    status, _ = http("GET", f"{base}/v1/runs/{run_id}/report/ops?offset=-1")
     assert status == 400
 
 
@@ -141,7 +141,7 @@ def test_graceful_shutdown_drains_inflight_run():
     service = ReproService(port=0, workers=1, queue_depth=8).start()
     base = service.url
     config = dict(TINY, seed=1234)
-    status, body = http("POST", f"{base}/runs", {"config": config})
+    status, body = http("POST", f"{base}/v1/runs", {"config": config})
     assert status == 202, body
     run_id = json.loads(body)["run_id"]
     # Close immediately: drain must let the accepted run finish.

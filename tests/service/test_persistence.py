@@ -1,15 +1,17 @@
-"""The durable run registry: journal, replay, and restart recovery.
+"""The durable run registry: reopen, recovery, and restart.
 
 Three layers of proof, cheapest first:
 
-* :class:`RunJournal` round-trips rows and refuses wrong schemas;
+* a :class:`RunStore` reopened on the same file gets every run back,
+  and a file with another schema version is refused;
 * a :class:`RunStore`/:class:`ServiceApp` rebuilt over the same state
   dir resumes with every run's state — and a finished run's report
   bytes — intact, with non-terminal runs re-marked ``interrupted``;
 * a real ``repro serve`` process SIGKILLed mid-run and restarted on
   the same ``--state-dir`` serves byte-identical reports for finished
   runs and a resubmittable ``interrupted`` run for the one it lost
-  (the CI restart-recovery step runs this one).
+  (the CI restart-recovery step runs this one), and leaves no process
+  of either server behind.
 """
 
 import json
@@ -25,8 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import Grid3Config, ServiceApp
-from repro.service import RunJournal, RunStore
-from repro.service.persistence import SCHEMA_VERSION, JournalError
+from repro.service import RunStore
+from repro.service.store import SCHEMA_VERSION, StoreError
 
 from .test_app import fake_payload
 
@@ -51,50 +53,67 @@ def submit(app, seed):
     return status, json.loads(payload)
 
 
-# -- the journal itself --------------------------------------------------------
+# -- the store over one file -------------------------------------------------
 
-def test_journal_append_replay_roundtrip(tmp_path):
-    journal = RunJournal(tmp_path)
-    config = Grid3Config(seed=5)
-    journal.append(1, "created", 10.0, {"digest": "d1"},
-                   RunJournal.encode_config(config))
-    journal.append(1, "running", 11.0)
-    journal.append(1, "done", 12.0, {"payload_bytes": 4}, b'{"a": 1}')
-    journal.close()
+def test_store_reopen_roundtrip(tmp_path):
+    path = str(tmp_path / "runs.sqlite3")
+    store = RunStore(path)
+    record = store.create("d1", Grid3Config(seed=5), client="alice",
+                          lane="interactive")
+    store.mark_running(record)
+    store.mark_done(record, {"reports": {"ops": [{"a": 1}]}, "summary": {}})
+    store.close()
 
-    reopened = RunJournal(tmp_path)
-    entries = reopened.replay()
-    assert [e.kind for e in entries] == ["created", "running", "done"]
-    assert [e.seq for e in entries] == sorted(e.seq for e in entries)
-    assert entries[0].data == {"digest": "d1"}
-    assert reopened.decode_config(entries[0].blob).seed == 5
-    assert entries[2].blob == b'{"a": 1}'
-    assert len(reopened) == 3
+    reopened = RunStore(path)
+    again = reopened.get(record.run_id)
+    assert (again.digest, again.client, again.lane, again.state) == (
+        "d1", "alice", "interactive", "done")
+    assert again.config.seed == 5
+    assert (again.submitted_at, again.started_at, again.finished_at) == (
+        record.submitted_at, record.started_at, record.finished_at)
+    assert again.payload == record.payload
+    assert again.payload_bytes == record.payload_bytes
+    assert reopened.cached("d1") is again
+    # Run ids keep counting from the reopened file.
+    assert reopened.create("d2", Grid3Config()).run_id == record.run_id + 1
     reopened.close()
 
 
-def test_journal_rejects_unknown_kind_and_wrong_schema(tmp_path):
-    journal = RunJournal(tmp_path)
-    with pytest.raises(ValueError):
-        journal.append(1, "teleported", 0.0)
-    # Sabotage the version marker: the next open must refuse, loudly.
-    journal._conn.execute(
-        "UPDATE meta SET value=? WHERE key='schema_version'",
-        (str(SCHEMA_VERSION + 1),))
-    journal._conn.commit()
-    journal.close()
-    with pytest.raises(JournalError):
-        RunJournal(tmp_path)
+def test_store_rejects_wrong_schema_version(tmp_path):
+    path = str(tmp_path / "runs.sqlite3")
+    store = RunStore(path)
+    # Rewind the version marker to what the event-log layout wrote: the
+    # next open must refuse, loudly, rather than read the wrong layout.
+    store._db.execute("UPDATE meta SET value=? WHERE key='schema_version'",
+                      (str(SCHEMA_VERSION - 1),))
+    store._db.commit()
+    store.close()
+    with pytest.raises(StoreError, match="schema version 1"):
+        RunStore(path)
 
 
-# -- store-level replay --------------------------------------------------------
+def test_writes_after_close_are_dropped_and_recovered(tmp_path):
+    path = str(tmp_path / "runs.sqlite3")
+    store = RunStore(path)
+    record = store.create("d1", Grid3Config())
+    store.mark_running(record)
+    store.close()
+    # A worker finishing after the drain window: memory moves on, the
+    # file does not, and the next open marks the run interrupted.
+    store.mark_done(record, {"reports": {}, "summary": {}})
+    assert record.state == "done"
+    reopened = RunStore(path)
+    assert reopened.get(record.run_id).state == "interrupted"
+    assert reopened.recovered_interrupted == 1
+    reopened.close()
+
 
 def test_store_replays_terminal_states_and_recovers_nonterminal(tmp_path):
-    journal = RunJournal(tmp_path)
-    store = RunStore(journal=journal)
+    path = str(tmp_path / "runs.sqlite3")
+    store = RunStore(path)
     done = store.create("d-done", Grid3Config(seed=1), client="alice")
     store.mark_running(done)
-    store.mark_done(done, {"reports": {}, "summary": {"jobs": 2}}, 40)
+    store.mark_done(done, {"reports": {}, "summary": {"jobs": 2}})
     failed = store.create("d-fail", Grid3Config(seed=2))
     store.mark_running(failed)
     store.mark_failed(failed, "boom")
@@ -102,29 +121,49 @@ def test_store_replays_terminal_states_and_recovers_nonterminal(tmp_path):
     store.mark_running(crashed)   # no terminal row: simulated crash
     queued = store.create("d-queued", Grid3Config(seed=4))
     assert queued.state == "queued"
-    journal.close()               # the process "dies" here
+    store.close()                 # the process "dies" here
 
-    reopened = RunJournal(tmp_path)
-    recovered = RunStore(journal=reopened)
+    recovered = RunStore(path)
     assert recovered.recovered_interrupted == 2
     states = {r.digest: r.state for r in recovered.runs()}
     assert states == {"d-done": "done", "d-fail": "failed",
                       "d-crash": "interrupted", "d-queued": "interrupted"}
-    replayed_done = recovered.lookup("d-done")
-    assert replayed_done.payload == {"reports": {}, "summary": {"jobs": 2}}
-    assert replayed_done.client == "alice"
-    # Interrupted digests are unindexed: resubmission re-runs.
+    reopened_done = recovered.lookup("d-done")
+    assert reopened_done.payload == {"reports": {}, "summary": {"jobs": 2}}
+    assert reopened_done.client == "alice"
+    # Failed digests stay indexed; interrupted ones are unindexed, so
+    # resubmission re-runs.
+    assert recovered.lookup("d-fail").error == "boom"
     assert recovered.lookup("d-crash") is None
     assert recovered.lookup("d-queued") is None
-    # Every replayed progress log is closed (no live workers exist).
+    # Every reopened progress log is closed (no live workers exist).
     for record in recovered.runs():
         _events, closed = record.progress.since(-1)
         assert closed
-    # The owed interrupted rows were appended, so a *second* replay
+    # The interrupted states were written back, so a *second* open
     # sees terminal states and recovers nothing.
-    reopened.close()
-    third = RunStore(journal=RunJournal(tmp_path))
+    recovered.close()
+    third = RunStore(path)
     assert third.recovered_interrupted == 0
+    third.close()
+
+
+def test_reopen_rebuilds_lru_oldest_first_under_a_smaller_budget(tmp_path):
+    path = str(tmp_path / "runs.sqlite3")
+    store = RunStore(path)
+    first = store.create("d1", Grid3Config())
+    store.mark_done(first, {"n": 1})
+    second = store.create("d2", Grid3Config())
+    store.mark_done(second, {"n": 2})
+    store.close()
+
+    smaller = RunStore(path, cache_bytes=second.payload_bytes)
+    assert smaller.get(first.run_id).payload is None  # oldest evicted
+    assert smaller.lookup("d1") is None
+    assert smaller.cached("d2").payload == {"n": 2}
+    smaller.close()
+    # The eviction was written, so it holds at the next open too.
+    assert RunStore(path).get(first.run_id).payload is None
 
 
 # -- app-level restart ---------------------------------------------------------
@@ -146,8 +185,8 @@ def test_app_restart_serves_byte_identical_reports(tmp_path):
         status, after = call(again, "GET", f"/v1/runs/{run_id}/report/ops")
         assert status == 200
         assert after.encode("utf-8") == before.encode("utf-8")
-        # The replayed result re-entered the cache: dedup still answers
-        # from it without executing anything.
+        # The reopened result is resident: dedup still answers from it
+        # without executing anything.
         status, dup = submit(again, seed=3)
         assert status == 200 and dup["dedup"] == "cached"
         assert dup["run_id"] == run_id
@@ -170,12 +209,13 @@ def test_app_restart_marks_inflight_interrupted_and_resubmittable(tmp_path):
         time.sleep(0.01)
     gate.set()
     app.close(drain=True, timeout=10.0)
-    # Rewind the journal to the crash point: drop the terminal row, as
-    # if the process died while the run was live.
-    journal = RunJournal(tmp_path / "state")
-    journal._conn.execute("DELETE FROM journal WHERE kind = 'done'")
-    journal._conn.commit()
-    journal.close()
+    # Rewind the table to the crash point: the run is still live, as if
+    # the process died before it finished.
+    store = RunStore(str(tmp_path / "state" / "runs.sqlite3"))
+    store._db.execute("UPDATE runs SET state='running', finished_at=NULL, "
+                      "payload=NULL WHERE run_id=?", (run_id,))
+    store._db.commit()
+    store.close()
 
     again = make_app(tmp_path)
     try:
@@ -236,6 +276,8 @@ LONG = {"scale": 3000, "duration_days": 90.0, "apps": ["exerciser"],
 
 
 def _start_server(state_dir):
+    """A ``repro serve`` in its own session, so that its process group
+    holds the server and every pool worker it starts."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env.setdefault("PYTHONUNBUFFERED", "1")
@@ -243,7 +285,7 @@ def _start_server(state_dir):
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--workers", "1", "--state-dir", str(state_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env, cwd=os.path.dirname(
+        text=True, env=env, start_new_session=True, cwd=os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     )
     deadline = time.monotonic() + 30.0
@@ -256,8 +298,38 @@ def _start_server(state_dir):
         match = re.search(r"listening on (http://[\d.]+:\d+)", line)
         if match:
             return proc, match.group(1)
-    proc.kill()
+    _kill_group(proc)
     pytest.fail(f"server never announced its port:\n{banner}")
+
+
+def _kill_group(proc):
+    """SIGKILL the server's whole process group, workers included.
+
+    Killing the server alone orphans its pool workers, which then run
+    on with nobody left to read their results."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=10.0)
+    proc.stdout.close()
+
+
+def _survivors(pgids):
+    """Live (non-zombie) pids whose process group is one of ``pgids``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we looked
+        state, pgrp = fields[0], int(fields[2])
+        if pgrp in pgids and state != "Z":
+            found.append(int(entry))
+    return found
 
 
 def _http(method, url, payload=None):
@@ -275,6 +347,7 @@ def _http(method, url, payload=None):
 def test_sigkill_mid_run_then_restart_recovers(tmp_path):
     state_dir = tmp_path / "state"
     proc, base = _start_server(state_dir)
+    groups = {proc.pid}
     try:
         # One run to completion; keep its exact report bytes.
         status, body = _http("POST", f"{base}/v1/runs", {"config": TINY})
@@ -304,10 +377,10 @@ def test_sigkill_mid_run_then_restart_recovers(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10.0)
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        _kill_group(proc)
 
     proc, base = _start_server(state_dir)
+    groups.add(proc.pid)
     try:
         # The finished run survived with byte-identical report bytes.
         status, after = _http(
@@ -326,8 +399,9 @@ def test_sigkill_mid_run_then_restart_recovers(tmp_path):
         listed = {item["run_id"] for item in json.loads(body)["items"]}
         assert {done_id, long_id} <= listed
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        _kill_group(proc)
+    # Neither server, nor any worker either one started, outlives the test.
+    deadline = time.monotonic() + 10.0
+    while _survivors(groups):
+        assert time.monotonic() < deadline, _survivors(groups)
+        time.sleep(0.1)

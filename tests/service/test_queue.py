@@ -147,7 +147,7 @@ def _process_queue(store):
     return JobQueue(
         workers=1, depth=4, runner=_streaming_runner,
         on_start=store.mark_running,
-        on_done=lambda record, payload: store.mark_done(record, payload, 0),
+        on_done=store.mark_done,
         on_error=store.mark_failed,
     )
 

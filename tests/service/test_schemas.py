@@ -1,10 +1,15 @@
 """Request validation: every malformed submission maps to a SchemaError."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Grid3Config
+from repro.scenarios import SCENARIOS
 from repro.service import (
     ERROR_CODES,
     ApiError,
@@ -78,6 +83,72 @@ def test_non_object_body_rejected():
 def test_failures_knob_not_settable_over_wire():
     with pytest.raises(SchemaError, match="not settable over the API"):
         parse_run_request(body(config={"failures": {"node_mtbf": 1}}))
+
+
+@pytest.mark.parametrize("raw, knob", [
+    (b'{"config": {"tracing": "no"}}', "tracing"),
+    (b'{"config": {"use_srm": 1}}', "use_srm"),
+    (b'{"config": {"seed": "7"}}', "seed"),
+    (b'{"config": {"seed": []}}', "seed"),
+    (b'{"config": {"seed": true}}', "seed"),
+    (b'{"config": {"seed": 1.5}}', "seed"),
+    (b'{"config": {"duration_days": Infinity}}', "duration_days"),
+    (b'{"config": {"duration_days": 1e400}}', "duration_days"),
+    (b'{"config": {"duration_days": NaN}}', "duration_days"),
+    pytest.param(b'{"config": {"scale": 1' + b"0" * 400 + b'}}', "scale",
+                 id="scale-int-beyond-float-range"),
+])
+def test_wrongly_typed_or_non_finite_knob_rejected(raw, knob):
+    with pytest.raises(SchemaError, match=f"knob '{knob}' must be"):
+        parse_submission(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b'{"config": {"__class__": 1}}', id="dunder-knob"),
+    pytest.param(b'{"config": {"seed": 1' + b"0" * 5000 + b'}}',
+                 id="int-beyond-str-digit-limit"),
+    pytest.param(b'{"client": "\xff"}', id="invalid-utf8"),
+])
+def test_hostile_bodies_are_400_not_500(raw):
+    with pytest.raises(SchemaError):
+        parse_submission(raw)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_KNOBS = st.sampled_from(sorted(f.name for f in fields(Grid3Config)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.fixed_dictionaries({}, optional={
+    "config": st.dictionaries(_KNOBS | st.text(max_size=8), _JSON,
+                              max_size=5) | _JSON,
+    "scenario": st.sampled_from(sorted(SCENARIOS)) | _JSON,
+    "client": st.text(min_size=1, max_size=8) | _JSON,
+    "lane": st.sampled_from(["interactive", "batch"]) | _JSON,
+}) | st.dictionaries(st.text(max_size=8), _JSON, max_size=3))
+def test_property_parsed_knobs_have_their_declared_types(payload):
+    """Any JSON object either fails validation or yields a config whose
+    bool and int knobs are exactly bool and int, and whose float knobs
+    are finite floats."""
+    try:
+        config = parse_submission(json.dumps(payload).encode()).config
+    except SchemaError:
+        return
+    for field in fields(Grid3Config):
+        value = getattr(config, field.name)
+        if isinstance(field.default, bool):
+            assert type(value) is bool, field.name
+        elif isinstance(field.default, int):
+            assert type(value) is int, field.name
+        elif isinstance(field.default, float):
+            assert type(value) is float and math.isfinite(value), field.name
 
 
 def test_config_must_be_object():

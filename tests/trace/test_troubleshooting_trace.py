@@ -17,13 +17,13 @@ def test_slowest_jobs_ranked_and_linked():
     ops = traced_grid().troubleshooting()
     rows = ops.slowest_jobs(5)
     assert rows
-    makespans = [r["makespan"] for r in rows]
+    makespans = [r.makespan for r in rows]
     assert makespans == sorted(makespans, reverse=True)
     for row in rows:
-        assert row["critical_phase"] in PHASES
-        assert row["vo"]
+        assert row.critical_phase in PHASES
+        assert row.vo
         # the §8 submit-side <-> execution-side link
-        assert all(isinstance(j, int) for j in row["job_ids"])
+        assert all(isinstance(j, int) for j in row.job_ids)
 
 
 def test_phase_breakdown_all_and_per_vo():
@@ -31,7 +31,7 @@ def test_phase_breakdown_all_and_per_vo():
     agg = ops.phase_breakdown()
     assert agg["jobs"] > 0
     assert abs(sum(agg["share"][p] for p in PHASES) - 1.0) < 1e-9
-    vo = ops.slowest_jobs(1)[0]["vo"]
+    vo = ops.slowest_jobs(1)[0].vo
     per_vo = ops.phase_breakdown(vo=vo)
     assert 0 < per_vo["jobs"] <= agg["jobs"]
     assert per_vo["vo"] == vo
