@@ -26,6 +26,8 @@ import dataclasses
 import difflib
 import hashlib
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -108,6 +110,37 @@ def did_you_mean(value: object, allowed) -> str:
     """``"; did you mean 'x'?"`` for the closest of ``allowed``, or ``""``."""
     hit = difflib.get_close_matches(str(value), [str(a) for a in allowed], n=1)
     return f"; did you mean {hit[0]!r}?" if hit else ""
+
+
+def _finite_real(value: object) -> bool:
+    """A non-bool real number that is neither NaN nor infinite.
+
+    Compared, not converted, so an int too large for a float fails
+    without raising.
+    """
+    return (
+        isinstance(value, (float, int, numbers.Real))  # builtins first: fast
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def knob_type_mismatch(default: object, value: object) -> Optional[str]:
+    """What a knob whose default is ``default`` wants, when ``value`` is
+    not that; None when it fits or the knob is not a scalar.
+
+    A bool knob takes a bool, an int knob a non-bool integer, and a
+    float knob any finite non-bool real (an int is fine for 14.0).
+    """
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a bool"
+    if isinstance(default, int):
+        integral = (isinstance(value, (int, numbers.Integral))
+                    and not isinstance(value, bool))
+        return None if integral else "an integer"
+    if isinstance(default, float):
+        return None if _finite_real(value) else "a finite number"
+    return None
 
 
 @dataclass
@@ -208,13 +241,25 @@ class Grid3Config:
         from ..errors import ConfigurationError
         from ..scheduling.policy import POLICY_SETS
 
-        known = {f.name for f in fields(self)}
+        knobs = fields(self)
+        known = {f.name for f in knobs}
         for name in vars(self):
             if name not in known:
                 raise ConfigurationError(
                     f"unknown Grid3Config knob {name!r}"
                     f"{did_you_mean(name, sorted(known))}"
                 )
+        for f in knobs:
+            value = getattr(self, f.name)
+            want = knob_type_mismatch(f.default, value)
+            if want:
+                raise ConfigurationError(f"{f.name} must be {want}, got {value!r}")
+        if self.apps is not None and not (
+            isinstance(self.apps, list) and all(isinstance(a, str) for a in self.apps)
+        ):
+            raise ConfigurationError(
+                f"apps must be a list of app names, got {self.apps!r}"
+            )
         for knob, allowed in (
             ("matchmaking", ("smart", "random")),
             ("site_policies", tuple(sorted(POLICY_SETS))),
@@ -254,11 +299,19 @@ class Grid3Config:
                 "StorageAgent evicts from the high watermark *down to* "
                 "the low one, so low must be <= high"
             )
-        if self.fair_share_targets:
-            bad = {vo: s for vo, s in self.fair_share_targets.items() if not s > 0}
+        if self.fair_share_targets is not None:
+            if not isinstance(self.fair_share_targets, dict):
+                raise ConfigurationError(
+                    "fair_share_targets must map VO names to shares, got "
+                    f"{self.fair_share_targets!r}"
+                )
+            bad = {
+                vo: s for vo, s in self.fair_share_targets.items()
+                if not (_finite_real(s) and s > 0)
+            }
             if bad:
                 raise ConfigurationError(
-                    f"fair_share_targets shares must be positive: {bad!r}"
+                    f"fair_share_targets shares must be positive numbers: {bad!r}"
                 )
         if self.apps:
             unknown = [a for a in self.apps if a not in APP_CLASSES]
@@ -289,9 +342,10 @@ class Grid3Config:
                         f"{did_you_mean(unknown[0], sorted(allowed))}"
                     )
         if self.metrics_memory_budget_mb is not None:
-            if not self.metrics_memory_budget_mb > 0:
+            budget = self.metrics_memory_budget_mb
+            if not (_finite_real(budget) and budget > 0):
                 raise ConfigurationError(
-                    "metrics_memory_budget_mb must be positive, got "
+                    "metrics_memory_budget_mb must be a positive number, got "
                     f"{self.metrics_memory_budget_mb!r}"
                 )
         return self

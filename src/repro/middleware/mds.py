@@ -223,9 +223,9 @@ class GIIS(GridService):
 
     def active_records(self) -> List[Dict[str, object]]:
         """The cached sweep restricted to records with online status —
-        what the matchmaker actually ranks.  Offline records would be
-        dropped by its admissibility filter anyway, so pre-splitting the
-        snapshot makes per-selection cost O(active sites)."""
+        what the matchmaker actually ranks, so its filters need not check
+        status.  Pre-splitting the snapshot makes per-selection cost
+        O(active sites)."""
         self.require_available("index sweep")
         if self._sweep is None or self.engine.now >= self._sweep_until:
             records = self.query_all()

@@ -14,6 +14,11 @@ provided within their VO" and "application demonstrators tended to have
 them."  :class:`SiteSelector` implements all six: hard filters for the
 four requirements, then a score with VO-affinity and favourite-site
 stickiness terms.
+
+One selection is one pass over the admissible sites: the per-job terms
+(data intensity, favourites, fair-share factor) are computed once, the
+per-site jitter is one vector draw, and :meth:`SiteSelector.select`
+takes the argmax, sorting only when it explores.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.job import JobSpec
 from ..middleware.mds import GIIS
 from ..sim.rng import RngRegistry
+
+
+def _best_first(pair: Tuple[float, str]) -> Tuple[float, str]:
+    """Sort key for ``(score, site)``: highest score, then site name."""
+    return (-pair[0], pair[1])
 
 
 class SiteSelector:
@@ -63,78 +73,66 @@ class SiteSelector:
         #: (vo, user) -> {site: submissions so far}; drives stickiness.
         self._favorites: Dict[Tuple[str, str], Dict[str, int]] = {}
 
-    # -- the four hard requirements (§6.4) ----------------------------------
-    @staticmethod
-    def admissible(record: Dict[str, object], spec: JobSpec) -> bool:
-        """Whether a site record passes the §6.4 requirement filters."""
-        if record.get("status") != "online":
-            return False
-        # Criterion 1: outbound connectivity.
-        if spec.requires_outbound and not record.get("outbound_connectivity"):
-            return False
-        # Criterion 2: disk space for the job's footprint.
-        if float(record.get("se_free", 0.0)) < spec.local_disk_footprint:
-            return False
-        # Criterion 3: the walltime request must fit the site limit.
-        if spec.walltime_request > float(record.get("max_walltime", 0.0)):
-            return False
-        return True
-
     def candidates(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[Dict[str, object]]:
-        """Admissible site records for a spec, excluding named sites.
-
-        Iterates the GIIS's cached *active* (online) snapshot rather
-        than sweeping the whole index per selection: offline records
-        would fail :meth:`admissible` anyway, so the subsequence of
-        admissible candidates — and hence the per-candidate RNG draw
-        order — is unchanged, at O(active sites) per selection.
-        """
+        """Online site records that pass the §6.4 requirement filters,
+        minus the ``exclude`` sites, in the GIIS's cached *active*
+        snapshot order: O(active sites) per selection."""
         excluded = set(exclude)
+        outbound = spec.requires_outbound
+        footprint = spec.local_disk_footprint
+        walltime = spec.walltime_request
         return [
             rec
             for rec in self.giis.active_records()
-            if rec["site"] not in excluded and self.admissible(rec, spec)
+            if rec["site"] not in excluded
+            # Criterion 1: outbound connectivity.
+            and (not outbound or rec.get("outbound_connectivity"))
+            # Criterion 2: disk space for the job's footprint.
+            and float(rec.get("se_free", 0.0)) >= footprint
+            # Criterion 3: the walltime request must fit the site limit.
+            and walltime <= float(rec.get("max_walltime", 0.0))
         ]
 
-    # -- scoring ----------------------------------------------------------------
-    def _score(self, record: Dict[str, object], spec: JobSpec) -> float:
-        total = max(1, int(record.get("total_cpus", 1)))
-        free_frac = int(record.get("free_cpus", 0)) / total
-        # Criterion 4: prefer high-bandwidth gatekeepers, log-scaled
-        # (100 Mbit vs 1 Gbit matters; 1 Gbit vs 1.1 Gbit doesn't).
-        bandwidth = max(1.0, float(record.get("access_bandwidth", 1.0)))
-        bw_term = math.log10(bandwidth) / 9.0  # ~[0.7, 1] over real links
+    def _scored(self, spec: JobSpec, exclude: Sequence[str]) -> List[Tuple[float, str]]:
+        """``(score, site)`` for every candidate, in candidate order."""
+        records = self.candidates(spec, exclude)
+        if not records:
+            return []
         # Data-heavy jobs weigh bandwidth more.
         data_intensity = 1.0 if spec.input_bytes + spec.output_bytes > 1e9 else 0.3
-        score = self.bandwidth_weight * bw_term * data_intensity
         free_weight = self.free_cpu_weight
         if self.fairshare is not None:
+            # Asked only when there are candidates: the call decays the
+            # ledger's usage to ``now``, which later floats depend on.
             now = self.clock() if self.clock is not None else 0.0
             free_weight *= self.fairshare.priority_factor(spec.vo, now)
-        score += free_weight * free_frac
-        # §8 "Job Resource Requirements": use published wait estimates
-        # when sites provide them (an hour of expected queueing costs a
-        # point).
-        wait = float(record.get("estimated_wait", 0.0))
-        score -= min(2.0, wait / 3600.0)
-        if record.get("owner_vo") == spec.vo:
-            score += self.vo_affinity_weight
-        favs = self._favorites.get((spec.vo, spec.user), {})
-        count = favs.get(record["site"], 0)
-        if count:
-            total_count = sum(favs.values())
-            score += self.favorite_weight * (count / total_count)
-        score += self.rng.uniform("matchmaker.jitter", 0.0, self.jitter)
-        return score
+        vo = spec.vo
+        favs = self._favorites.get((vo, spec.user), {})
+        fav_total = sum(favs.values())
+        jitter = self.rng.uniforms("matchmaker.jitter", 0.0, self.jitter, len(records))
+        scored = []
+        for rec, noise in zip(records, jitter):
+            total = max(1, int(rec.get("total_cpus", 1)))
+            # Criterion 4: prefer high-bandwidth gatekeepers, log-scaled
+            # (100 Mbit vs 1 Gbit matters; 1 Gbit vs 1.1 Gbit doesn't).
+            bandwidth = max(1.0, float(rec.get("access_bandwidth", 1.0)))
+            bw_term = math.log10(bandwidth) / 9.0  # ~[0.7, 1] over real links
+            score = self.bandwidth_weight * bw_term * data_intensity
+            score += free_weight * (int(rec.get("free_cpus", 0)) / total)
+            # §8 "Job Resource Requirements": a published wait estimate
+            # costs a point per hour of expected queueing.
+            score -= min(2.0, float(rec.get("estimated_wait", 0.0)) / 3600.0)
+            if rec.get("owner_vo") == vo:
+                score += self.vo_affinity_weight
+            count = favs.get(rec["site"], 0)
+            if count:
+                score += self.favorite_weight * (count / fav_total)
+            scored.append((score + noise, str(rec["site"])))
+        return scored
 
     def rank(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[str]:
         """Admissible sites, best first."""
-        scored = [
-            (self._score(rec, spec), str(rec["site"]))
-            for rec in self.candidates(spec, exclude)
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [site for _score, site in scored]
+        return [site for _s, site in sorted(self._scored(spec, exclude), key=_best_first)]
 
     def select(self, spec: JobSpec, exclude: Sequence[str] = ()) -> Optional[str]:
         """The best admissible site, or None when nothing qualifies.
@@ -142,14 +140,14 @@ class SiteSelector:
         With probability ``exploration`` a uniformly random admissible
         site is returned instead of the top-ranked one.
         """
-        ranked = self.rank(spec, exclude)
-        if not ranked:
+        scored = self._scored(spec, exclude)
+        if not scored:
             return None
-        if len(ranked) > 1 and self.rng.bernoulli(
-            "matchmaker.explore", self.exploration
-        ):
+        if len(scored) > 1 and self.rng.bernoulli("matchmaker.explore", self.exploration):
+            # The pick indexes the ranked list, so only this branch sorts.
+            ranked = [site for _s, site in sorted(scored, key=_best_first)]
             return self.rng.choice("matchmaker.explore.pick", ranked)
-        return ranked[0]
+        return min(scored, key=_best_first)[1]
 
     def record_use(self, vo: str, user: str, site: str) -> None:
         """Feed the favourite-site stickiness (call on each submission)."""
@@ -166,10 +164,11 @@ class RandomSelector:
         self.rng = rng
 
     def rank(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[str]:
+        excluded = set(exclude)
         names = [
             str(rec["site"])
             for rec in self.giis.active_records()
-            if rec["site"] not in set(exclude)
+            if rec["site"] not in excluded
         ]
         return self.rng.shuffled("random-selector", names)
 

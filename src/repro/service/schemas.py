@@ -20,11 +20,10 @@ did-you-mean suggestions live there, not inside the message.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.grid3 import Grid3Config, did_you_mean
+from ..core.grid3 import Grid3Config, did_you_mean, knob_type_mismatch
 from ..core.results import ReportRecord
 from ..errors import GridError
 
@@ -167,28 +166,15 @@ class RunEvents(ReportRecord):
 
 
 def _wire_value(knob: str, default: object, value: object) -> object:
-    """Type-check one JSON knob value against its field default's type.
-
-    A bool knob takes ``true``/``false``, an int knob a JSON integer
-    (not a bool), and a float knob any finite number — JSON has one
-    number type, so 14 is accepted for a 14.0 knob.  Knobs whose
-    default is none of these are left to :meth:`Grid3Config.validate`.
+    """Type-check one JSON knob value by :func:`knob_type_mismatch` and
+    give float knobs a float: JSON has one number type, so 14 arrives
+    for a 14.0 knob.  Other knobs are left to :meth:`Grid3Config.validate`.
     """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = number and isinstance(value, int), "a JSON integer"
-    elif isinstance(default, float):
-        # Comparing, not converting: NaN, infinities and integers too
-        # large for a float all fail it without raising.
-        ok = number and abs(value) <= sys.float_info.max  # type: ignore[arg-type]
-        want = "a finite number"
-        value = float(value) if ok else value  # type: ignore[arg-type]
-    else:
-        return value
-    if not ok:
+    want = knob_type_mismatch(default, value)
+    if want:
         raise SchemaError(f"knob {knob!r} must be {want}, got {value!r}")
+    if isinstance(default, float):
+        return float(value)  # type: ignore[arg-type]
     return value
 
 
@@ -269,8 +255,6 @@ def parse_submission(body: bytes) -> RunRequest:
         config.validate()
     except ConfigurationError as exc:
         raise SchemaError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid knob value: {exc}") from exc
     return RunRequest(config=config, client=client, lane=lane)
 
 

@@ -80,6 +80,13 @@ class RngRegistry:
             return low
         return float(self.stream(name).uniform(low, high))
 
+    def uniforms(self, name: str, low: float, high: float, n: int) -> List[float]:
+        """``n`` uniform draws on [low, high) in one call: the same values,
+        and the same stream state after, as ``n`` calls of :meth:`uniform`."""
+        if high <= low:
+            return [low] * n
+        return self.stream(name).uniform(low, high, size=n).tolist()
+
     def bernoulli(self, name: str, p: float) -> bool:
         """True with probability ``p`` (clamped to [0, 1])."""
         p = min(max(p, 0.0), 1.0)

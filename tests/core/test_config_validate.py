@@ -1,6 +1,10 @@
 """Grid3Config.validate(): typos and contradictions fail loudly."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ConfigurationError, Grid3, Grid3Config
 
@@ -57,3 +61,70 @@ def test_bad_fair_share_targets():
 def test_grid3_init_validates():
     with pytest.raises(ConfigurationError):
         Grid3(Grid3Config(matchmaking="greedy"))
+
+
+_WRONGLY_TYPED = [
+    ("scale", "x"),
+    ("scale", 10**400),
+    ("duration_days", None),
+    ("duration_days", float("inf")),
+    ("misconfig_probability", None),
+    ("seed", "3"),
+    ("seed", True),
+    ("per_site_throttle", 2.5),
+    ("use_srm", "yes"),
+    ("tracing", 1),
+    ("apps", 5),
+    ("apps", "ligo"),
+    ("apps", [["ligo"]]),
+    ("fair_share_targets", ["uscms"]),
+    ("fair_share_targets", {"uscms": "1"}),
+    ("fair_share_targets", {"uscms": float("inf")}),
+    ("metrics_memory_budget_mb", "64"),
+]
+
+
+@pytest.mark.parametrize("knob, value", _WRONGLY_TYPED,
+                         ids=[f"{k}={v!r}"[:40] for k, v in _WRONGLY_TYPED])
+def test_wrongly_typed_knob_is_a_configuration_error(knob, value):
+    config = Grid3Config()
+    setattr(config, knob, value)
+    with pytest.raises(ConfigurationError, match=knob):
+        config.validate()
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("scale", 50),          # an int where a float is expected
+    ("duration_days", 2),
+    ("metrics_memory_budget_mb", 64),
+    ("fair_share_targets", {"uscms": 2, "usatlas": 1.5}),
+    ("apps", ["ligo", "sdss"]),
+])
+def test_well_typed_knob_validates(knob, value):
+    config = Grid3Config()
+    setattr(config, knob, value)
+    config.validate()
+
+
+_json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(f.name for f in fields(Grid3Config))), _json_like,
+))
+def test_validate_only_ever_raises_configuration_error(assignment):
+    """Any JSON-like value on any knob either validates or is refused
+    with a ConfigurationError, never another exception."""
+    config = Grid3Config()
+    for knob, value in assignment.items():
+        setattr(config, knob, value)
+    try:
+        config.validate()
+    except ConfigurationError:
+        pass

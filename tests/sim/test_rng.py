@@ -124,3 +124,24 @@ def test_streams_reproducible_property(seed, name):
     a = RngRegistry(seed).stream(name).random(4)
     b = RngRegistry(seed).stream(name).random(4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (2.0, 3.5), (-1.0, 0.25)])
+def test_uniforms_equals_successive_uniform_calls(n, low, high):
+    """One vector draw gives the values, and leaves the stream state,
+    of ``n`` scalar draws."""
+    vec, one = RngRegistry(17), RngRegistry(17)
+    drawn = vec.uniforms("u", low, high, n)
+    assert drawn == [one.uniform("u", low, high) for _ in range(n)]
+    assert all(type(v) is float for v in drawn)
+    assert vec.stream("u").bit_generator.state == one.stream("u").bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("low, high", [(1.0, 1.0), (2.0, 1.0)])
+def test_uniforms_degenerate_range_draws_nothing(n, low, high):
+    reg = RngRegistry(17)
+    before = reg.stream("u").bit_generator.state
+    assert reg.uniforms("u", low, high, n) == [low] * n
+    assert reg.stream("u").bit_generator.state == before
