@@ -232,7 +232,7 @@ class Grid3Config:
     metrics_memory_budget_mb: Optional[float] = None
 
     def validate(self) -> "Grid3Config":
-        """Reject unknown knobs and contradictory settings.
+        """Reject unknown knobs, wrongly typed values and contradictory settings.
 
         Called by :class:`Grid3` on construction; raises
         :class:`~repro.errors.ConfigurationError` with an actionable
