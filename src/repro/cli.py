@@ -422,16 +422,15 @@ def cmd_alerts(args, out=print) -> int:
         return 1 if payload["firing"] else 0
 
     if args.lint:
-        # Real metric names: a tiny simulation for the in-sim estate
-        # (long enough for the hourly service-health cadence to have
-        # produced samples), a real (idle) ServiceApp for the service
-        # scrape names.
+        # Real metric names: the service-health view of a deployed (not
+        # run) grid for the in-sim estate, a real (idle) ServiceApp for
+        # the service scrape names.
         grid = Grid3(Grid3Config(
             seed=args.seed, scale=3000.0, duration_days=0.25,
             apps=["exerciser"],
         ))
-        grid.run_full()
-        sim_names = grid.monitors["service-health"].store.names()
+        grid.deploy()
+        sim_names = grid.monitors["service-health"].store.published_names()
         problems = lint_rules(default_rules(), sim_names)
         from .service.app import ServiceApp
         app = ServiceApp(workers=1, queue_depth=8)

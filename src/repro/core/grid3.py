@@ -662,7 +662,6 @@ class Grid3:
             extra_services=self._central_services(),
         )
         self._govern(ganglia_web.store)
-        self._govern(service_health.store)
         self.monitors = {
             "ganglia": ganglia_web,
             "monalisa": repository,

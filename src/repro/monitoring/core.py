@@ -487,8 +487,8 @@ class MetricStore:
         On a governed store the folded aggregates of evicted windows
         are merged in, so reports over long horizons stay correct after
         raw samples are gone.  Evicted contributions have window
-        granularity: a folded window counts whenever it intersects
-        ``[since, until]``.
+        granularity: a folded window ``[wstart, wstart + window)`` counts
+        whenever it intersects ``[since, until]``.
         """
         _times, values = self.series_window(name, since, until)
         n = len(values)
@@ -504,7 +504,7 @@ class MetricStore:
         if folded:
             window = self.window
             for wstart, (fcount, fsum, fmin, fmax) in folded.items():
-                if wstart > until or wstart + window < since:
+                if wstart > until or wstart + window <= since:
                     continue
                 count += fcount
                 total += fsum

@@ -35,6 +35,7 @@ class GangliaAgent:
         #: The site-local web page's backing store (bounded ring).
         self.local_store = MetricStore(max_samples=2000)
         self._last_gridftp_bytes = 0.0
+        self._tags = make_tags(site=site.name)
         sinks = [self.local_store]
         if central is not None:
             sinks.append(central.store)
@@ -45,7 +46,7 @@ class GangliaAgent:
 
     def _collect(self) -> List[MetricSample]:
         now = self.engine.now
-        tags = make_tags(site=self.site.name)
+        tags = self._tags
         cluster = self.site.cluster
         gridftp = self.site.services.get("gridftp")
         net_bytes = 0.0

@@ -96,6 +96,9 @@ class MonALISAAgent:
         self.repository = repository
         self.vos = vos
         self._gram_log_cursor = 0
+        self._tags = make_tags(site=site.name)
+        #: vo -> its per-VO tags, in ``vos`` order (duplicates dropped).
+        self._vo_tags = {vo: make_tags(site=site.name, vo=vo) for vo in vos}
         self.producer = PeriodicProducer(
             engine, f"monalisa-{site.name}", interval, self._collect, [repository]
         )
@@ -136,21 +139,19 @@ class MonALISAAgent:
         lrm = self.site.services.get("lrm")
         if lrm is None:
             return []
-        counts = {vo: 0 for vo in self.vos}
+        vo_tags = self._vo_tags
+        counts = dict.fromkeys(vo_tags, 0)
         for job in lrm.running_jobs():
             if job.vo in counts:
                 counts[job.vo] += 1
         return [
-            MetricSample(
-                now, "vo.cpus_in_use", float(count),
-                make_tags(site=self.site.name, vo=vo),
-            )
+            MetricSample(now, "vo.cpus_in_use", float(count), vo_tags[vo])
             for vo, count in counts.items()
         ]
 
     def _collect(self) -> List[MetricSample]:
         now = self.engine.now
-        tags = make_tags(site=self.site.name)
+        tags = self._tags
         samples = []
         samples.extend(self._gram_log_sensor(now, tags))
         samples.extend(self._queue_sensor(now, tags))

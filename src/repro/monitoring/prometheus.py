@@ -3,14 +3,18 @@
 Grid2003's monitoring worked because every layer fed one aggregate view
 at the iGOC (§5.2, Fig. 1).  This module is that unification for the
 reproduction: any :class:`~repro.monitoring.MetricStore` — the
-service-health ledger, the sched/data/trace stores, the HTTP service's
-own scrape history — renders to the `Prometheus text format
+sched/data/trace stores, the HTTP service's own scrape history, and the
+service-health view that derives its series from the downtime ledgers
+and live counters at read time — renders to the `Prometheus text format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ (v0.0.4,
 hand-rolled; no client library, tier-1 stays hermetic).
 
 Exposition is *latest-per-(name, label set)*: each distinct tag
 combination contributes one gauge line carrying its newest sample, so
-the output is a snapshot, not a history dump.  Names are sanitised to
+the output is a snapshot, not a history dump.  For the service-health
+view that is each service's liveness and availability at the last
+hourly grid instant, and its counters as they stand now; a scrape
+costs O(services), since nothing is stored to walk.  Names are sanitised to
 the Prometheus grammar (``service.gatekeeper.up`` ->
 ``service_gatekeeper_up``); label values are escaped per the spec.
 """
@@ -109,7 +113,8 @@ def grid_stores(grid) -> Dict[str, MetricStore]:
 
     Resolves the heterogeneous ``grid.monitors`` registry: bare
     MetricStores (``data``, ``trace``, ``sched``) pass through; agents
-    holding a ``.store`` (service-health, Ganglia web) contribute it.
+    holding a ``.store`` (the service-health view, Ganglia web)
+    contribute it.
     """
     out: Dict[str, MetricStore] = {}
     for name, monitor in sorted(getattr(grid, "monitors", {}).items()):

@@ -1,35 +1,269 @@
-"""Service-health monitoring: the ledger and counters, published.
+"""Service-health monitoring: the ledgers and counters, read on demand.
 
 The service substrate (:mod:`repro.services`) keeps per-service
-lifecycle state, downtime ledgers, and counters; this module is the
-monitoring-side bridge that samples them periodically into a
-:class:`~repro.monitoring.core.MetricStore` — the "deliberate
-redundancy" of §5.2 applied to service health: probes (Site Status
-Catalog) and ledgers (here) observe the same outages through different
-paths and can be cross-checked.
+lifecycle state, downtime ledgers, and counters.  This module publishes
+them as the ``service-health`` store of the monitoring estate — the
+"deliberate redundancy" of §5.2 applied to service health: probes (Site
+Status Catalog) and ledgers (here) observe the same outages through
+different paths and can be cross-checked.
 
-Published series, all tagged ``site=<owner site>``, ``role=<role>``:
+Nothing is sampled or stored.  :class:`ServiceHealthView` is a
+read-only :class:`~repro.monitoring.core.MetricStore` that derives
+every answer from the ledgers and live counters at query time, so the
+alert engine, ``grid_stores`` and the Prometheus exposition read it
+like any other store.  Published series, all tagged
+``site=<owner site>``, ``role=<role>``:
 
-* ``service.<role>.up`` — 1.0/0.0 liveness at sample time;
+* ``service.<role>.up`` — 1.0/0.0 liveness;
 * ``service.<role>.availability`` — ledger availability since t=0;
 * ``service.<role>.<counter>`` — every counter the service declares.
+
+``up`` and ``availability`` are answered on the agent's sweep grid,
+``start + k * interval`` (k >= 1) up to now, with exactly the values an
+hourly sampler started at ``start`` would have recorded; a ledger
+transition at a grid instant counts as before the read.  A service with
+an empty ledger short-circuits to 1.0, so a read costs O(services)
+plus O(instants) per service that has ever failed.  Counters carry no
+history: each service contributes one live sample stamped ``now``.
+Like the sampler's store, the view has no samples and no names before
+the first grid instant, so short runs expose no service-health lines;
+:meth:`ServiceHealthView.published_names` lists the names regardless.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..services import GridService, grid_services
 from ..sim.engine import Engine
 from ..sim.units import HOUR
-from .core import MetricSample, MetricStore, PeriodicProducer, make_tags
+from .core import MetricSample, MetricStore, make_tags
+
+Tags = Tuple[Tuple[str, str], ...]
+
+#: The series a service's downtime ledger answers.
+_LEDGER_FIELDS = ("up", "availability")
+
+
+def _split(name: str) -> Tuple[Optional[str], str]:
+    """``service.<role>.<field>`` -> (role, field); roles hold no dots.
+    The role is None for a name outside the ``service.`` namespace."""
+    prefix, _, rest = name.partition(".")
+    role, _, field = rest.partition(".")
+    return (role if prefix == "service" else None), field
+
+
+def _ledger_column(service: GridService, field: str,
+                   times: List[float]) -> List[float]:
+    """``service``'s ``up`` or ``availability`` at each of ``times``."""
+    ledger = service.ledger
+    if field == "availability":
+        return [ledger.availability(0.0, t) for t in times]
+    outages = ledger.outages()
+    return [
+        0.0 if any(o.start <= t and (o.end is None or t < o.end)
+                   for o in outages) else 1.0
+        for t in times
+    ]
+
+
+class ServiceHealthView(MetricStore):
+    """A read-only MetricStore over a grid's service ledgers and counters.
+
+    Every query method of :class:`MetricStore` answers from the
+    services at call time; ``append``/``extend`` raise, and the view
+    holds no samples (``len`` is 0).
+    """
+
+    def __init__(self, agent: "ServiceHealthAgent") -> None:
+        super().__init__()
+        self.agent = agent
+        #: The sweep grid so far.  ``_grid[0]`` is the start instant and
+        #: carries no sample; later instants are built by repeated
+        #: addition, the way the engine advances a periodic timeout.
+        self._grid: List[float] = [agent.engine.now]
+        #: role -> [(tags, service)], and the engine's dispatch count
+        #: when it was built.
+        self._roster: Dict[str, List[Tuple[Tags, GridService]]] = {}
+        self._roster_at: Optional[int] = None
+        self._tags: Dict[Tuple[str, str], Tags] = {}
+
+    def append(self, sample: MetricSample) -> None:
+        raise TypeError("the service-health view is read-only")
+
+    def extend(self, samples: Iterable[MetricSample]) -> None:
+        raise TypeError("the service-health view is read-only")
+
+    def __len__(self) -> int:
+        return 0
+
+    # -- what is published, and when -------------------------------------
+    def _services(self) -> Dict[str, List[Tuple[Tags, GridService]]]:
+        """role -> [(tags, service)] in publication order: each site's
+        services by key, then the extra services by display name.
+
+        Re-read from the sites once per dispatched event, so a read
+        sees every service attached by the simulation so far.
+        """
+        agent = self.agent
+        dispatched = agent.engine.dispatched
+        if self._roster_at == dispatched:
+            return self._roster
+        pairs = [
+            (site.name, service)
+            for site in agent.sites
+            for _key, service in sorted(grid_services(site).items())
+        ]
+        pairs.extend(sorted(agent.extra_services.items()))
+        roster: Dict[str, List[Tuple[Tags, GridService]]] = {}
+        for site_name, service in pairs:
+            role = service.role
+            tags = self._tags.get((site_name, role))
+            if tags is None:
+                tags = self._tags[site_name, role] = make_tags(
+                    site=site_name, role=role)
+            roster.setdefault(role, []).append((tags, service))
+        self._roster = roster
+        self._roster_at = dispatched
+        return roster
+
+    def _instants(self) -> List[float]:
+        """The sweep grid through now (index 0 is the start instant)."""
+        grid = self._grid
+        now = self.agent.engine.now
+        interval = self.agent.interval
+        upcoming = grid[-1] + interval
+        while upcoming <= now:
+            grid.append(upcoming)
+            upcoming = upcoming + interval
+        return grid
+
+    def _newest(self, name: str) -> Optional[float]:
+        """The time of ``name``'s newest samples (None before any)."""
+        grid = self._instants()
+        if len(grid) == 1:
+            return None
+        if _split(name)[1] in _LEDGER_FIELDS:
+            return grid[-1]
+        return self.agent.engine.now
+
+    def _read(
+        self, name: str, since: float, until: float, tag_filter: Dict[str, str]
+    ) -> Tuple[List[float], List[Tags], np.ndarray]:
+        """``name`` over [since, until] as (times, member tags, values),
+        where ``values[i, j]`` is member j's value at ``times[i]``."""
+        role, field = _split(name)
+        entries = self._services().get(role, [])
+        if tag_filter:
+            pairs = make_tags(**tag_filter)
+            entries = [entry for entry in entries
+                       if all(pair in entry[0] for pair in pairs)]
+        if field in _LEDGER_FIELDS:
+            grid = self._instants()
+            lo = bisect_left(grid, since, 1)
+            times = grid[lo:bisect_right(grid, until, lo)]
+            values = np.ones((len(times), len(entries)))
+            if times:
+                for j, (_tags, service) in enumerate(entries):
+                    if len(service.ledger):
+                        values[:, j] = _ledger_column(service, field, times)
+            return times, [tags for tags, _service in entries], values
+        members: List[Tags] = []
+        row: List[float] = []
+        for tags, service in entries:
+            value = service.counters().get(field)
+            if value is not None:
+                members.append(tags)
+                row.append(value)
+        now = self.agent.engine.now
+        started = len(self._instants()) > 1
+        times = [now] if started and since <= now <= until else []
+        values = np.array([row] * len(times), dtype=float)
+        return times, members, values.reshape(len(times), len(members))
+
+    # -- the MetricStore read surface ---------------------------------------
+    def names(self) -> List[str]:
+        """Every name with samples: all of :meth:`published_names` once
+        the first grid instant has passed, none before."""
+        return self.published_names() if len(self._instants()) > 1 else []
+
+    def published_names(self) -> List[str]:
+        """Every name the services publish, whether or not a grid
+        instant has passed yet."""
+        names = set()
+        for role, entries in self._services().items():
+            names.update(f"service.{role}.{field}" for field in _LEDGER_FIELDS)
+            for _tags, service in entries:
+                names.update(f"service.{role}.{counter}"
+                             for counter in service.counters())
+        return sorted(names)
+
+    def query(
+        self,
+        name: str,
+        since: float = -float("inf"),
+        until: float = float("inf"),
+        **tag_filter: str,
+    ) -> List[MetricSample]:
+        """Samples of ``name`` in [since, until] matching every tag,
+        time-major in publication order."""
+        times, members, values = self._read(name, since, until, tag_filter)
+        return [
+            MetricSample(t, name, value, tags)
+            for t, row in zip(times, values.tolist())
+            for tags, value in zip(members, row)
+        ]
+
+    def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
+        """The newest matching sample, or None."""
+        newest = self._newest(name)
+        if newest is None:
+            return None
+        times, members, values = self._read(name, newest, newest, tag_filter)
+        if not times or not members:
+            return None
+        return MetricSample(times[-1], name, float(values[-1, -1]), members[-1])
+
+    def latest_per_series(self, name: str) -> Dict[Tags, MetricSample]:
+        """The newest sample for each distinct tag set under ``name``."""
+        newest = self._newest(name)
+        if newest is None:
+            return {}
+        times, members, values = self._read(name, newest, newest, {})
+        if not times:
+            return {}
+        return {
+            tags: MetricSample(times[-1], name, value, tags)
+            for tags, value in zip(members, values[-1].tolist())
+        }
+
+    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Columnar (times, values) float64 arrays for ``name``."""
+        return self.series_window(name)
+
+    def series_window(
+        self,
+        name: str,
+        since: float = -float("inf"),
+        until: float = float("inf"),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Columnar (times, values) restricted to ``[since, until]``,
+        time-major in publication order."""
+        times, members, values = self._read(name, since, until, {})
+        return np.repeat(np.array(times, dtype=float), len(members)), values.ravel()
 
 
 class ServiceHealthAgent:
-    """Periodic sampler over every GridService in a grid.
+    """The service-health publisher over every GridService in a grid.
 
-    ``extra_services`` adds off-site services (the RLS index, VOMS
-    servers) keyed by the display name used as their ``site`` tag.
+    ``store`` is a :class:`ServiceHealthView`; the agent schedules
+    nothing.  ``interval`` and the creation time fix the grid the view
+    answers ``up``/``availability`` on.  ``extra_services`` adds
+    off-site services (the RLS index, VOMS servers) keyed by the
+    display name used as their ``site`` tag.
     """
 
     def __init__(
@@ -37,41 +271,12 @@ class ServiceHealthAgent:
         engine: Engine,
         sites: Iterable,
         interval: float = 1 * HOUR,
-        store: Optional[MetricStore] = None,
         extra_services: Optional[Dict[str, GridService]] = None,
     ) -> None:
+        if interval <= 0:
+            raise ValueError("interval must be positive")
         self.engine = engine
         self.sites = list(sites)
         self.extra_services = dict(extra_services or {})
-        self.store = store if store is not None else MetricStore()
-        self.producer = PeriodicProducer(
-            engine, "service-health", interval, self.collect_once, [self.store]
-        )
-
-    def _samples_for(
-        self, now: float, site_name: str, service: GridService
-    ) -> List[MetricSample]:
-        tags = make_tags(site=site_name, role=service.role)
-        prefix = f"service.{service.role}"
-        samples = [
-            MetricSample(now, f"{prefix}.up",
-                         1.0 if service.available else 0.0, tags),
-            MetricSample(now, f"{prefix}.availability",
-                         service.availability(), tags),
-        ]
-        samples.extend(
-            MetricSample(now, f"{prefix}.{name}", value, tags)
-            for name, value in sorted(service.counters().items())
-        )
-        return samples
-
-    def collect_once(self) -> List[MetricSample]:
-        """One sweep over every service (also the producer's collect)."""
-        now = self.engine.now
-        samples: List[MetricSample] = []
-        for site in self.sites:
-            for _role, service in sorted(grid_services(site).items()):
-                samples.extend(self._samples_for(now, site.name, service))
-        for name, service in sorted(self.extra_services.items()):
-            samples.extend(self._samples_for(now, name, service))
-        return samples
+        self.interval = interval
+        self.store = ServiceHealthView(self)

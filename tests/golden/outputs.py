@@ -1,0 +1,52 @@
+"""The user-visible outputs the golden suite pins, computed one way for
+the test and for ``regenerate.py``."""
+
+import hashlib
+from typing import Dict, List
+
+from repro import Grid3, Grid3Config
+from repro.failures import FailureProfile
+from repro.monitoring import grid_exposition
+
+
+def early_profile_grid() -> Grid3:
+    """A week of the early (rough) failure profile with alerts on."""
+    grid = Grid3(Grid3Config(seed=2, failures=FailureProfile.early(),
+                             scale=200.0, duration_days=7.0, alerts=True))
+    grid.run_full()
+    return grid
+
+
+def alert_history(grid: Grid3) -> List[list]:
+    """Every alert transition as [time, rule, event, value]."""
+    return [[t.time, t.rule, t.event, t.value]
+            for t in grid.alert_monitor.alert_engine.history]
+
+
+def _family(line: str) -> str:
+    if line.startswith("# TYPE "):
+        return line.split()[2]
+    return line.split("{")[0].split(" ")[0]
+
+
+def exposition_lines(grid: Grid3, prefix: str) -> Dict[str, object]:
+    """The family and label lines of the end-of-run exposition whose
+    name starts with ``prefix``, without their values: count and sha256
+    of the sorted lines."""
+    keys = sorted(
+        line if line.startswith("#") else line.rsplit(" ", 1)[0]
+        for line in grid_exposition(grid).splitlines()
+        if _family(line).startswith(prefix)
+    )
+    digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+    return {"count": len(keys), "sha256": digest}
+
+
+def compute() -> Dict[str, object]:
+    """Every pinned output, by pin name."""
+    grid = early_profile_grid()
+    return {
+        "early_profile_alert_history": alert_history(grid),
+        "early_profile_service_health_lines": exposition_lines(
+            grid, "repro_service_health_"),
+    }

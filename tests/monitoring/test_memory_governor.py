@@ -111,3 +111,15 @@ def test_ungoverned_store_unchanged():
     fill(store, 500)
     assert len(store) == 500
     assert store.evicted_sample_count == 0
+
+
+def test_folded_window_ending_at_since_is_not_merged():
+    """A folded window [wstart, wstart + window) that ends exactly at
+    ``since`` lies outside [since, until] and must not be merged."""
+    store = MetricStore(window=3600.0)
+    for time, value in ((100.0, 5.0), (3700.0, 1.0), (7300.0, 1.0)):
+        store.append(MetricSample(time, "m", value, make_tags(site="S")))
+    before = store.window_stats("m", 3600.0, 8000.0)
+    assert before["count"] == 2 and before["mean"] == 1.0
+    assert store.evict_oldest_window() == 1
+    assert store.window_stats("m", 3600.0, 8000.0) == before
