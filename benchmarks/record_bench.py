@@ -3,7 +3,7 @@
 Writes ``BENCH_kernel.json`` (kernel event throughput, 7-day grid wall
 time, MetricStore query latency, experiment sweep speedup),
 ``BENCH_scale.json`` (the 27/200/500-site ladder: events/s, peak RSS,
-metrics memory-budget accounting), ``BENCH_transfers.json``
+live metric samples against a memory bound), ``BENCH_transfers.json``
 (managed-transfer burst), and ``BENCH_trace.json`` (tracing overhead,
 traced vs untraced wall clock, plus a loadable Perfetto sample in
 ``trace_sample.json``) so future PRs have a trajectory to regress
@@ -34,7 +34,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import Grid3, Grid3Config  # noqa: E402
 from repro.failures import FailureProfile  # noqa: E402
 from repro.lab.experiment import ExperimentSpec, run_experiment  # noqa: E402
-from repro.monitoring.core import MetricSample, MetricStore, make_tags  # noqa: E402
+from repro.monitoring.core import (  # noqa: E402
+    SAMPLE_COST_BYTES,
+    MetricSample,
+    MetricStore,
+    make_tags,
+)
+from repro.monitoring.prometheus import grid_stores  # noqa: E402
 from repro.sim import DAY, Engine, GB  # noqa: E402
 
 #: Seed-commit numbers (full mode, same harness, same machine) recorded
@@ -240,15 +246,26 @@ def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
     }
 
 
+def live_samples(grid) -> int:
+    """Samples held by every MetricStore of ``grid``: the monitoring
+    estate's stores plus each site's Ganglia page."""
+    stores = list(grid_stores(grid).values())
+    stores.extend(site.service("ganglia").local_store
+                  for site in grid.sites.values())
+    return sum(len(store) for store in stores)
+
+
 def bench_scale(smoke: bool) -> Dict[str, object]:
     """The 27-vs-N-site ladder for ``BENCH_scale.json``.
 
     Runs the same traced-free workload on the paper catalog and on
     synthetic fabrics, recording wall time, kernel events/s (the
     engine's dispatch counter over wall clock), process peak RSS
-    (``ru_maxrss`` — no psutil in the container), and the metrics
-    memory-governor accounting.  ``budget_respected`` is the CI gate:
-    the governor's peak live bytes must stay at or under the budget.
+    (``ru_maxrss`` — no psutil in the container), and the live metric
+    samples at the end of the run.  A store's sample count never falls
+    (a ring drops one sample per sample it takes), so the end-of-run
+    count is the peak.  ``budget_respected`` is the CI gate:
+    live samples at :data:`SAMPLE_COST_BYTES` each must fit the budget.
     """
     import resource
 
@@ -262,13 +279,12 @@ def bench_scale(smoke: bool) -> Dict[str, object]:
         grid = Grid3(Grid3Config(
             seed=11, scale=400, duration_days=days,
             fabric=fabric,
-            metrics_memory_budget_mb=budget_mb,
             apps=["usatlas", "ivdgl", "exerciser"],
             failures=FailureProfile.calm(),
         ))
         grid.run_full()
         wall = time.perf_counter() - t0
-        gov = grid.governor.report()
+        live = live_samples(grid)
         rows.append({
             "sites": len(grid.sites),
             "total_cpus": grid.total_cpus(),
@@ -280,11 +296,9 @@ def bench_scale(smoke: bool) -> Dict[str, object]:
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
             ),
             "metrics_budget_mb": budget_mb,
-            "metrics_peak_bytes": int(gov["peak_bytes"]),
-            "metrics_current_bytes": int(gov["current_bytes"]),
-            "metrics_evicted_samples": int(gov["evicted_samples"]),
-            "governed_stores": int(gov["stores"]),
-            "budget_respected": bool(gov["peak_bytes"] <= gov["budget_bytes"]),
+            "live_samples": live,
+            "metrics_live_bytes": live * SAMPLE_COST_BYTES,
+            "budget_respected": live * SAMPLE_COST_BYTES <= budget_mb * 1024 * 1024,
         })
         print(f"  scale ladder {sites} sites: {rows[-1]}", flush=True)
     return {"duration_days": days, "ladder": rows}

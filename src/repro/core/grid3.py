@@ -223,13 +223,6 @@ class Grid3Config:
     alerts: bool = False
     #: Alert evaluation cadence in hours (sim time).
     alert_interval_hours: float = 1.0
-    #: Global monitoring memory budget (MB).  When set, one
-    #: :class:`~repro.monitoring.MemoryGovernor` spans every MetricStore
-    #: in the estate: when the live sample pool would exceed the budget,
-    #: the oldest time windows are evicted into streaming aggregates
-    #: (``window_stats`` keeps answering over them).  None = unbounded,
-    #: byte-identical to the pre-governor build.
-    metrics_memory_budget_mb: Optional[float] = None
 
     def validate(self) -> "Grid3Config":
         """Reject unknown knobs, wrongly typed values and contradictory settings.
@@ -341,13 +334,6 @@ class Grid3Config:
                         f"unknown fabric knob(s) {unknown!r}"
                         f"{did_you_mean(unknown[0], sorted(allowed))}"
                     )
-        if self.metrics_memory_budget_mb is not None:
-            budget = self.metrics_memory_budget_mb
-            if not (_finite_real(budget) and budget > 0):
-                raise ConfigurationError(
-                    "metrics_memory_budget_mb must be a positive number, got "
-                    f"{self.metrics_memory_budget_mb!r}"
-                )
         return self
 
     def canonical_digest(self) -> str:
@@ -504,16 +490,6 @@ class Grid3:
             self.rls.attach_lrc(LocalReplicaCatalog(name, engine=self.engine))
         self.ledger = TransferLedger()
 
-        # Monitoring memory budget: one governor spans every MetricStore
-        # in the estate (None = unbounded, the pre-governor behaviour).
-        if cfg.metrics_memory_budget_mb is not None:
-            from ..monitoring import MemoryGovernor
-            self.governor: Optional[object] = MemoryGovernor(
-                cfg.metrics_memory_budget_mb
-            )
-        else:
-            self.governor = None
-
         # End-to-end tracing (§4.7/§8 troubleshooting): a JobTracer when
         # on, the shared no-op otherwise — call sites never branch.
         from ..trace import NULL_TRACER, JobTracer
@@ -521,8 +497,6 @@ class Grid3:
             JobTracer(self.engine, max_traces=cfg.trace_max_traces)
             if cfg.tracing else NULL_TRACER
         )
-        if self.tracer.enabled:
-            self._govern(self.tracer.metrics)
 
         # Central services at the iGOC (§5.4).
         self.igoc = IGOC(self.engine)
@@ -543,7 +517,6 @@ class Grid3:
                 low_watermark=cfg.data_low_watermark,
                 tracer=self.tracer,
             )
-            self._govern(self.data.store)
 
         self.runner = Grid3Runner(
             self.sites, self.rls, self.rng,
@@ -567,15 +540,6 @@ class Grid3:
         self.policy_engine = None
         self._deployed = False
         self._apps_started = False
-
-    def _govern(self, store: object) -> None:
-        """Put a MetricStore under the global memory budget (no-op when
-        no budget is configured or the object is not a MetricStore)."""
-        if self.governor is None:
-            return
-        from ..monitoring import MetricStore
-        if isinstance(store, MetricStore):
-            self.governor.register(store)
 
     def exerciser_sites(self) -> List[str]:
         """The exerciser probe footprint.  Paper catalog: the Table 1
@@ -652,8 +616,7 @@ class Grid3:
         ganglia_web = GangliaWeb()
         repository = MonALISARepository(bin_width=_HOUR)
         for site in sites:
-            agent = GangliaAgent(self.engine, site, ganglia_web, interval=_HOUR)
-            self._govern(agent.local_store)
+            GangliaAgent(self.engine, site, ganglia_web, interval=_HOUR)
             MonALISAAgent(self.engine, site, repository, GRID3_VOS, interval=_HOUR)
         acdc = ACDCJobMonitor(self.engine, sites)
         status_catalog = SiteStatusCatalog(self.engine, sites)
@@ -661,7 +624,6 @@ class Grid3:
             self.engine, sites, interval=_HOUR,
             extra_services=self._central_services(),
         )
-        self._govern(ganglia_web.store)
         self.monitors = {
             "ganglia": ganglia_web,
             "monalisa": repository,
@@ -714,7 +676,6 @@ class Grid3:
             from ..scheduling.policy import PolicyEngine
             from ..sim.units import HOUR as _H
             sched_store = MetricStore(max_samples=200_000)
-            self._govern(sched_store)
             self.fairshare = FairShareLedger(
                 GRID3_VOS,
                 targets=cfg.fair_share_targets,

@@ -3,7 +3,6 @@ consumers — Ganglia, MonALISA, ACDC, the Site Status Catalog, MDViewer."""
 
 from .acdc import ACDCDatabase, ACDCJobMonitor, JobRecord
 from .core import (
-    MemoryGovernor,
     MetricSample,
     MetricStore,
     PeriodicProducer,
@@ -27,7 +26,6 @@ __all__ = [
     "GangliaWeb",
     "JobRecord",
     "MDViewer",
-    "MemoryGovernor",
     "MetricSample",
     "MetricStore",
     "MonALISAAgent",

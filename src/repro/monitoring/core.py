@@ -185,49 +185,6 @@ class _Series:
                 offset = 0
             entry[0] = offset
 
-    def evict_older_than(
-        self, cutoff: float, folded: Dict[float, list], window: float
-    ) -> int:
-        """Evict the live prefix with ``time < cutoff``, folding each
-        evicted sample into per-window streaming aggregates.
-
-        ``folded`` maps window-start -> ``[count, sum, min, max]`` and
-        is mutated in place.  Returns the evicted count.  Eviction is
-        strictly FIFO (the same order ring eviction uses), so the index
-        stays consistent via the ordinary ``_evict_front`` path.
-        """
-        samples = self.samples
-        evicted = 0
-        while self.start < len(samples):
-            sample = samples[self.start]
-            time = sample.time
-            if time >= cutoff:
-                break
-            wstart = (time // window) * window
-            value = sample.value
-            entry = folded.get(wstart)
-            if entry is None:
-                folded[wstart] = [1, value, value, value]
-            else:
-                entry[0] += 1
-                entry[1] += value
-                if value < entry[2]:
-                    entry[2] = value
-                if value > entry[3]:
-                    entry[3] = value
-            self._evict_front()
-            evicted += 1
-        if evicted:
-            self.rev += 1
-            start = self.start
-            if start > self._COMPACT_MIN and start * 2 > len(samples):
-                del samples[:start]
-                if self.indexed:
-                    del self.times[:start]
-                self.abs0 += start
-                self.start = 0
-        return evicted
-
     def live(self) -> List[MetricSample]:
         """The retained samples, oldest first (insertion order)."""
         return self.samples[self.start:]
@@ -269,37 +226,15 @@ class MetricStore:
     legacy linear scan, so behavior is identical either way.
     """
 
-    #: Default eviction-window width (sim-seconds) for governed stores.
-    DEFAULT_WINDOW = 3600.0
-
-    def __init__(
-        self,
-        max_samples: Optional[int] = None,
-        governor: Optional["MemoryGovernor"] = None,
-        window: float = DEFAULT_WINDOW,
-    ) -> None:
+    def __init__(self, max_samples: Optional[int] = None) -> None:
         self._samples: Dict[str, _Series] = {}
         self.max_samples = max_samples
         self._count = 0
         #: name -> (series rev, times, values) column cache.
         self._col_cache: Dict[str, Tuple[int, np.ndarray, np.ndarray]] = {}
-        #: Width of the eviction windows (and their folded aggregates).
-        self.window = window
-        #: name -> {window_start: [count, sum, min, max]} — streaming
-        #: aggregates of samples retired by windowed eviction, so
-        #: ops/troubleshooting reports still render after the raw
-        #: samples are gone.
-        self._evicted: Dict[str, Dict[float, list]] = {}
-        #: The shared budget keeper, when this store is governed.
-        self.governor: Optional["MemoryGovernor"] = None
-        if governor is not None:
-            governor.register(self)
 
     def append(self, sample: MetricSample) -> None:
         """Record one sample."""
-        governor = self.governor
-        if governor is not None:
-            governor.note_appends(1)
         series = self._samples.get(sample.name)
         if series is None:
             series = _Series(self.max_samples)
@@ -309,17 +244,8 @@ class MetricStore:
     def extend(self, samples: Iterable[MetricSample]) -> None:
         """Record a batch (the :class:`PeriodicProducer` delivery path).
 
-        Consecutive same-name samples reuse the series lookup, and the
-        governor is consulted once per batch — *before* it lands, so it
-        can clear headroom and the budget holds even through a large
-        delivery.
+        Consecutive same-name samples reuse the series lookup.
         """
-        governor = self.governor
-        if governor is not None:
-            if not isinstance(samples, (list, tuple)):
-                samples = list(samples)
-            if samples:
-                governor.note_appends(len(samples))
         get = self._samples.get
         last_name: Optional[str] = None
         series: Optional[_Series] = None
@@ -483,107 +409,21 @@ class MetricStore:
         the empty window, except count/sum) in one pass over the cached
         columns — the building block for windowed dashboards that used
         to re-query per statistic.
-
-        On a governed store the folded aggregates of evicted windows
-        are merged in, so reports over long horizons stay correct after
-        raw samples are gone.  Evicted contributions have window
-        granularity: a folded window ``[wstart, wstart + window)`` counts
-        whenever it intersects ``[since, until]``.
         """
         _times, values = self.series_window(name, since, until)
         n = len(values)
-        if n:
-            count = float(n)
-            total = float(values.sum())
-            vmin = float(values.min())
-            vmax = float(values.max())
-        else:
-            count = total = 0.0
-            vmin = vmax = float("nan")
-        folded = self._evicted.get(name)
-        if folded:
-            window = self.window
-            for wstart, (fcount, fsum, fmin, fmax) in folded.items():
-                if wstart > until or wstart + window <= since:
-                    continue
-                count += fcount
-                total += fsum
-                vmin = fmin if vmin != vmin else min(vmin, fmin)
-                vmax = fmax if vmax != vmax else max(vmax, fmax)
-        if not count:
+        if not n:
             return {"count": 0.0, "sum": 0.0,
                     "mean": float("nan"), "min": float("nan"),
                     "max": float("nan")}
+        total = float(values.sum())
         return {
-            "count": count,
+            "count": float(n),
             "sum": total,
-            "mean": total / count,
-            "min": vmin,
-            "max": vmax,
+            "mean": total / n,
+            "min": float(values.min()),
+            "max": float(values.max()),
         }
-
-    # -- windowed eviction (governed stores) ------------------------------
-    def evict_oldest_window(self) -> int:
-        """Retire the oldest whole eviction window across every series,
-        folding the retired samples into streaming aggregates.
-
-        The newest window is never evicted (``latest``/dashboard reads
-        must keep working), so a store whose entire history fits one
-        window reports 0 — the governor treats that as "cannot shrink".
-        Returns the number of samples evicted.
-        """
-        oldest = float("inf")
-        newest = -float("inf")
-        for series in self._samples.values():
-            if len(series):
-                first = series.samples[series.start].time
-                if first < oldest:
-                    oldest = first
-                last = series.last_time
-                if last > newest:
-                    newest = last
-        if oldest == float("inf"):
-            return 0
-        window = self.window
-        cutoff = (oldest // window) * window + window
-        newest_start = (newest // window) * window
-        if cutoff > newest_start:
-            cutoff = newest_start
-        if cutoff <= oldest:
-            return 0
-        evicted = 0
-        for name, series in self._samples.items():
-            if not len(series):
-                continue
-            folded = self._evicted.get(name)
-            if folded is None:
-                folded = self._evicted[name] = {}
-            evicted += series.evict_older_than(cutoff, folded, window)
-        self._count -= evicted
-        return evicted
-
-    def evicted_windows(self, name: str) -> List[Tuple[float, Dict[str, float]]]:
-        """Folded aggregates of evicted windows for ``name``: sorted
-        ``(window_start, {"count","sum","mean","min","max"})`` rows."""
-        folded = self._evicted.get(name)
-        if not folded:
-            return []
-        return [
-            (wstart, {
-                "count": float(cnt), "sum": float(vsum),
-                "mean": vsum / cnt, "min": float(vmin), "max": float(vmax),
-            })
-            for wstart, (cnt, vsum, vmin, vmax) in sorted(folded.items())
-        ]
-
-    @property
-    def evicted_sample_count(self) -> int:
-        """Lifetime count of samples retired by windowed eviction."""
-        return sum(
-            int(entry[0])
-            for folded in self._evicted.values()
-            for entry in folded.values()
-        )
 
     def __len__(self) -> int:
         return self._count
@@ -591,137 +431,9 @@ class MetricStore:
 
 #: Per-sample retained-memory heuristic in bytes: one slotted
 #: MetricSample (~64 B) plus its share of the tag tuples, list slots,
-#: and index postings.  Deliberately conservative (high) so the
-#: governor errs toward evicting early rather than blowing the budget.
+#: and index postings.  Deliberately conservative (high): the unit of
+#: the scale ladder's metrics memory bound.
 SAMPLE_COST_BYTES = 160
-
-
-class MemoryGovernor:
-    """A global memory budget shared across many :class:`MetricStore`\\ s.
-
-    At synthetic-fabric scale the monitoring estate is hundreds of
-    per-site stores plus several central ones; individually bounded
-    rings cannot cap the *aggregate*.  The governor accounts for every
-    registered store's live samples against one byte budget (via the
-    :data:`SAMPLE_COST_BYTES` heuristic) and, when the total crosses
-    it, retires the oldest whole time-window from the largest store —
-    repeatedly, largest-first — folding the evicted samples into each
-    store's streaming per-window aggregates so windowed reports keep
-    rendering.
-
-    Enforcement is batched (every ``check_every`` appends across all
-    registered stores) but fires immediately — with headroom reserved
-    for the incoming batch — whenever the running estimate crosses the
-    budget line, so the budget holds unless a single batch alone
-    exceeds it or every store is already down to its un-evictable
-    newest window.
-    """
-
-    def __init__(
-        self,
-        budget_mb: float,
-        sample_cost: int = SAMPLE_COST_BYTES,
-        check_every: int = 256,
-    ) -> None:
-        if budget_mb <= 0:
-            raise ValueError(f"budget_mb must be positive, got {budget_mb!r}")
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        self.budget_bytes = int(budget_mb * 1024 * 1024)
-        self.sample_cost = sample_cost
-        self.check_every = check_every
-        self._stores: List[MetricStore] = []
-        self._pending = 0
-        #: Running estimate of live bytes, advanced per append batch and
-        #: re-anchored to the exact count on every enforcement pass —
-        #: lets the trigger fire *at* the budget line instead of waiting
-        #: out a full ``check_every`` batch while over it.
-        self._approx_bytes = 0
-        #: High-water mark of estimated live bytes (for the bench gate).
-        self.peak_bytes = 0
-        #: Lifetime samples retired under budget pressure.
-        self.evicted_samples = 0
-        #: Enforcement passes that could not get back under budget
-        #: (every store was down to its newest window).
-        self.exhausted_passes = 0
-
-    def register(self, store: MetricStore) -> MetricStore:
-        """Put ``store`` under this governor's budget (idempotent)."""
-        if store.governor is not self:
-            store.governor = self
-            self._stores.append(store)
-        return store
-
-    @property
-    def stores(self) -> List[MetricStore]:
-        return list(self._stores)
-
-    def current_bytes(self) -> int:
-        """Estimated live bytes across every governed store."""
-        return sum(len(store) for store in self._stores) * self.sample_cost
-
-    def note_appends(self, count: int) -> None:
-        """Called by governed stores *before* a batch of ``count``
-        samples lands.  Triggers an enforcement pass every
-        ``check_every`` samples, or immediately when the estimated
-        total crosses the budget line — with headroom reserved so the
-        incoming batch fits under budget."""
-        self._pending += count
-        self._approx_bytes += count * self.sample_cost
-        if self._pending >= self.check_every or self._approx_bytes > self.budget_bytes:
-            self._pending = 0
-            self.enforce(headroom=count * self.sample_cost)
-
-    def enforce(self, headroom: int = 0) -> int:
-        """Evict (largest store, oldest window) until live bytes fit
-        under ``budget - headroom``.  Returns the samples evicted."""
-        used = self.current_bytes()
-        if used > self.peak_bytes:
-            self.peak_bytes = used
-        target = self.budget_bytes - headroom
-        evicted_total = 0
-        while used > target:
-            victim = None
-            victim_len = 0
-            for store in self._stores:
-                n = len(store)
-                if n > victim_len:
-                    victim = store
-                    victim_len = n
-            if victim is None:
-                break
-            evicted = victim.evict_oldest_window()
-            if not evicted:
-                # The largest store cannot shrink (single-window
-                # history).  Try the others once; if nothing moves,
-                # record the exhaustion and stop rather than spin.
-                for store in sorted(self._stores, key=len, reverse=True):
-                    if store is not victim:
-                        evicted = store.evict_oldest_window()
-                        if evicted:
-                            break
-                if not evicted:
-                    self.exhausted_passes += 1
-                    break
-            evicted_total += evicted
-            used -= evicted * self.sample_cost
-        self.evicted_samples += evicted_total
-        self._approx_bytes = used + headroom
-        return evicted_total
-
-    def report(self) -> Dict[str, float]:
-        """Budget accounting snapshot (bytes, peak, evictions)."""
-        current = self.current_bytes()
-        if current > self.peak_bytes:
-            self.peak_bytes = current
-        return {
-            "budget_bytes": float(self.budget_bytes),
-            "current_bytes": float(current),
-            "peak_bytes": float(self.peak_bytes),
-            "stores": float(len(self._stores)),
-            "evicted_samples": float(self.evicted_samples),
-            "exhausted_passes": float(self.exhausted_passes),
-        }
 
 
 class PeriodicProducer:

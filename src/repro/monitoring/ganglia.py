@@ -8,15 +8,101 @@ summary [at] a central server at iGOC."
 A :class:`GangliaAgent` samples its site's cluster/SE/GridFTP state
 periodically into the site-local store; the central :class:`GangliaWeb`
 aggregates the latest values across sites (the iGOC summary page).
+Both pages show current values, so each store is a
+:class:`LatestValueStore`, which keeps the newest sample per (metric,
+tags) and no history: a site-local store holds its 6 metrics, the
+central one 6 per site, however long the run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
-from .core import MetricSample, MetricStore, PeriodicProducer, make_tags
+from .core import (
+    MetricSample,
+    MetricStore,
+    PeriodicProducer,
+    _matches,
+    make_tags,
+)
+
+Tags = Tuple[Tuple[str, str], ...]
+
+
+class LatestValueStore(MetricStore):
+    """A MetricStore that keeps only the newest sample per (name, tags).
+
+    A new sample replaces the one with the same name and tags.
+    ``names``, ``latest`` and ``latest_per_series`` answer what a plain
+    :class:`MetricStore` fed the same stream answers; ``query`` and
+    ``series`` see only the retained samples, in the order they were
+    written.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: name -> {tags: newest sample}, least recently written first.
+        self._latest: Dict[str, Dict[Tags, MetricSample]] = {}
+
+    def append(self, sample: MetricSample) -> None:
+        self.extend((sample,))
+
+    def extend(self, samples: Iterable[MetricSample]) -> None:
+        latest = self._latest
+        for sample in samples:
+            per_tags = latest.get(sample.name)
+            if per_tags is None:
+                per_tags = latest[sample.name] = {}
+            else:
+                # Re-insert so the dict stays in write order.
+                per_tags.pop(sample.tags, None)
+            per_tags[sample.tags] = sample
+
+    def names(self) -> List[str]:
+        return sorted(self._latest)
+
+    def query(
+        self,
+        name: str,
+        since: float = -float("inf"),
+        until: float = float("inf"),
+        **tag_filter: str,
+    ) -> List[MetricSample]:
+        pairs = make_tags(**tag_filter)
+        return [s for s in self._latest.get(name, {}).values()
+                if since <= s.time <= until and _matches(s, pairs)]
+
+    def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
+        pairs = make_tags(**tag_filter)
+        for sample in reversed(self._latest.get(name, {}).values()):
+            if _matches(sample, pairs):
+                return sample
+        return None
+
+    def latest_per_series(self, name: str) -> Dict[Tags, MetricSample]:
+        return dict(self._latest.get(name, {}))
+
+    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        retained = self._latest.get(name, {}).values()
+        return (np.array([s.time for s in retained], dtype=float),
+                np.array([s.value for s in retained], dtype=float))
+
+    def series_window(
+        self,
+        name: str,
+        since: float = -float("inf"),
+        until: float = float("inf"),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        times, values = self.series(name)
+        mask = (times >= since) & (times <= until)
+        return times[mask], values[mask]
+
+    def __len__(self) -> int:
+        return sum(len(per_tags) for per_tags in self._latest.values())
 
 
 class GangliaAgent:
@@ -32,8 +118,8 @@ class GangliaAgent:
         self.engine = engine
         self.site = site
         self.central = central
-        #: The site-local web page's backing store (bounded ring).
-        self.local_store = MetricStore(max_samples=2000)
+        #: The site-local web page's backing store.
+        self.local_store = LatestValueStore()
         self._last_gridftp_bytes = 0.0
         self._tags = make_tags(site=site.name)
         sinks = [self.local_store]
@@ -68,8 +154,7 @@ class GangliaWeb:
     """The central Ganglia summary at the iGOC."""
 
     def __init__(self) -> None:
-        # Bounded: the iGOC summary only ever serves recent values.
-        self.store = MetricStore(max_samples=100_000)
+        self.store = LatestValueStore()
 
     def latest(self, site: str, metric: str) -> Optional[float]:
         """Newest value of ``metric`` for ``site`` (None if never seen)."""

@@ -134,12 +134,13 @@ def contention(seed: int = 42, scale: float = 400.0,
     )
 
 
-def scale_out(seed: int = 42, scale: float = 400.0, sites: int = 500,
-              budget_mb: float = 64.0) -> Grid3Config:
+def scale_out(seed: int = 42, scale: float = 400.0,
+              sites: int = 500) -> Grid3Config:
     """Break the 27-site ceiling (§8: "the infrastructure must scale"):
     a synthetic ``sites``-site fabric from
-    :func:`repro.fabric.synthesize`, traced, with every MetricStore
-    under one ``budget_mb`` memory budget.  Run the same seed at
+    :func:`repro.fabric.synthesize`, traced.  Its metric stores stay
+    small without eviction: Ganglia keeps only the latest value per
+    site and metric.  Run the same seed at
     ``fabric=None`` (the 27-site catalog) next to this config for the
     27-vs-500 comparison; ``scale`` divides workload sizes only —
     site CPUs come from the generator."""
@@ -148,7 +149,6 @@ def scale_out(seed: int = 42, scale: float = 400.0, sites: int = 500,
         scale=scale,
         duration_days=3.0,
         fabric={"sites": sites},
-        metrics_memory_budget_mb=budget_mb,
         tracing=True,
         apps=["usatlas", "ivdgl", "exerciser"],
         failures=FailureProfile.calm(),

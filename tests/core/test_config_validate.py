@@ -80,7 +80,6 @@ _WRONGLY_TYPED = [
     ("fair_share_targets", ["uscms"]),
     ("fair_share_targets", {"uscms": "1"}),
     ("fair_share_targets", {"uscms": float("inf")}),
-    ("metrics_memory_budget_mb", "64"),
 ]
 
 
@@ -96,7 +95,7 @@ def test_wrongly_typed_knob_is_a_configuration_error(knob, value):
 @pytest.mark.parametrize("knob, value", [
     ("scale", 50),          # an int where a float is expected
     ("duration_days", 2),
-    ("metrics_memory_budget_mb", 64),
+    ("alert_interval_hours", 2),
     ("fair_share_targets", {"uscms": 2, "usatlas": 1.5}),
     ("apps", ["ligo", "sdss"]),
 ])

@@ -17,6 +17,25 @@ def early_profile_grid() -> Grid3:
     return grid
 
 
+def paper_catalog_grid() -> Grid3:
+    """One day of the paper's 27-site catalog."""
+    grid = Grid3(Grid3Config(seed=11, scale=400.0, duration_days=1.0))
+    grid.run_full()
+    return grid
+
+
+def wide_fabric_grid() -> Grid3:
+    """One quiet day of a 500-site synthetic fabric."""
+    grid = Grid3(Grid3Config(
+        seed=11, scale=400.0, duration_days=1.0,
+        fabric={"sites": 500, "seed": 2003},
+        apps=["usatlas", "ivdgl", "exerciser"],
+        failures=FailureProfile.calm(),
+    ))
+    grid.run_full()
+    return grid
+
+
 def alert_history(grid: Grid3) -> List[list]:
     """Every alert transition as [time, rule, event, value]."""
     return [[t.time, t.rule, t.event, t.value]
@@ -42,6 +61,13 @@ def exposition_lines(grid: Grid3, prefix: str) -> Dict[str, object]:
     return {"count": len(keys), "sha256": digest}
 
 
+def exposition(grid: Grid3) -> Dict[str, object]:
+    """The whole end-of-run exposition: line count and sha256."""
+    text = grid_exposition(grid)
+    return {"lines": len(text.splitlines()),
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
 def compute() -> Dict[str, object]:
     """Every pinned output, by pin name."""
     grid = early_profile_grid()
@@ -49,4 +75,6 @@ def compute() -> Dict[str, object]:
         "early_profile_alert_history": alert_history(grid),
         "early_profile_service_health_lines": exposition_lines(
             grid, "repro_service_health_"),
+        "paper_catalog_exposition": exposition(paper_catalog_grid()),
+        "wide_fabric_exposition": exposition(wide_fabric_grid()),
     }

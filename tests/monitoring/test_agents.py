@@ -57,6 +57,17 @@ def test_ganglia_grid_summary(eng, net):
     assert central.grid_summary("cpu.busy", ["S0", "S1", "Ghost"]) == 3.0
 
 
+def test_ganglia_stores_keep_latest_values_only(eng, net):
+    central = GangliaWeb()
+    agents = [GangliaAgent(eng, make_site(eng, net, f"S{i}", cpus=4), central,
+                           interval=MINUTE) for i in range(3)]
+    eng.run(until=100 * MINUTE)
+    assert all(agent.producer.collections == 100 for agent in agents)
+    assert [len(agent.local_store) for agent in agents] == [6, 6, 6]
+    assert len(central.store) == 3 * 6
+    assert central.store.latest("cpu.total", site="S2").time == 100 * MINUTE
+
+
 # --- MonALISA ---------------------------------------------------------------
 
 def test_monalisa_agent_sensors(eng, net):

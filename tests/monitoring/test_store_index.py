@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring.core import MetricSample, MetricStore, make_tags
+from repro.monitoring.ganglia import LatestValueStore
+from repro.monitoring.prometheus import render_store
 
 
 class LinearScanStore:
@@ -181,6 +183,22 @@ def test_len_is_constant_time_counter():
     assert len(store) == 10  # two series, both saturated at maxlen=5
 
 
+def test_window_stats_over_live_samples():
+    store = MetricStore()
+    for i in range(30):
+        store.append(MetricSample(i * 10.0, "cpu", float(i), make_tags(site="S")))
+    first = store.window_stats("cpu", since=0.0, until=99.0)
+    assert first["count"] == 10 and first["sum"] == 45.0
+    assert first["mean"] == 4.5
+    assert first["min"] == 0.0 and first["max"] == 9.0
+    total = store.window_stats("cpu")
+    assert total["count"] == 30
+    assert total["min"] == 0.0 and total["max"] == 29.0
+    empty = store.window_stats("cpu", since=1000.0)
+    assert empty["count"] == 0.0 and empty["sum"] == 0.0
+    assert empty["mean"] != empty["mean"]  # NaN
+
+
 def test_out_of_order_append_falls_back():
     """A decreasing-time append flips the series to the legacy scan —
     queries must still match the oracle exactly."""
@@ -194,3 +212,77 @@ def test_out_of_order_append_falls_back():
     assert store.query("cpu", 2.0, 8.0) == oracle.query("cpu", 2.0, 8.0)
     assert store.query("cpu", site="A") == oracle.query("cpu", site="A")
     assert store.latest("cpu", site="A") == oracle.latest("cpu", site="A")
+
+
+# -- the latest-value store ----------------------------------------------
+
+#: Few names, tag sets and instants, so a stream interleaves names,
+#: repeats tag sets and shares timestamps.
+TAG_SETS = [(), make_tags(site="A"), make_tags(site="B"),
+            make_tags(site="A", vo="atlas"), make_tags(site="B", vo="cms")]
+
+latest_stream = st.lists(
+    st.builds(
+        MetricSample,
+        time=st.sampled_from([0.0, 1.0, 1.0, 2.0, 3600.0]),
+        name=st.sampled_from(NAMES),
+        value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        tags=st.sampled_from(TAG_SETS),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=latest_stream, monotone=st.booleans(),
+       batches=st.integers(min_value=1, max_value=4))
+def test_latest_value_store_answers_like_a_plain_store(samples, monotone, batches):
+    """The latest-value store keeps one sample per (name, tags) and
+    answers every latest-value read exactly as a plain store fed the
+    same stream, through ``append`` and ``extend`` alike."""
+    if monotone:
+        samples = sorted(samples, key=lambda s: s.time)
+    plain = MetricStore()
+    latest = LatestValueStore()
+    for s in samples:
+        plain.append(s)
+    cut = len(samples) // batches or 1
+    for i in range(0, len(samples), cut):
+        chunk = samples[i:i + cut]
+        if i // cut % 2:
+            latest.extend(iter(chunk))
+        else:
+            for s in chunk:
+                latest.append(s)
+    assert latest.names() == plain.names()
+    assert len(latest) == len({(s.name, s.tags) for s in samples})
+    filters = [{}, {"site": "A"}, {"site": "B", "vo": "cms"}, {"vo": "atlas"},
+               {"site": "nope"}]
+    for name in NAMES + ["absent"]:
+        assert latest.latest_per_series(name) == plain.latest_per_series(name)
+        for tf in filters:
+            assert latest.latest(name, **tf) == plain.latest(name, **tf), (name, tf)
+        retained = set(plain.latest_per_series(name).values())
+        assert set(latest.query(name)) == retained
+        for tf in filters:
+            assert set(latest.query(name, 1.0, 2.0, **tf)) == {
+                s for s in plain.query(name, 1.0, 2.0, **tf) if s in retained}
+        assert latest.window_stats(name, 1.0, 2.0)["count"] == sum(
+            1.0 <= s.time <= 2.0 for s in retained)
+    assert render_store(latest, "p_") == render_store(plain, "p_")
+
+
+def test_latest_value_store_reads_in_write_order():
+    store = LatestValueStore()
+    a, b = make_tags(site="A"), make_tags(site="B")
+    store.extend([MetricSample(0.0, "cpu", 1.0, a), MetricSample(0.0, "cpu", 2.0, b),
+                  MetricSample(60.0, "cpu", 3.0, a)])
+    assert [s.value for s in store.query("cpu")] == [2.0, 3.0]
+    assert [s.value for s in store.query("cpu", since=30.0)] == [3.0]
+    assert store.latest("cpu").value == 3.0
+    times, values = store.series("cpu")
+    assert times.tolist() == [0.0, 60.0] and values.tolist() == [2.0, 3.0]
+    times, values = store.series_window("cpu", since=30.0)
+    assert times.tolist() == [60.0] and values.tolist() == [3.0]
+    assert store.series("absent")[0].size == 0
+    assert len(store) == 2

@@ -61,8 +61,15 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_knob_gets_suggestion():
-    with pytest.raises(SchemaError, match="did you mean 'scale'"):
-        parse_run_request(body(config={"scal": 5}))
+    for knob, message in (
+        ("scal", "unknown Grid3Config knob 'scal'; did you mean 'scale'?"),
+        # A removed knob is refused like any other unknown one.
+        ("metrics_memory_budget_mb",
+         "unknown Grid3Config knob 'metrics_memory_budget_mb'"),
+    ):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_run_request(body(config={knob: 64}))
+        assert str(excinfo.value) == message
 
 
 def test_bad_knob_value_rejected():
