@@ -1,7 +1,8 @@
 """Record a performance snapshot of the three hot paths.
 
 Writes ``BENCH_kernel.json`` (kernel event throughput, 7-day grid wall
-time, MetricStore query latency, experiment sweep speedup),
+time, MetricStore query and batch-append latency, experiment sweep
+speedup),
 ``BENCH_scale.json`` (the 27/200/500-site ladder: events/s, peak RSS,
 live metric samples against a memory bound), ``BENCH_transfers.json``
 (managed-transfer burst), and ``BENCH_trace.json`` (tracing overhead,
@@ -100,7 +101,9 @@ def bench_grid(smoke: bool) -> Dict[str, float]:
 
 
 def bench_store(smoke: bool) -> Dict[str, float]:
-    """Query/latest latency on a populated multi-site store."""
+    """Query/latest latency on a populated multi-site store, then the
+    paths runs take: 6-sample batches into a bounded ring and one
+    latest-per-series read of it."""
     n = 20_000 if smoke else 200_000
     sites = [f"Site{i}" for i in range(8)]
     store = MetricStore()
@@ -130,11 +133,32 @@ def bench_store(smoke: bool) -> Dict[str, float]:
     latest_us = (time.perf_counter() - t0) / reps * 1e6
     assert latest is not None
 
+    ring = MetricStore(max_samples=2048)
+    batches = [
+        [MetricSample(float(i), "cpu.busy", float(i % 97),
+                      make_tags(site=site)) for site in sites[:6]]
+        for i in range(2_000 if smoke else 20_000)
+    ]
+    t0 = time.perf_counter()
+    for batch in batches:
+        ring.extend(batch)
+    extend_us = (time.perf_counter() - t0) / len(batches) * 1e6
+    assert len(ring) == 2048
+
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        per_series = ring.latest_per_series("cpu.busy")
+    per_series_us = (time.perf_counter() - t0) / reps * 1e6
+    assert len(per_series) == 6
+
     return {
         "samples": n,
         "query_window_us": round(window_us, 1),
         "query_tagged_us": round(tagged_us, 1),
         "latest_tagged_us": round(latest_us, 2),
+        "ring_samples": len(ring),
+        "extend_batch6_us": round(extend_us, 2),
+        "latest_per_series_us": round(per_series_us, 1),
     }
 
 

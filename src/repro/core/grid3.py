@@ -605,8 +605,6 @@ class Grid3:
         # (their problem is latent, caught later by probes/failures).
         for site in sites:
             certify_site(site, [p for p in REQUIRED_PACKAGES])
-            if site.status == "degraded" and not site.services.get("misconfigured"):
-                site.status = "online"
             site.status = "online"
 
         # Monitoring stack (Fig. 1).  Hourly cadence: long windows (183

@@ -70,9 +70,9 @@ class Cluster:
         #: Observers called as fn(node, occupant_key) when a running
         #: occupant is killed by a node event.
         self.on_eviction: List[Callable] = []
-        self._rebuild_index()
+        self._recompute_placement()
 
-    def _rebuild_index(self) -> None:
+    def _recompute_placement(self) -> None:
         """Recompute counters and placement heaps from node state."""
         self._total = sum(n.cpus for n in self.nodes)
         self._online_cpus = sum(n.cpus for n in self.nodes if n.online)
@@ -231,7 +231,7 @@ class Cluster:
                 self.nodes.remove(node)
         # Indices shifted (and entries may reference removed nodes):
         # rebuild wholesale.  Resizes are rare operator events.
-        self._rebuild_index()
+        self._recompute_placement()
 
     def __repr__(self) -> str:
         return f"<Cluster {self.name} {self.busy_cpus}/{self.total_cpus} cpus>"

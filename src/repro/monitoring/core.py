@@ -6,7 +6,10 @@ aggregation or filtering functions."  Concrete tools (Ganglia, MonALISA,
 ACDC, the Site Status Catalog) are built from these pieces:
 
 * a :class:`MetricSample` is one observation;
-* a :class:`MetricStore` is the queryable sample sink;
+* a :class:`MetricStore` is the queryable sample sink: one bounded
+  deque per metric name, scanned on read (runs append batches and read
+  whole series, never a windowed or tagged query, so there is no
+  index);
 * :class:`PeriodicProducer` is the common "sample every N seconds"
   process shape.
 
@@ -17,9 +20,11 @@ same underlying state through different paths.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Collection, Deque, Dict, Iterable, List, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -54,159 +59,6 @@ def make_tags(**kwargs: str) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in kwargs.items()))
 
 
-class _Series:
-    """Columnar storage for one metric name.
-
-    Samples live in the ``samples`` list; the live window is
-    ``[start:]`` (ring eviction advances ``start``, and the dead prefix
-    is compacted away once it dominates).  ``abs0 + i`` is the
-    *absolute* position of ``samples[i]`` — a monotone id that survives
-    compaction, used by the index.
-
-    The index (a ``times`` column for bisection plus ``postings``, a
-    per-tag inverted index) is **lazy**: most series are append-heavy
-    and either never queried or only probed with ``latest`` (which the
-    legacy reverse scan already serves in O(1)-ish), so appends stay as
-    cheap as the old deque push until the first windowed/tagged query
-    materializes the index; from then on it is maintained
-    incrementally.
-
-    ``postings`` maps each (key, value) tag pair to ``[offset, plist]``
-    where ``plist`` holds the absolute positions of samples carrying
-    that pair, in insertion order, and ``plist[offset:]`` are the live
-    ones.  Eviction is strictly FIFO per series, so it is FIFO per tag
-    pair too — retiring a posting is an O(1) offset bump.
-
-    ``in_order`` tracks whether times are nondecreasing (true for every
-    simulation producer); if a caller ever appends out of order, the
-    series flags itself and queries fall back to the exact legacy
-    linear scan.
-    """
-
-    __slots__ = (
-        "samples", "times", "start", "abs0", "maxlen", "in_order",
-        "indexed", "postings", "last_time", "rev",
-    )
-
-    #: Compact the dead prefix when it exceeds this many slots *and*
-    #: outnumbers the live ones (amortized O(1) per append).
-    _COMPACT_MIN = 512
-
-    def __init__(self, maxlen: Optional[int]) -> None:
-        self.samples: List[MetricSample] = []
-        self.times: List[float] = []
-        self.start = 0
-        self.abs0 = 0
-        self.maxlen = maxlen
-        self.in_order = True
-        self.indexed = False
-        self.postings: Dict[Tuple[str, str], list] = {}
-        self.last_time = -float("inf")
-        #: Bumped on every live-window mutation; lets callers cache
-        #: derived columns (see MetricStore.series) without staleness.
-        self.rev = 0
-
-    def __len__(self) -> int:
-        return len(self.samples) - self.start
-
-    def append(self, sample: MetricSample) -> int:
-        """Add one sample; returns the net change in live count (0/1).
-
-        The dominant shape — an in-order append to an unindexed,
-        unbounded (or not-yet-full) series — takes the early-return fast
-        path: one comparison, one list push, no index or eviction work.
-        """
-        self.rev += 1
-        samples = self.samples
-        time = sample.time
-        if time < self.last_time:
-            self.in_order = False
-        else:
-            self.last_time = time
-        samples.append(sample)
-        if not self.indexed:
-            if self.maxlen is None or len(samples) - self.start <= self.maxlen:
-                return 1
-        else:
-            self.times.append(time)
-            pos = self.abs0 + len(samples) - 1
-            postings = self.postings
-            for pair in sample.tags:
-                entry = postings.get(pair)
-                if entry is None:
-                    postings[pair] = [0, [pos]]
-                else:
-                    entry[1].append(pos)
-            if self.maxlen is None or len(samples) - self.start <= self.maxlen:
-                return 1
-        self._evict_front()
-        start = self.start
-        if start > self._COMPACT_MIN and start * 2 > len(samples):
-            del samples[:start]
-            if self.indexed:
-                del self.times[:start]
-            self.abs0 += start
-            self.start = 0
-        return 0
-
-    def build_index(self) -> None:
-        """Materialize the time column and tag postings for the live
-        window (one O(live) pass; appends maintain it afterwards)."""
-        start = self.start
-        abs0 = self.abs0
-        times: List[float] = [0.0] * start  # dead prefix: placeholders
-        postings: Dict[Tuple[str, str], list] = {}
-        for i in range(start, len(self.samples)):
-            sample = self.samples[i]
-            times.append(sample.time)
-            pos = abs0 + i
-            for pair in sample.tags:
-                entry = postings.get(pair)
-                if entry is None:
-                    postings[pair] = [0, [pos]]
-                else:
-                    entry[1].append(pos)
-        self.times = times
-        self.postings = postings
-        self.indexed = True
-
-    def _evict_front(self) -> None:
-        evicted = self.samples[self.start]
-        self.start += 1
-        if not self.indexed:
-            return
-        for pair in evicted.tags:
-            entry = self.postings[pair]
-            offset, plist = entry
-            # FIFO eviction: the retiring posting is exactly plist[offset].
-            offset += 1
-            if offset > self._COMPACT_MIN and offset * 2 > len(plist):
-                del plist[:offset]
-                offset = 0
-            entry[0] = offset
-
-    def live(self) -> List[MetricSample]:
-        """The retained samples, oldest first (insertion order)."""
-        return self.samples[self.start:]
-
-    def shortest_postings(
-        self, pairs: Tuple[Tuple[str, str], ...]
-    ) -> Optional[Tuple[int, list]]:
-        """The smallest live postings list among ``pairs`` (None if any
-        pair has never been seen — no sample can match)."""
-        best = None
-        best_len = -1
-        for pair in pairs:
-            entry = self.postings.get(pair)
-            if entry is None:
-                return None
-            n = len(entry[1]) - entry[0]
-            if best is None or n < best_len:
-                best = entry
-                best_len = n
-        return best  # type: ignore[return-value]
-
-
 def _matches(sample: MetricSample, pairs: Tuple[Tuple[str, str], ...]) -> bool:
     return all(sample.tag(k) == v for k, v in pairs)
 
@@ -214,50 +66,41 @@ def _matches(sample: MetricSample, pairs: Tuple[Tuple[str, str], ...]) -> bool:
 class MetricStore:
     """An in-memory, queryable sample sink (per-metric series).
 
-    ``max_samples`` bounds each metric's retained history (ring
-    semantics) — site-local stores in long runs must not grow without
-    bound.
+    Each metric name keeps a ``deque(maxlen=max_samples)`` of its
+    samples in arrival order; ``max_samples`` bounds the retained
+    history (ring semantics) so site-local stores in long runs cannot
+    grow without bound.  ``query`` is a scan, ``latest`` a reverse scan
+    with early exit, ``latest_per_series`` one forward pass.
 
-    Samples arrive in nondecreasing sim-time order, so ``query`` is a
-    bisect over the time column plus a per-tag inverted-index probe
-    (O(log n + k) instead of a full scan), ``latest`` walks the tag
-    postings backwards, and ``__len__`` is a maintained counter.  A
-    series that ever sees an out-of-order append drops back to the
-    legacy linear scan, so behavior is identical either way.
+    Subclasses change what is retained by overriding ``append``,
+    ``extend`` and :meth:`_retained`, keeping one sized container per
+    name in ``_samples``: ``names`` and ``len`` read ``_samples``, every
+    other reader reads :meth:`_retained`.
     """
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
-        self._samples: Dict[str, _Series] = {}
+        self._samples: Dict[str, Deque[MetricSample]] = {}
         self.max_samples = max_samples
-        self._count = 0
-        #: name -> (series rev, times, values) column cache.
-        self._col_cache: Dict[str, Tuple[int, np.ndarray, np.ndarray]] = {}
+        #: name -> (times, values) columns, dropped on each write of name.
+        self._col_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def append(self, sample: MetricSample) -> None:
         """Record one sample."""
-        series = self._samples.get(sample.name)
+        name = sample.name
+        series = self._samples.get(name)
         if series is None:
-            series = _Series(self.max_samples)
-            self._samples[sample.name] = series
-        self._count += series.append(sample)
+            series = self._samples[name] = deque(maxlen=self.max_samples)
+        series.append(sample)
+        self._col_cache.pop(name, None)
 
     def extend(self, samples: Iterable[MetricSample]) -> None:
-        """Record a batch (the :class:`PeriodicProducer` delivery path).
-
-        Consecutive same-name samples reuse the series lookup.
-        """
-        get = self._samples.get
-        last_name: Optional[str] = None
-        series: Optional[_Series] = None
+        """Record a batch (the :class:`PeriodicProducer` delivery path)."""
         for sample in samples:
-            name = sample.name
-            if name is not last_name or series is None:
-                series = get(name)
-                if series is None:
-                    series = _Series(self.max_samples)
-                    self._samples[name] = series
-                last_name = name
-            self._count += series.append(sample)
+            self.append(sample)
+
+    def _retained(self, name: str) -> Collection[MetricSample]:
+        """The retained samples of ``name``, oldest first (reversible)."""
+        return self._samples.get(name, ())
 
     def names(self) -> List[str]:
         """All metric names seen."""
@@ -271,62 +114,14 @@ class MetricStore:
         **tag_filter: str,
     ) -> List[MetricSample]:
         """Samples of ``name`` in [since, until] matching every tag."""
-        series = self._samples.get(name)
-        if series is None:
-            return []
-        pairs = make_tags(**tag_filter) if tag_filter else ()
-        if not series.in_order:
-            return [
-                s
-                for s in series.live()
-                if since <= s.time <= until and (not pairs or _matches(s, pairs))
-            ]
-        if not series.indexed:
-            series.build_index()
-        samples = series.samples
-        times = series.times
-        lo = bisect_left(times, since, series.start)
-        hi = bisect_right(times, until, lo)
-        if not pairs:
-            return samples[lo:hi]
-        entry = series.shortest_postings(pairs)
-        if entry is None:
-            return []
-        offset, plist = entry
-        abs0 = series.abs0
-        plo = bisect_left(plist, abs0 + lo, offset)
-        phi = bisect_left(plist, abs0 + hi, plo)
-        out = []
-        for pos in plist[plo:phi]:
-            sample = samples[pos - abs0]
-            if _matches(sample, pairs):
-                out.append(sample)
-        return out
+        pairs = make_tags(**tag_filter)
+        return [s for s in self._retained(name)
+                if since <= s.time <= until and _matches(s, pairs)]
 
     def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
         """The newest matching sample, or None (reverse walk, early exit)."""
-        series = self._samples.get(name)
-        if series is None:
-            return None
-        if not tag_filter:
-            return series.samples[-1] if len(series) else None
         pairs = make_tags(**tag_filter)
-        if not series.in_order or not series.indexed:
-            # The reverse scan exits on the newest match, typically
-            # within a few steps — not worth forcing an index build.
-            samples = series.samples
-            for i in range(len(samples) - 1, series.start - 1, -1):
-                if _matches(samples[i], pairs):
-                    return samples[i]
-            return None
-        entry = series.shortest_postings(pairs)
-        if entry is None:
-            return None
-        offset, plist = entry
-        abs0 = series.abs0
-        samples = series.samples
-        for i in range(len(plist) - 1, offset - 1, -1):
-            sample = samples[plist[i] - abs0]
+        for sample in reversed(self._retained(name)):
             if _matches(sample, pairs):
                 return sample
         return None
@@ -337,41 +132,32 @@ class MetricStore:
         """The newest sample for each distinct tag set under ``name``.
 
         The Prometheus-exposition accessor: one gauge line per
-        (name, label set).  A single forward pass over the live window
-        — later samples overwrite earlier ones per tag set — so it
-        costs O(live) regardless of how many tag combinations exist,
-        where per-combination :meth:`latest` probes would multiply.
+        (name, label set).  A single forward pass — later samples
+        overwrite earlier ones per tag set — so it costs O(retained)
+        regardless of how many tag combinations exist.
         """
-        series = self._samples.get(name)
-        if series is None:
-            return {}
-        out: Dict[Tuple[Tuple[str, str], ...], MetricSample] = {}
-        for sample in series.live():
-            out[sample.tags] = sample
-        return out
+        return {sample.tags: sample for sample in self._retained(name)}
 
     def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
         """Columnar (times, values) float64 arrays for ``name``.
 
         The cheap bulk accessor for :mod:`repro.analysis` aggregations —
         no per-sample Python objects cross the boundary.  The arrays are
-        cached per series and invalidated by the series' revision
-        counter, so repeated aggregation passes over a quiescent store
-        (the common end-of-run report shape) build the columns once.
-        Treat the returned arrays as read-only — they are shared.
+        cached per name until its next write, so repeated reads of a
+        quiescent series (end-of-run reports, alert rules between
+        scrapes) build the columns once.  Treat the returned arrays as
+        read-only — they are shared.
         """
-        ser = self._samples.get(name)
-        if ser is None or not len(ser):
-            return np.empty(0, dtype=float), np.empty(0, dtype=float)
         cached = self._col_cache.get(name)
-        if cached is not None and cached[0] == ser.rev:
-            return cached[1], cached[2]
-        start = ser.start
-        n = len(ser.samples) - start
-        live = ser.samples[start:]
-        times = np.fromiter((s.time for s in live), dtype=float, count=n)
-        values = np.fromiter((s.value for s in live), dtype=float, count=n)
-        self._col_cache[name] = (ser.rev, times, values)
+        if cached is not None:
+            return cached
+        retained = self._retained(name)
+        if not retained:
+            return np.empty(0, dtype=float), np.empty(0, dtype=float)
+        n = len(retained)
+        times = np.fromiter((s.time for s in retained), dtype=float, count=n)
+        values = np.fromiter((s.value for s in retained), dtype=float, count=n)
+        self._col_cache[name] = (times, values)
         return times, values
 
     def series_window(
@@ -380,22 +166,11 @@ class MetricStore:
         since: float = -float("inf"),
         until: float = float("inf"),
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar (times, values) restricted to ``[since, until]``.
-
-        Vectorized: a ``searchsorted`` slice of the cached columns when
-        the series is time-ordered (every simulation producer is), a
-        boolean mask otherwise — never a per-sample Python loop.
-        """
+        """Columnar (times, values) restricted to ``[since, until]``:
+        a boolean mask over the cached columns, in arrival order."""
         times, values = self.series(name)
-        if not len(times):
-            return times, values
-        ser = self._samples.get(name)
-        if ser is not None and not ser.in_order:
-            mask = (times >= since) & (times <= until)
-            return times[mask], values[mask]
-        lo = int(np.searchsorted(times, since, side="left"))
-        hi = int(np.searchsorted(times, until, side="right"))
-        return times[lo:hi], values[lo:hi]
+        mask = (times >= since) & (times <= until)
+        return times[mask], values[mask]
 
     def window_stats(
         self,
@@ -426,13 +201,14 @@ class MetricStore:
         }
 
     def __len__(self) -> int:
-        return self._count
+        """The number of retained samples."""
+        return sum(len(series) for series in self._samples.values())
 
 
 #: Per-sample retained-memory heuristic in bytes: one slotted
-#: MetricSample (~64 B) plus its share of the tag tuples, list slots,
-#: and index postings.  Deliberately conservative (high): the unit of
-#: the scale ladder's metrics memory bound.
+#: MetricSample (~64 B) plus its share of the tag tuples and deque
+#: slots.  Deliberately conservative (high): the unit of the scale
+#: ladder's metrics memory bound.
 SAMPLE_COST_BYTES = 160
 
 

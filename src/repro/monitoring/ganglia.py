@@ -16,19 +16,11 @@ central one 6 per site, however long the run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
-from .core import (
-    MetricSample,
-    MetricStore,
-    PeriodicProducer,
-    _matches,
-    make_tags,
-)
+from .core import MetricSample, MetricStore, PeriodicProducer, make_tags
 
 Tags = Tuple[Tuple[str, str], ...]
 
@@ -36,73 +28,39 @@ Tags = Tuple[Tuple[str, str], ...]
 class LatestValueStore(MetricStore):
     """A MetricStore that keeps only the newest sample per (name, tags).
 
-    A new sample replaces the one with the same name and tags.
-    ``names``, ``latest`` and ``latest_per_series`` answer what a plain
-    :class:`MetricStore` fed the same stream answers; ``query`` and
-    ``series`` see only the retained samples, in the order they were
-    written.
+    A new sample replaces the one with the same name and tags.  Only
+    retention differs from :class:`MetricStore`, so ``names``,
+    ``latest`` and ``latest_per_series`` answer what a plain store fed
+    the same stream answers; ``query``, ``series`` and ``window_stats``
+    see only the retained samples, in the order they were written, and
+    ``len()`` is the number of distinct (name, tags).
     """
 
     def __init__(self) -> None:
         super().__init__()
         #: name -> {tags: newest sample}, least recently written first.
-        self._latest: Dict[str, Dict[Tags, MetricSample]] = {}
+        self._samples: Dict[str, Dict[Tags, MetricSample]] = {}
 
     def append(self, sample: MetricSample) -> None:
         self.extend((sample,))
 
     def extend(self, samples: Iterable[MetricSample]) -> None:
-        latest = self._latest
+        retained = self._samples
+        col_cache = self._col_cache
         for sample in samples:
-            per_tags = latest.get(sample.name)
+            name = sample.name
+            per_tags = retained.get(name)
             if per_tags is None:
-                per_tags = latest[sample.name] = {}
+                per_tags = retained[name] = {}
             else:
                 # Re-insert so the dict stays in write order.
                 per_tags.pop(sample.tags, None)
             per_tags[sample.tags] = sample
+            col_cache.pop(name, None)
 
-    def names(self) -> List[str]:
-        return sorted(self._latest)
-
-    def query(
-        self,
-        name: str,
-        since: float = -float("inf"),
-        until: float = float("inf"),
-        **tag_filter: str,
-    ) -> List[MetricSample]:
-        pairs = make_tags(**tag_filter)
-        return [s for s in self._latest.get(name, {}).values()
-                if since <= s.time <= until and _matches(s, pairs)]
-
-    def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
-        pairs = make_tags(**tag_filter)
-        for sample in reversed(self._latest.get(name, {}).values()):
-            if _matches(sample, pairs):
-                return sample
-        return None
-
-    def latest_per_series(self, name: str) -> Dict[Tags, MetricSample]:
-        return dict(self._latest.get(name, {}))
-
-    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        retained = self._latest.get(name, {}).values()
-        return (np.array([s.time for s in retained], dtype=float),
-                np.array([s.value for s in retained], dtype=float))
-
-    def series_window(
-        self,
-        name: str,
-        since: float = -float("inf"),
-        until: float = float("inf"),
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        times, values = self.series(name)
-        mask = (times >= since) & (times <= until)
-        return times[mask], values[mask]
-
-    def __len__(self) -> int:
-        return sum(len(per_tags) for per_tags in self._latest.values())
+    def _retained(self, name: str) -> Collection[MetricSample]:
+        per_tags = self._samples.get(name)
+        return per_tags.values() if per_tags is not None else ()
 
 
 class GangliaAgent:

@@ -7,6 +7,8 @@ from typing import Dict, List
 from repro import Grid3, Grid3Config
 from repro.failures import FailureProfile
 from repro.monitoring import grid_exposition
+from repro.monitoring.prometheus import grid_stores
+from repro.scenarios import SCENARIOS
 
 
 def early_profile_grid() -> Grid3:
@@ -32,6 +34,18 @@ def wide_fabric_grid() -> Grid3:
         apps=["usatlas", "ivdgl", "exerciser"],
         failures=FailureProfile.calm(),
     ))
+    grid.run_full()
+    return grid
+
+
+def contention_grid() -> Grid3:
+    """A traced week of multi-VO contention with data management on:
+    the run that fills the plain ``sched``, ``trace`` and ``data``
+    stores."""
+    config = SCENARIOS["contention"](seed=11)
+    config.tracing = True
+    config.data_management = True
+    grid = Grid3(config)
     grid.run_full()
     return grid
 
@@ -68,10 +82,28 @@ def exposition(grid: Grid3) -> Dict[str, object]:
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
 
 
+def store_queries(grid: Grid3) -> str:
+    """sha256 over ``query(name)`` — (time, name, value, tags) of every
+    retained sample — for every name of the ``sched``, ``trace`` and
+    ``data`` stores."""
+    digest = hashlib.sha256()
+    stores = grid_stores(grid)
+    for store_name in ("sched", "trace", "data"):
+        store = stores[store_name]
+        for name in store.names():
+            for s in store.query(name):
+                digest.update(repr((store_name, s.time, s.name, s.value,
+                                    s.tags)).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def compute() -> Dict[str, object]:
     """Every pinned output, by pin name."""
     grid = early_profile_grid()
+    contended = contention_grid()
     return {
+        "contention_exposition": exposition(contended),
+        "contention_store_queries": store_queries(contended),
         "early_profile_alert_history": alert_history(grid),
         "early_profile_service_health_lines": exposition_lines(
             grid, "repro_service_health_"),

@@ -1,5 +1,5 @@
-"""Property tests: the indexed MetricStore must be behaviorally
-identical to the legacy linear-scan implementation.
+"""Property tests: MetricStore must be behaviorally identical to the
+linear-scan reference implementation.
 
 The reference model below is a verbatim transcription of the seed
 ``MetricStore`` (deque ring + full scan per query); hypothesis drives
@@ -127,8 +127,7 @@ def test_indexed_store_matches_linear_scan(samples, max_samples, monotone, windo
     max_samples=st.sampled_from([None, 9]),
 )
 def test_queries_interleaved_with_appends(samples, max_samples):
-    """Querying mid-stream (forcing early index builds) must not
-    disturb later results."""
+    """Querying mid-stream must not disturb later results."""
     samples = sorted(samples, key=lambda s: s.time)
     store = MetricStore(max_samples=max_samples)
     oracle = LinearScanStore(max_samples=max_samples)
@@ -136,8 +135,8 @@ def test_queries_interleaved_with_appends(samples, max_samples):
     for s in samples[:mid]:
         store.append(s)
         oracle.append(s)
-    # Touch every series with an indexed query so the index exists
-    # while the back half streams in.
+    # Touch every series with a windowed, tagged query while the back
+    # half streams in.
     for name in NAMES:
         assert store.query(name, 0.0, 500.0, site="A") == oracle.query(
             name, 0.0, 500.0, site="A"
@@ -149,8 +148,8 @@ def test_queries_interleaved_with_appends(samples, max_samples):
 
 
 def test_heavy_eviction_keeps_index_consistent():
-    """Long monotone stream through a tiny ring: postings and the time
-    column must track the survivors exactly."""
+    """Long monotone stream through a tiny ring: queries must track the
+    survivors exactly."""
     store = MetricStore(max_samples=16)
     oracle = LinearScanStore(max_samples=16)
     for i in range(3000):
@@ -158,7 +157,7 @@ def test_heavy_eviction_keeps_index_consistent():
                          make_tags(site=SITES[i % 3]))
         store.append(s)
         oracle.append(s)
-        if i % 97 == 0:  # keep the index live through evictions
+        if i % 97 == 0:  # query throughout the evictions
             store.query("cpu", since=i - 50, until=i, site="A")
     _check_agreement(store, oracle, [(2980, 3000), (0, 3000), (2990, 2991)])
 
@@ -200,8 +199,8 @@ def test_window_stats_over_live_samples():
 
 
 def test_out_of_order_append_falls_back():
-    """A decreasing-time append flips the series to the legacy scan —
-    queries must still match the oracle exactly."""
+    """Decreasing-time appends — queries must still match the oracle
+    exactly."""
     store = MetricStore()
     oracle = LinearScanStore()
     stream = [5.0, 9.0, 2.0, 7.0, 7.0, 1.0]
@@ -212,6 +211,54 @@ def test_out_of_order_append_falls_back():
     assert store.query("cpu", 2.0, 8.0) == oracle.query("cpu", 2.0, 8.0)
     assert store.query("cpu", site="A") == oracle.query("cpu", site="A")
     assert store.latest("cpu", site="A") == oracle.latest("cpu", site="A")
+
+
+def _assert_columns(store, name, expected):
+    """``series``, ``series_window`` and ``window_stats`` of ``name``
+    reflect exactly the ``expected`` samples."""
+    times = [s.time for s in expected]
+    values = [s.value for s in expected]
+    got_t, got_v = store.series(name)
+    assert got_t.tolist() == times and got_v.tolist() == values
+    since, until = times[len(times) // 2], times[-1]
+    win_t, win_v = store.series_window(name, since, until)
+    inside = [s for s in expected if since <= s.time <= until]
+    assert win_t.tolist() == [s.time for s in inside]
+    assert win_v.tolist() == [s.value for s in inside]
+    stats = store.window_stats(name)
+    assert stats["count"] == len(values) and stats["sum"] == sum(values)
+    assert stats["min"] == min(values) and stats["max"] == max(values)
+
+
+def test_column_cache_follows_a_saturated_ring():
+    """Once a ring is full its length stops moving; every further
+    append must still refresh the cached columns."""
+    k = 5
+    store = MetricStore(max_samples=k)
+    stream = [MetricSample(float(i), "cpu", float(i * i % 11))
+              for i in range(3 * k)]
+    for i, sample in enumerate(stream):
+        store.append(sample)
+        _assert_columns(store, "cpu", stream[max(0, i + 1 - k):i + 1])
+    assert len(store) == k
+
+
+def test_column_cache_follows_a_latest_value_overwrite():
+    """An overwrite of an existing (name, tags) leaves ``len`` alone but
+    must refresh the cached columns."""
+    a, b = make_tags(site="A"), make_tags(site="B")
+    store = LatestValueStore()
+    first = [MetricSample(0.0, "cpu", 1.0, a), MetricSample(1.0, "cpu", 2.0, b)]
+    store.extend(first)
+    _assert_columns(store, "cpu", first)
+    retained = {s.tags: s for s in first}
+    for i in range(2, 8):
+        sample = MetricSample(float(i), "cpu", float(10 + i), (a, b)[i % 2])
+        store.append(sample)
+        retained.pop(sample.tags)
+        retained[sample.tags] = sample
+        assert len(store) == 2
+        _assert_columns(store, "cpu", list(retained.values()))
 
 
 # -- the latest-value store ----------------------------------------------
