@@ -5,6 +5,15 @@ import hashlib
 from typing import Dict, List
 
 from repro import Grid3, Grid3Config
+from repro.analysis.compare import agreement_report, compare_run
+from repro.analysis.figures import (
+    figure2_integrated_cpu,
+    figure3_differential_cpu,
+    figure4_cms_by_site,
+    figure5_data_consumed,
+    figure6_jobs_by_month,
+)
+from repro.analysis.table1 import compute_table1, render_table1
 from repro.failures import FailureProfile
 from repro.monitoring import grid_exposition
 from repro.monitoring.prometheus import grid_stores
@@ -97,16 +106,50 @@ def store_queries(grid: Grid3) -> str:
     return digest.hexdigest()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def table1(grid: Grid3) -> str:
+    """sha256 of the rendered Table 1."""
+    return _sha256(render_table1(compute_table1(grid.acdc_db, grid.calendar)))
+
+
+def score(grid: Grid3) -> str:
+    """sha256 of the ``repro score`` agreement report."""
+    return _sha256(agreement_report(compare_run(grid)))
+
+
+def figures(grid: Grid3, rescale: float = 400.0) -> str:
+    """sha256 over the rendered Figures 2-6 over the whole run, plus
+    the MDViewer utilisation series."""
+    viewer = grid.viewer()
+    t0, t1 = 0.0, grid.engine.now
+    texts = [
+        figure2_integrated_cpu(viewer, t0, t1, rescale=rescale)[1],
+        figure3_differential_cpu(viewer, t0, t1, rescale=rescale)[1],
+        figure4_cms_by_site(viewer, t0, t1, rescale=rescale)[1],
+        figure5_data_consumed(viewer, t0, t1, rescale=rescale)[1],
+        figure6_jobs_by_month(viewer, rescale=rescale)[1],
+        repr(viewer.utilisation_series(grid.total_cpus())),
+    ]
+    return _sha256("\n".join(texts))
+
+
 def compute() -> Dict[str, object]:
     """Every pinned output, by pin name."""
     grid = early_profile_grid()
     contended = contention_grid()
+    paper = paper_catalog_grid()
     return {
         "contention_exposition": exposition(contended),
         "contention_store_queries": store_queries(contended),
         "early_profile_alert_history": alert_history(grid),
         "early_profile_service_health_lines": exposition_lines(
             grid, "repro_service_health_"),
-        "paper_catalog_exposition": exposition(paper_catalog_grid()),
+        "paper_catalog_exposition": exposition(paper),
+        "paper_catalog_figures": figures(paper),
+        "paper_catalog_score": score(paper),
+        "paper_catalog_table1": table1(paper),
         "wide_fabric_exposition": exposition(wide_fabric_grid()),
     }
