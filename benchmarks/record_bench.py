@@ -1,8 +1,8 @@
 """Record a performance snapshot of the three hot paths.
 
 Writes ``BENCH_kernel.json`` (kernel event throughput, 7-day grid wall
-time, MetricStore query and batch-append latency, experiment sweep
-speedup),
+time, MetricStore query and batch-append latency), ``BENCH_sweep.json``
+(sequential vs parallel experiment sweep),
 ``BENCH_scale.json`` (the 27/200/500-site ladder: events/s, peak RSS,
 live metric samples against a memory bound), ``BENCH_transfers.json``
 (managed-transfer burst), and ``BENCH_trace.json`` (tracing overhead,
@@ -168,54 +168,6 @@ def _metric_success(grid: Grid3) -> float:
 
 def _metric_cpu_days(grid: Grid3) -> float:
     return grid.acdc_db.total_cpu_days()
-
-
-def bench_sweep(smoke: bool) -> Dict[str, object]:
-    """Sequential vs parallel run_experiment on a small spec."""
-    spec = ExperimentSpec(
-        name="bench-sweep",
-        base=dict(scale=600 if smoke else 200, duration_days=1 if smoke else 2),
-        variants={"calm": {}, "noisy": dict(failures=FailureProfile.early()),
-                  "wide": dict(scale=400 if smoke else 150)},
-        metrics={"success": _metric_success, "cpu_days": _metric_cpu_days},
-        repeats=1 if smoke else 3,
-    )
-    t0 = time.perf_counter()
-    try:
-        seq = run_experiment(spec, workers=1)
-    except TypeError:  # pre-workers runner (seed baseline re-measurement)
-        seq = run_experiment(spec)
-    t_seq = time.perf_counter() - t0
-
-    workers = min(4, os.cpu_count() or 1)
-    if workers <= 1:
-        # Both arms would run the same sequential path; recording their
-        # wall-clock ratio is pure scheduler noise on a 1-core box.
-        return {
-            "cells": len(spec.variants) * spec.repeats,
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "sequential_s": round(t_seq, 3),
-            "note": "single-core box: workers clamp to 1; "
-                    "see BENCH_sweep.json for the gated sweep",
-        }
-    t0 = time.perf_counter()
-    try:
-        par = run_experiment(spec, workers=workers)
-    except TypeError:  # pre-workers runner (seed baseline re-measurement)
-        return {"sequential_s": round(t_seq, 3), "workers2_s": None,
-                "note": "runner has no workers knob"}
-    t_par = time.perf_counter() - t0
-    identical = seq == par
-    return {
-        "cells": len(spec.variants) * spec.repeats,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "sequential_s": round(t_seq, 3),
-        "parallel_s": round(t_par, 3),
-        "speedup": round(t_seq / t_par, 2) if t_par else None,
-        "identical_results": identical,
-    }
 
 
 def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
@@ -444,7 +396,7 @@ def main() -> int:
 
     current = {}
     for label, fn in (("kernel", bench_kernel), ("grid_7day", bench_grid),
-                      ("store", bench_store), ("sweep", bench_sweep)):
+                      ("store", bench_store)):
         t0 = time.perf_counter()
         current[label] = fn(args.smoke)
         print(f"{label}: {current[label]} ({time.perf_counter() - t0:.1f}s)",

@@ -84,18 +84,18 @@ class Cluster:
         # online with exactly that free count).  A max-heap of negated
         # counts tracks which buckets may hold the current maximum; it
         # holds exactly one key per existing bucket.
-        self._buckets: Dict[int, List[int]] = {}
-        self._bucket_keys: List[int] = []
+        self._by_free: Dict[int, List[int]] = {}
+        self._free_keys: List[int] = []
         for i, node in enumerate(self.nodes):
             free = node.free_cpus
             if free > 0:
                 self._push_free(i, free)
 
     def _push_free(self, index: int, free: int) -> None:
-        bucket = self._buckets.get(free)
+        bucket = self._by_free.get(free)
         if bucket is None:
-            self._buckets[free] = [index]
-            heapq.heappush(self._bucket_keys, -free)
+            self._by_free[free] = [index]
+            heapq.heappush(self._free_keys, -free)
         else:
             heapq.heappush(bucket, index)
 
@@ -138,8 +138,8 @@ class Cluster:
         Returns the node, or None when the cluster is full.  ``process``
         (if given) is interrupted if the node later fails.
         """
-        buckets = self._buckets
-        keys = self._bucket_keys
+        buckets = self._by_free
+        keys = self._free_keys
         nodes = self.nodes
         while keys:
             free = -keys[0]

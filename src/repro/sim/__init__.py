@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel for the Grid3 reproduction.
 
 Everything in :mod:`repro` runs on this kernel: a deterministic event
-calendar (:class:`~repro.sim.engine.Engine`, an urgent FIFO plus a time
-wheel), generator-based processes, shared resources, item stores, named
-RNG streams, and calendar helpers.
+calendar (:class:`~repro.sim.engine.Engine`, an urgent FIFO plus one
+``(time, seq)`` heap), generator-based processes, shared resources,
+item stores, named RNG streams, and calendar helpers.
 """
 
 from .calendar import GRID3_EPOCH, SC2003_START, SimCalendar

@@ -12,33 +12,33 @@ design mirrors the well-known process-interaction style:
   exception thrown into it).
 * :class:`AllOf` / :class:`AnyOf` compose events.
 
-Pending work lives in two structures (see :mod:`repro.sim.timewheel`):
+Pending work lives in two structures:
 
 * an **urgent FIFO** of triggered events (``succeed``/``fail``,
   interrupts, process initialisation) — these are always scheduled for
   the *current* instant, so a plain deque preserves both time order and
   insertion order with no keys at all;
-* a **time wheel** of exact-time buckets for scheduled occurrences
-  (timeouts) — same-instant events share one bucket in insertion
-  order; :meth:`Engine.step` claims a whole bucket with one clock
-  store and then dispatches its entries one per call.
+* one **heap** of ``(time, seq, event)`` for scheduled occurrences
+  (timeouts), where ``seq`` is a creation counter that breaks
+  same-instant ties in insertion order.
 
 :meth:`Engine.step` is the only dispatch path: :meth:`Engine.run` is a
 loop over it.
 
-Determinism: urgent entries fire before bucket entries at the same
-instant, and each lane preserves insertion order, which reproduces the
-classic ``(time, priority, insertion-seq)`` heap order exactly — so
-repeated runs with the same seeds are bit-identical.
+Determinism: urgent entries fire before timed entries at the same
+instant, and each lane preserves insertion order, which is the classic
+``(time, priority, insertion-seq)`` heap order — so repeated runs with
+the same seeds are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
-
 from collections import deque
-
-from .timewheel import TimeWheel
+from heapq import heappop, heappush
+from itertools import count
+from typing import (
+    Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple,
+)
 
 PENDING = object()
 
@@ -153,15 +153,16 @@ class Timeout(Event):
 
     This is the kernel's dominant allocation (every sleep, queue poll,
     and monitoring tick is one), so construction skips the
-    ``super().__init__`` chain; the timeout goes straight into the
-    engine's time wheel.
+    ``super().__init__`` chain; the timeout goes straight onto the
+    engine's timed heap.  The delay must be a non-negative number
+    (``inf`` is allowed; NaN is not).
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -169,7 +170,7 @@ class Timeout(Event):
         self._processed = False
         self._defused = False
         self.delay = delay
-        engine._wheel.schedule(engine._now + delay, self)
+        heappush(engine._timed, (engine._now + delay, next(engine._seq), self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -360,39 +361,29 @@ class AnyOf(ConditionEvent):
 
 
 class Engine:
-    """The simulation engine: clock, urgent FIFO, and time wheel.
+    """The simulation engine: clock, urgent FIFO, and timed heap.
 
-    Invariants the two lanes maintain (see module docstring):
-
-    * every urgent entry is scheduled for the instant it was pushed, so
-      the deque is monotone in time and always due no later than any
-      wheel bucket;
-    * wheel buckets hold scheduled occurrences (timeouts) in insertion
-      order; the bucket currently being dispatched is detached, so
-      same-instant events scheduled *during* dispatch land in a fresh
-      bucket behind it.
+    Every urgent entry is scheduled for the instant it was pushed, so
+    the deque is monotone in time and always due no later than the
+    heap's head.
     """
 
     # Slots for the per-event-hot attributes; __dict__ stays so
     # instrumentation can replace step() on the instance (the Tracer).
     __slots__ = (
-        "_now", "_urgent", "_wheel", "_bucket", "_bucket_i", "_bucket_time",
-        "_active_process", "__dict__", "__weakref__",
+        "_now", "_urgent", "_timed", "_seq", "_active_process",
+        "__dict__", "__weakref__",
     )
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._urgent: Deque = deque()
-        self._wheel = TimeWheel()
-        #: The bucket step() is walking, with the index of its next
-        #: un-dispatched entry and the bucket's instant.
-        self._bucket: List = []
-        self._bucket_i = 0
-        self._bucket_time = 0.0
+        self._urgent: Deque[Tuple[float, Event]] = deque()
+        self._timed: List[Tuple[float, int, Event]] = []
+        self._seq = count()
         self._active_process: Optional[Process] = None
-        #: Lifetime count of dispatched events: one per urgent event,
-        #: plus each wheel bucket's length when it is claimed.  The
-        #: scale benchmarks divide this by wall time for events/s.
+        #: Lifetime count of dispatched events, one per successful
+        #: step().  The scale benchmarks divide this by wall time for
+        #: events/s.
         self.dispatched = 0
 
     # -- clock --------------------------------------------------------------
@@ -431,34 +422,19 @@ class Engine:
     def step(self) -> bool:
         """Process one event.  Returns False if nothing is pending.
 
-        Dispatch order: the urgent FIFO first (always due at or before
-        the current instant), then the partially consumed active bucket,
-        then the wheel's next bucket.
+        The urgent FIFO goes first (always due at the current instant),
+        then the earliest timed entry.
         """
-        urgent = self._urgent
-        if urgent:
-            time, event = urgent.popleft()
-            self._now = time
-            self.dispatched += 1
-            event._process()
-            return True
-        bucket = self._bucket
-        i = self._bucket_i
-        if i >= len(bucket):
-            wheel = self._wheel
-            if not wheel.times:
-                return False
-            time, bucket = wheel.pop()
+        if self._urgent:
+            time, event = self._urgent.popleft()
+        elif self._timed:
+            time, _seq, event = heappop(self._timed)
             if time < self._now:
                 raise SimulationError("event scheduled in the past")
-            self._bucket = bucket
-            self._bucket_time = time
-            self._now = time
-            i = 0
-            # Wheel buckets are counted whole at the claim.
-            self.dispatched += len(bucket)
-        event = bucket[i]
-        self._bucket_i = i + 1
+        else:
+            return False
+        self._now = time
+        self.dispatched += 1
         event._process()
         return True
 
@@ -466,9 +442,9 @@ class Engine:
         """Time of the next pending event, or ``float('inf')``."""
         if self._urgent:
             return self._urgent[0][0]
-        if self._bucket_i < len(self._bucket):
-            return self._bucket_time
-        return self._wheel.peek()
+        if self._timed:
+            return self._timed[0][0]
+        return float("inf")
 
     def peek_event(self) -> Optional[Event]:
         """The next event :meth:`step` would dispatch, or ``None``.
@@ -478,11 +454,8 @@ class Engine:
         """
         if self._urgent:
             return self._urgent[0][1]
-        if self._bucket_i < len(self._bucket):
-            return self._bucket[self._bucket_i]
-        wheel = self._wheel
-        if wheel.times:
-            return wheel.buckets[wheel.times[0]][0]
+        if self._timed:
+            return self._timed[0][2]
         return None
 
     def run(self, until: Optional[float] = None) -> None:

@@ -120,11 +120,13 @@ def score(grid: Grid3) -> str:
     return _sha256(agreement_report(compare_run(grid)))
 
 
-def figures(grid: Grid3, rescale: float = 400.0) -> str:
-    """sha256 over the rendered Figures 2-6 over the whole run, plus
-    the MDViewer utilisation series."""
+def figures(grid: Grid3) -> str:
+    """sha256 over the rendered Figures 2-6 over the whole run, scaled
+    back up by the run's scale as ``repro figures`` does, plus the
+    MDViewer utilisation series."""
     viewer = grid.viewer()
     t0, t1 = 0.0, grid.engine.now
+    rescale = grid.config.scale
     texts = [
         figure2_integrated_cpu(viewer, t0, t1, rescale=rescale)[1],
         figure3_differential_cpu(viewer, t0, t1, rescale=rescale)[1],

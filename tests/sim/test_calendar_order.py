@@ -1,14 +1,16 @@
-"""The time-wheel calendar must be order-identical to a pure heap.
+"""The kernel's calendar fires events in ``(time, priority, seq)`` order.
 
-The kernel replaced its (time, priority, seq) heap with exact-time
-buckets plus an urgent FIFO.  These tests pin the ordering contract:
+Triggered events wait in an urgent FIFO and timeouts in one
+``(time, seq)`` heap.  These tests pin the ordering contract:
 
-* same-instant timeouts fire in creation order;
+* same-instant timeouts fire in creation order, including ones created
+  while that instant is being dispatched;
 * triggered events (urgent lane) beat timeouts at the same instant;
 * a randomized workload at pinned seeds fires in exactly the order a
   reference (stable-sorted) schedule predicts;
-* cancel/defuse shapes — orphaned timeouts parked in wheel slots after
-  an interrupt — stay no-ops;
+* far-future and infinite delays sort last;
+* cancel/defuse shapes — orphaned timeouts left pending after an
+  interrupt — stay no-ops;
 * a full 7-day grid run is same-seed byte-identical.
 """
 
@@ -19,44 +21,51 @@ from repro import Grid3, Grid3Config
 from repro.failures import FailureProfile
 from repro.sim import Engine
 from repro.sim.engine import Timeout
-from repro.sim.timewheel import TimeWheel
 
 
-# -- TimeWheel unit behavior --------------------------------------------------
+# -- same-instant and long-range order ----------------------------------------
 
-def test_wheel_same_time_preserves_insertion_order():
-    wheel = TimeWheel()
-    for i in range(5):
-        wheel.schedule(3.0, f"e{i}")
-    wheel.schedule(1.0, "early")
-    assert wheel.peek() == 1.0
-    assert len(wheel) == 6
-    t, bucket = wheel.pop()
-    assert (t, bucket) == (1.0, ["early"])
-    t, bucket = wheel.pop()
-    assert t == 3.0
-    assert bucket == [f"e{i}" for i in range(5)]
-    assert not wheel
+def test_timeout_created_during_dispatch_fires_after_pending_same_instant():
+    """A timeout(0) created while an event at instant T is being
+    dispatched fires after every event already pending at T."""
+    eng = Engine()
+    order = []
 
+    def first():
+        yield eng.timeout(2.0)
+        order.append("a")
+        yield eng.timeout(0)
+        order.append("zero")
 
-def test_wheel_popped_bucket_is_detached():
-    """An event scheduled for the same instant *during* dispatch must
-    land in a fresh bucket, not the already-claimed one."""
-    wheel = TimeWheel()
-    wheel.schedule(2.0, "a")
-    t, claimed = wheel.pop()
-    wheel.schedule(2.0, "b")
-    assert claimed == ["a"]
-    assert wheel.pop() == (2.0, ["b"])
+    def other(tag):
+        yield eng.timeout(2.0)
+        order.append(tag)
+
+    eng.process(first())
+    eng.process(other("b"))
+    eng.process(other("c"))
+    eng.run()
+    assert order == ["a", "b", "c", "zero"]
+    assert eng.now == 2.0
 
 
-def test_wheel_handles_far_future_and_inf():
-    wheel = TimeWheel()
-    wheel.schedule(float("inf"), "never")
-    wheel.schedule(1e12, "far")
-    wheel.schedule(0.5, "soon")
-    assert [wheel.pop()[0] for _ in range(3)] == [0.5, 1e12, float("inf")]
-    assert wheel.peek() == float("inf") and not wheel
+def test_far_future_and_inf_timeouts_fire_in_time_order():
+    eng = Engine()
+    fired = []
+
+    def waiter(delay):
+        yield eng.timeout(delay)
+        fired.append(delay)
+
+    for delay in (float("inf"), 1e12, 0.5):
+        eng.process(waiter(delay))
+    eng.run(until=1e13)
+    assert fired == [0.5, 1e12]
+    pending = eng.peek_event()
+    assert isinstance(pending, Timeout) and pending.delay == float("inf")
+    assert eng.peek() == float("inf")
+    eng.run()
+    assert fired == [0.5, 1e12, float("inf")]
 
 
 # -- order equivalence with a reference schedule ------------------------------
@@ -166,11 +175,11 @@ def test_mixed_workload_trace_stable_across_runs():
         assert one_trace() == first
 
 
-# -- cancelled / orphaned entries in wheel slots ------------------------------
+# -- cancelled / orphaned timeouts --------------------------------------------
 
 def test_interrupt_orphans_timeout_in_wheel_as_noop():
-    """Interrupting a sleeper leaves its timeout parked in a wheel
-    bucket with no callbacks; reaching its instant must be a no-op."""
+    """Interrupting a sleeper leaves its timeout pending with no
+    callbacks; reaching its instant must be a no-op."""
     eng = Engine()
     seen = []
 
@@ -190,7 +199,7 @@ def test_interrupt_orphans_timeout_in_wheel_as_noop():
     eng.process(interrupter())
     eng.run(until=5.0)
     assert seen == ["interrupted"]
-    # The orphan is still parked at t=10 in the wheel.
+    # The orphan is still pending at t=10.
     assert eng.peek() == 10.0
     eng.run(until=20.0)
     assert seen == ["interrupted"]
@@ -237,8 +246,8 @@ def test_interrupted_then_new_timeouts_stay_deterministic():
 
 
 def test_step_and_run_interleave_on_same_bucket():
-    """step() consuming half a bucket, then run() finishing it, must
-    dispatch every entry exactly once in order."""
+    """step() consuming half of one instant's timeouts, then run()
+    finishing them, must dispatch every entry exactly once in order."""
     eng = Engine()
     fired = []
     for i in range(6):
@@ -246,7 +255,7 @@ def test_step_and_run_interleave_on_same_bucket():
             yield eng.timeout(2.0)
             fired.append(i)
         eng.process(waiter())
-    # Consume process initializations plus the first few bucket entries.
+    # Consume process initializations plus the first few timeouts.
     while len(fired) < 2:
         assert eng.step()
     assert fired == [0, 1]

@@ -37,6 +37,30 @@ def test_timeout_negative_delay_rejected():
         eng.timeout(-1.0)
 
 
+def test_timeout_nan_delay_rejected():
+    """A NaN delay would drag the clock through NaN, where no past-time
+    check can catch it; an infinite delay stays legal."""
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng.timeout(float("nan"))
+    assert eng.peek() == float("inf")
+    eng.timeout(float("inf"))
+    assert eng.peek() == float("inf")
+
+
+def test_dispatched_counts_one_per_step():
+    """Three timeouts for the same instant raise ``dispatched`` by one
+    per step, not by three on the first."""
+    eng = Engine()
+    for _ in range(3):
+        eng.timeout(2.0)
+    for expected in (1, 2, 3):
+        assert eng.step()
+        assert eng.dispatched == expected
+    assert not eng.step()
+    assert eng.dispatched == 3
+
+
 def test_timeout_carries_value():
     eng = Engine()
     got = []
