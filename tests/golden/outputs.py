@@ -2,6 +2,7 @@
 the test and for ``regenerate.py``."""
 
 import hashlib
+import json
 from typing import Dict, List
 
 from repro import Grid3, Grid3Config
@@ -18,6 +19,7 @@ from repro.failures import FailureProfile
 from repro.monitoring import grid_exposition
 from repro.monitoring.prometheus import grid_stores
 from repro.scenarios import SCENARIOS
+from repro.service import collect_reports
 
 
 def early_profile_grid() -> Grid3:
@@ -106,6 +108,18 @@ def store_queries(grid: Grid3) -> str:
     return digest.hexdigest()
 
 
+def monalisa(grid: Grid3) -> Dict[str, object]:
+    """The MonALISA central repository: RRD count and sha256 over
+    (key, ``series()``, ``samples_seen``, ``samples_dropped``) of every
+    RRD, in creation order."""
+    rrds = grid.monitors["monalisa"]._rrds
+    digest = hashlib.sha256()
+    for key, rrd in rrds.items():
+        digest.update(repr((key, rrd.series(), rrd.samples_seen,
+                            rrd.samples_dropped)).encode("utf-8"))
+    return {"count": len(rrds), "sha256": digest.hexdigest()}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -138,11 +152,18 @@ def figures(grid: Grid3) -> str:
     return _sha256("\n".join(texts))
 
 
+def reports(grid: Grid3) -> str:
+    """sha256 of the service report bytes: every servable report as
+    sorted-key JSON."""
+    return _sha256(json.dumps(collect_reports(grid), sort_keys=True))
+
+
 def compute() -> Dict[str, object]:
     """Every pinned output, by pin name."""
     grid = early_profile_grid()
     contended = contention_grid()
     paper = paper_catalog_grid()
+    wide = wide_fabric_grid()
     return {
         "contention_exposition": exposition(contended),
         "contention_store_queries": store_queries(contended),
@@ -153,5 +174,8 @@ def compute() -> Dict[str, object]:
         "paper_catalog_figures": figures(paper),
         "paper_catalog_score": score(paper),
         "paper_catalog_table1": table1(paper),
-        "wide_fabric_exposition": exposition(wide_fabric_grid()),
+        "wide_fabric_exposition": exposition(wide),
+        "paper_catalog_monalisa": monalisa(paper),
+        "paper_catalog_reports": reports(paper),
+        "wide_fabric_monalisa": monalisa(wide),
     }
