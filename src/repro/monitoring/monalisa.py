@@ -9,9 +9,9 @@ collects its information in a central server at the iGOC, storing it in
 a round robin-like database."
 
 Per-site :class:`MonALISAAgent` runs three sensors (GRAM log tail, job
-queue, VO activity) and ships samples to the central
-:class:`MonALISARepository`, which consolidates them into per-(metric,
-site[,vo]) round-robin databases.
+queue, VO activity) plus a Ganglia pass-through and writes each reading
+into its per-(metric, site[,vo]) round-robin database at the central
+:class:`MonALISARepository`.
 """
 
 from __future__ import annotations
@@ -38,19 +38,21 @@ class MonALISARepository:
         self.consolidation = consolidation
         self._rrds: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], RoundRobinDatabase] = {}
 
+    def _rrd(self, name: str, tags: Tuple[Tuple[str, str], ...]) -> RoundRobinDatabase:
+        """The RRD of (name, tags), created on first use: the one place
+        an RRD is made, so ``_rrds`` keeps first-write order."""
+        key = (name, tags)
+        rrd = self._rrds.get(key)
+        if rrd is None:
+            rrd = self._rrds[key] = RoundRobinDatabase(
+                self.bin_width, self.capacity, self.consolidation
+            )
+        return rrd
+
     def ingest(self, samples: List[MetricSample]) -> None:
         """Store samples into their per-series RRDs."""
         for sample in samples:
-            key = (sample.name, sample.tags)
-            rrd = self._rrds.get(key)
-            if rrd is None:
-                rrd = RoundRobinDatabase(self.bin_width, self.capacity, self.consolidation)
-                self._rrds[key] = rrd
-            rrd.update(sample.time, sample.value)
-
-    # Make the repository usable as a PeriodicProducer sink.
-    def extend(self, samples) -> None:
-        self.ingest(list(samples))
+            self._rrd(sample.name, sample.tags).update(sample.time, sample.value)
 
     def series(self, name: str, **tags: str) -> List[Tuple[float, float]]:
         """The consolidated series for an exact (metric, tags) key."""
@@ -80,8 +82,25 @@ class MonALISARepository:
         return len(self._rrds)
 
 
+#: Metric names of the per-site sensor groups, in write order.  The
+#: ``vo`` group writes ``vo.cpus_in_use`` once per VO instead.
+_GROUP_NAMES = {
+    "gram": ("gram.submits", "gram.completions", "gram.failures",
+             "gram.load", "gram.managed"),
+    "queue": ("queue.idle", "queue.running"),
+    "ganglia": ("ganglia.cpu_busy",),
+}
+
+
 class MonALISAAgent:
-    """The per-site station agent and its sensors."""
+    """The per-site station agent and its sensors.
+
+    Each collection reads every sensor, then writes the readings straight
+    into the agent's RRDs at the central repository.  A sensor group's
+    RRD handles are resolved on the group's first write, so the
+    repository holds only series that were written, in first-write
+    order.
+    """
 
     def __init__(
         self,
@@ -99,69 +118,77 @@ class MonALISAAgent:
         self._tags = make_tags(site=site.name)
         #: vo -> its per-VO tags, in ``vos`` order (duplicates dropped).
         self._vo_tags = {vo: make_tags(site=site.name, vo=vo) for vo in vos}
+        #: sensor group -> its RRDs, resolved on the group's first write.
+        self._handles: Dict[str, List[RoundRobinDatabase]] = {}
         self.producer = PeriodicProducer(
-            engine, f"monalisa-{site.name}", interval, self._collect, [repository]
+            engine, f"monalisa-{site.name}", interval, self._collect
         )
         site.attach_service("monalisa", self)
 
+    def _group_rrds(self, group: str) -> List[RoundRobinDatabase]:
+        rrds = self._handles.get(group)
+        if rrds is None:
+            rrd = self.repository._rrd
+            if group == "vo":
+                rrds = [rrd("vo.cpus_in_use", tags) for tags in self._vo_tags.values()]
+            else:
+                rrds = [rrd(name, self._tags) for name in _GROUP_NAMES[group]]
+            self._handles[group] = rrds
+        return rrds
+
     # -- sensors -----------------------------------------------------------
-    def _gram_log_sensor(self, now, tags) -> List[MetricSample]:
-        """Tail the gatekeeper log: submissions/completions since last
-        pass, plus the current load (the §6.4 quantity)."""
+    def _gram_log_sensor(self) -> Optional[Tuple[float, ...]]:
+        """Tail the gatekeeper log: submissions/completions/failures since
+        the last pass (one walk), plus the current load (the §6.4
+        quantity) and the managed-job count."""
         gatekeeper = self.site.services.get("gatekeeper")
         if gatekeeper is None:
-            return []
+            return None
         new_entries, self._gram_log_cursor = gatekeeper.log.since(
             self._gram_log_cursor
         )
-        submits = sum(1 for e in new_entries if e[1] == "submit")
-        dones = sum(1 for e in new_entries if e[1] == "done")
-        fails = sum(1 for e in new_entries if e[1] in ("failed", "overload_reject"))
-        return [
-            MetricSample(now, "gram.submits", float(submits), tags),
-            MetricSample(now, "gram.completions", float(dones), tags),
-            MetricSample(now, "gram.failures", float(fails), tags),
-            MetricSample(now, "gram.load", gatekeeper.load(), tags),
-            MetricSample(now, "gram.managed", float(gatekeeper.managed_count), tags),
-        ]
+        submits = dones = fails = 0
+        for entry in new_entries:
+            event = entry[1]
+            if event == "submit":
+                submits += 1
+            elif event == "done":
+                dones += 1
+            elif event == "failed" or event == "overload_reject":
+                fails += 1
+        return (float(submits), float(dones), float(fails),
+                gatekeeper.load(), float(gatekeeper.managed_count))
 
-    def _queue_sensor(self, now, tags) -> List[MetricSample]:
-        lrm = self.site.services.get("lrm")
-        if lrm is None:
-            return []
-        return [
-            MetricSample(now, "queue.idle", float(lrm.queue_length), tags),
-            MetricSample(now, "queue.running", float(lrm.running_count), tags),
-        ]
-
-    def _vo_activity_sensor(self, now) -> List[MetricSample]:
+    def _vo_activity_sensor(self, lrm) -> List[float]:
         """The custom Grid3 agents: per-VO CPUs in use at this site."""
-        lrm = self.site.services.get("lrm")
-        if lrm is None:
-            return []
-        vo_tags = self._vo_tags
-        counts = dict.fromkeys(vo_tags, 0)
+        counts = dict.fromkeys(self._vo_tags, 0)
         for job in lrm.running_jobs():
             if job.vo in counts:
                 counts[job.vo] += 1
-        return [
-            MetricSample(now, "vo.cpus_in_use", float(count), vo_tags[vo])
-            for vo, count in counts.items()
-        ]
+        return [float(count) for count in counts.values()]
 
-    def _collect(self) -> List[MetricSample]:
-        now = self.engine.now
-        tags = self._tags
-        samples = []
-        samples.extend(self._gram_log_sensor(now, tags))
-        samples.extend(self._queue_sensor(now, tags))
-        samples.extend(self._vo_activity_sensor(now))
+    def _collect(self) -> Tuple[()]:
+        """Read every sensor, then write the readings.  A sensor that
+        raises leaves every RRD untouched.  Nothing is left for the
+        producer to deliver."""
+        services = self.site.services
+        readings = []
+        gram = self._gram_log_sensor()
+        if gram is not None:
+            readings.append(("gram", gram))
+        lrm = services.get("lrm")
+        if lrm is not None:
+            readings.append(("queue", (float(lrm.queue_length),
+                                       float(lrm.running_count))))
+            readings.append(("vo", self._vo_activity_sensor(lrm)))
         # Ganglia pass-through (the "Ganglia metrics" agents).
-        ganglia = self.site.services.get("ganglia")
+        ganglia = services.get("ganglia")
         if ganglia is not None:
             latest = ganglia.local_store.latest("cpu.busy", site=self.site.name)
             if latest is not None:
-                samples.append(
-                    MetricSample(now, "ganglia.cpu_busy", latest.value, tags)
-                )
-        return samples
+                readings.append(("ganglia", (latest.value,)))
+        now = self.engine.now
+        for group, values in readings:
+            for rrd, value in zip(self._group_rrds(group), values):
+                rrd.update(now, value)
+        return ()

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro import Grid3, Grid3Config
 from repro.core.job import Job, JobSpec
 from repro.errors import StorageFullError
+from repro.middleware.gram import Gatekeeper, attach_gatekeeper
+from repro.middleware.gsi import Authenticator, GridMapFile
+from repro.monitoring import monalisa
 from repro.monitoring.acdc import ACDCDatabase, ACDCJobMonitor, JobRecord
+from repro.monitoring.core import MetricSample, make_tags
 from repro.monitoring.ganglia import GangliaAgent, GangliaWeb
 from repro.monitoring.monalisa import MonALISAAgent, MonALISARepository
 from repro.monitoring.sitecatalog import SiteStatusCatalog, probe_site
 from repro.scheduling.batch import BatchScheduler
+from repro.scheduling.flavors import make_scheduler
 from repro.sim import GB, HOUR, MINUTE
 
 from ..conftest import make_site, wire_site
@@ -103,7 +109,6 @@ def test_monalisa_gram_log_sensor_counts_new_entries(eng, net):
 
 def test_monalisa_repository_aggregate(eng):
     repo = MonALISARepository(bin_width=MINUTE)
-    from repro.monitoring.core import MetricSample, make_tags
     repo.ingest([
         MetricSample(30.0, "vo.cpus_in_use", 5.0, make_tags(site="A", vo="usatlas")),
         MetricSample(30.0, "vo.cpus_in_use", 3.0, make_tags(site="B", vo="usatlas")),
@@ -112,6 +117,176 @@ def test_monalisa_repository_aggregate(eng):
     assert repo.aggregate_latest("vo.cpus_in_use", vo="usatlas") == 8.0
     assert repo.aggregate_latest("vo.cpus_in_use") == 10.0
     assert len(repo) == 3
+
+
+class SampleEmittingAgent:
+    """The agent's collection as it was when each pass built a
+    ``MetricSample`` per reading for ``MonALISARepository.ingest``:
+    the reference the direct-write agent must match."""
+
+    def __init__(self, site, vos):
+        self.site = site
+        self._gram_log_cursor = 0
+        self._tags = make_tags(site=site.name)
+        self._vo_tags = {vo: make_tags(site=site.name, vo=vo) for vo in vos}
+
+    def _gram_log_sensor(self, now, tags):
+        gatekeeper = self.site.services.get("gatekeeper")
+        if gatekeeper is None:
+            return []
+        new_entries, self._gram_log_cursor = gatekeeper.log.since(
+            self._gram_log_cursor
+        )
+        submits = sum(1 for e in new_entries if e[1] == "submit")
+        dones = sum(1 for e in new_entries if e[1] == "done")
+        fails = sum(1 for e in new_entries if e[1] in ("failed", "overload_reject"))
+        return [
+            MetricSample(now, "gram.submits", float(submits), tags),
+            MetricSample(now, "gram.completions", float(dones), tags),
+            MetricSample(now, "gram.failures", float(fails), tags),
+            MetricSample(now, "gram.load", gatekeeper.load(), tags),
+            MetricSample(now, "gram.managed", float(gatekeeper.managed_count), tags),
+        ]
+
+    def _queue_sensor(self, now, tags):
+        lrm = self.site.services.get("lrm")
+        if lrm is None:
+            return []
+        return [
+            MetricSample(now, "queue.idle", float(lrm.queue_length), tags),
+            MetricSample(now, "queue.running", float(lrm.running_count), tags),
+        ]
+
+    def _vo_activity_sensor(self, now):
+        lrm = self.site.services.get("lrm")
+        if lrm is None:
+            return []
+        vo_tags = self._vo_tags
+        counts = dict.fromkeys(vo_tags, 0)
+        for job in lrm.running_jobs():
+            if job.vo in counts:
+                counts[job.vo] += 1
+        return [
+            MetricSample(now, "vo.cpus_in_use", float(count), vo_tags[vo])
+            for vo, count in counts.items()
+        ]
+
+    def collect(self, now):
+        tags = self._tags
+        samples = []
+        samples.extend(self._gram_log_sensor(now, tags))
+        samples.extend(self._queue_sensor(now, tags))
+        samples.extend(self._vo_activity_sensor(now))
+        ganglia = self.site.services.get("ganglia")
+        if ganglia is not None:
+            latest = ganglia.local_store.latest("cpu.busy", site=self.site.name)
+            if latest is not None:
+                samples.append(
+                    MetricSample(now, "ganglia.cpu_busy", latest.value, tags)
+                )
+        return samples
+
+
+def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
+    repo = MonALISARepository(bin_width=30 * MINUTE)
+    reference = MonALISARepository(bin_width=30 * MINUTE)
+    vos = ["usatlas", "uscms", "usatlas", "ivdgl"]
+    # SiteA: fully wired, with Ganglia (first value after MonALISA's
+    # first pass).  SiteB: no Ganglia, gatekeeper attached later.
+    site_a = make_site(eng, net, "SiteA", cpus=3)
+    wire_site(eng, site_a, [("/CN=alice", "grid-usatlas")])
+    GangliaAgent(eng, site_a, None, interval=15 * MINUTE)
+    site_b = make_site(eng, net, "SiteB", cpus=2)
+    site_b.attach_service("lrm", make_scheduler(eng, site_b))
+    for site in (site_a, site_b):
+        agent = MonALISAAgent(eng, site, repo, vos=vos, interval=10 * MINUTE)
+        shadow = SampleEmittingAgent(site, vos)
+
+        def collect(agent=agent, shadow=shadow):
+            reference.ingest(shadow.collect(eng.now))
+            return agent._collect()
+
+        agent.producer.collect = collect
+        lrm = site.service("lrm")
+        for i, vo in enumerate(["usatlas", "uscms", "sdss", "ivdgl"] * 3):
+            lrm.submit(Job(spec=spec(name=f"{site.name}-{i}", vo=vo,
+                                     runtime=(15 + 10 * i) * MINUTE)))
+
+    lines = ["submit", "submit", "done", "failed", "overload_reject", "auth"]
+
+    def write_log():
+        gk_a = site_a.service("gatekeeper")
+        for i in range(60):
+            yield eng.timeout(7 * MINUTE)
+            gk_a._record(lines[i % len(lines)], i)
+            if i == 3:
+                gk_b = attach_gatekeeper(
+                    eng, site_b, Authenticator(eng, ["doegrids"], GridMapFile()))
+            if i > 3:
+                gk_b._record(lines[(i + 2) % len(lines)], i)
+
+    eng.process(write_log())
+    eng.run(until=6 * HOUR)
+
+    assert list(repo._rrds) == list(reference._rrds)
+    assert len(repo) == len(reference) > 0
+    for key, rrd in reference._rrds.items():
+        ours = repo._rrds[key]
+        assert ours.series() == rrd.series(), key
+        assert ours.samples_seen == rrd.samples_seen, key
+        assert ours.samples_dropped == rrd.samples_dropped, key
+    # The run covered what it claims to: failures counted, SiteB's GRAM
+    # series created after its queue series, and no Ganglia at SiteB.
+    keys = list(repo._rrds)
+    b_tags = make_tags(site="SiteB")
+    assert keys.index(("gram.submits", b_tags)) > keys.index(("queue.idle", b_tags))
+    assert ("ganglia.cpu_busy", make_tags(site="SiteA")) in repo._rrds
+    assert ("ganglia.cpu_busy", b_tags) not in repo._rrds
+    assert sum(v for _t, v in repo.series("gram.failures", site="SiteA")) > 0
+    assert len(repo.series_matching("vo.cpus_in_use", site="SiteA")) == 3
+
+
+@pytest.mark.parametrize("broken", ["gatekeeper.load", "lrm.running_jobs"])
+def test_monalisa_collect_with_failing_sensor_writes_nothing(eng, net, monkeypatch, broken):
+    site = make_site(eng, net, "SiteA", cpus=2)
+    wire_site(eng, site, [("/CN=alice", "grid-usatlas")])
+    GangliaAgent(eng, site, None, interval=MINUTE)
+    repo = MonALISARepository(bin_width=MINUTE)
+    agent = MonALISAAgent(eng, site, repo, vos=["usatlas"], interval=5 * MINUTE)
+    site.service("gatekeeper")._record("submit", 1)
+    site.service("lrm").submit(Job(spec=spec()))
+
+    def fail(*_args):
+        raise RuntimeError("sensor down")
+
+    if broken == "gatekeeper.load":
+        monkeypatch.setattr(Gatekeeper, "load", fail)
+    else:
+        monkeypatch.setattr(site.service("lrm"), "running_jobs", fail)
+    eng.run(until=6 * MINUTE)
+    assert agent.producer.errors == 1
+    assert agent.producer.collections == 0
+    assert len(repo) == 0
+
+
+def test_grid_run_builds_no_samples_for_monalisa(monkeypatch):
+    counts = {"ingest": 0, "samples": 0}
+    ingest = MonALISARepository.ingest
+
+    def counting_ingest(self, samples):
+        counts["ingest"] += 1
+        return ingest(self, samples)
+
+    def counting_sample(*args, **kwargs):
+        counts["samples"] += 1
+        return MetricSample(*args, **kwargs)
+
+    monkeypatch.setattr(MonALISARepository, "ingest", counting_ingest)
+    monkeypatch.setattr(monalisa, "MetricSample", counting_sample, raising=False)
+    grid = Grid3(Grid3Config(seed=11, scale=2000.0, duration_days=0.5))
+    grid.run_full()
+    assert counts == {"ingest": 0, "samples": 0}
+    assert len(grid.monitors["monalisa"]) > 0
 
 
 # --- ACDC -------------------------------------------------------------------
