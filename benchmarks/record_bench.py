@@ -1,38 +1,65 @@
-"""Record a performance snapshot of the three hot paths.
+"""Record one performance snapshot of the simulator and its service.
 
-Writes ``BENCH_kernel.json`` (kernel event throughput, 7-day grid wall
-time, MetricStore query and batch-append latency), ``BENCH_sweep.json``
-(sequential vs parallel experiment sweep),
-``BENCH_scale.json`` (the 27/200/500-site ladder: events/s, peak RSS,
-live metric samples against a memory bound), ``BENCH_transfers.json``
-(managed-transfer burst), and ``BENCH_trace.json`` (tracing overhead,
-traced vs untraced wall clock, plus a loadable Perfetto sample in
-``trace_sample.json``) so future PRs have a trajectory to regress
-against.  Run from the repo root:
+Runs eleven sections in one process and writes them as one entry of
+``BENCH.json``::
+
+    {"history": [{"commit", "mode", "python", "sections", "gates"}, ...]}
+
+A run replaces the entry with the same commit and mode; otherwise it
+appends one, so the file keeps a per-commit trajectory.  The sections:
+
+* ``kernel``: timeout-chain event throughput;
+* ``grid_7day``: full-mix Grid3 wall time at scales 400 and 100;
+* ``store``: MetricStore query, latest and batch-append latency;
+* ``sweep``: sequential vs parallel experiment sweep;
+* ``scale``: the 27/200/500-site ladder against a metrics memory bound;
+* ``transfers``: a managed-transfer burst;
+* ``trace``: tracing overhead, plus a loadable Perfetto sample written
+  to ``trace_sample.json`` beside the output;
+* ``progress``: progress-hook overhead;
+* ``service``: a cold HTTP round trip, then cached resubmits;
+* ``admission``: fair-share vs FIFO dispatch, and per-client quotas;
+* ``fairshare``: the contention scenario with the policy layer off/on.
+
+Every gate is declared once, in :func:`gate_table`.  The entry is
+written first; the exit status is 1 if any gate failed.  Run from the
+repo root:
 
     PYTHONPATH=src python benchmarks/record_bench.py            # full
     PYTHONPATH=src python benchmarks/record_bench.py --smoke    # CI
 
-``--smoke`` shrinks every workload so the whole script finishes in well
-under a minute; the numbers are noisier but the file shape is the same.
-
-The ``baseline`` block holds the seed-commit numbers measured with this
-same harness on the same machine (full mode), recorded once when the
-fast paths landed, so before/after is visible in one file.
+``--smoke`` shrinks the simulator workloads so the whole script
+finishes in about a minute; the numbers are noisier but the entry has
+the same shape.  The progress, service, admission and fair-share
+sections run the same configs in both modes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
+import statistics
+import subprocess
 import sys
+import threading
 import time
-from typing import Dict
+import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro import Grid3, Grid3Config  # noqa: E402
+from repro import (  # noqa: E402
+    SCENARIOS,
+    Grid3,
+    Grid3Config,
+    ReproService,
+    ServiceApp,
+)
 from repro.failures import FailureProfile  # noqa: E402
 from repro.lab.experiment import ExperimentSpec, run_experiment  # noqa: E402
 from repro.monitoring.core import (  # noqa: E402
@@ -43,21 +70,7 @@ from repro.monitoring.core import (  # noqa: E402
 )
 from repro.monitoring.prometheus import grid_stores  # noqa: E402
 from repro.sim import DAY, Engine, GB  # noqa: E402
-
-#: Seed-commit numbers (full mode, same harness, same machine) recorded
-#: when the kernel/store/runner fast paths landed.  Do not edit unless
-#: re-measuring the actual seed revision.
-BASELINE = {
-    "measured_at": "seed commit 800238b, 2026-08-06, 1-core container",
-    "kernel": {"events": 50000, "best_ms": 67.57, "events_per_sec": 740005},
-    "grid_7day": {"duration_days": 7, "scale400_s": 0.514,
-                  "scale400_records": 243, "scale100_s": 0.847,
-                  "scale100_records": 953},
-    "store": {"samples": 200000, "query_window_us": 10652.0,
-              "query_tagged_us": 16714.7, "latest_tagged_us": 2.19},
-    "sweep": {"sequential_s": 3.367,
-              "note": "seed runner had no workers knob"},
-}
+from repro.trace import write_chrome_trace  # noqa: E402
 
 
 def bench_kernel(smoke: bool) -> Dict[str, float]:
@@ -171,7 +184,7 @@ def _metric_cpu_days(grid: Grid3) -> float:
 
 
 def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
-    """Worker-count sweep for ``BENCH_sweep.json``.
+    """Worker-count sweep.
 
     Runs the same spec at workers=1 (the reference), then at each count
     in {2, N} that fits the core budget (N = available cores), recording
@@ -232,7 +245,7 @@ def live_samples(grid) -> int:
 
 
 def bench_scale(smoke: bool) -> Dict[str, object]:
-    """The 27-vs-N-site ladder for ``BENCH_scale.json``.
+    """The 27-vs-N-site ladder.
 
     Runs the same traced-free workload on the paper catalog and on
     synthetic fabrics, recording wall time, kernel events/s (the
@@ -240,8 +253,8 @@ def bench_scale(smoke: bool) -> Dict[str, object]:
     (``ru_maxrss`` — no psutil in the container), and the live metric
     samples at the end of the run.  A store's sample count never falls
     (a ring drops one sample per sample it takes), so the end-of-run
-    count is the peak.  ``budget_respected`` is the CI gate:
-    live samples at :data:`SAMPLE_COST_BYTES` each must fit the budget.
+    count is the peak.  The gate: live samples at
+    :data:`SAMPLE_COST_BYTES` each must fit the rung's budget.
     """
     import resource
 
@@ -274,7 +287,6 @@ def bench_scale(smoke: bool) -> Dict[str, object]:
             "metrics_budget_mb": budget_mb,
             "live_samples": live,
             "metrics_live_bytes": live * SAMPLE_COST_BYTES,
-            "budget_respected": live * SAMPLE_COST_BYTES <= budget_mb * 1024 * 1024,
         })
         print(f"  scale ladder {sites} sites: {rows[-1]}", flush=True)
     return {"duration_days": days, "ladder": rows}
@@ -330,18 +342,46 @@ def bench_transfers(smoke: bool) -> Dict[str, object]:
     }
 
 
-def bench_trace(smoke: bool) -> Dict[str, object]:
+def interleaved_best_of(
+    run: Callable[[bool], Tuple[float, Grid3]], rounds: int,
+) -> Tuple[float, float, int, Grid3]:
+    """Best-of-``rounds`` wall time of ``run(False)`` and ``run(True)``.
+
+    ``run(on)`` returns ``(seconds, grid)``.  One untimed pair levels
+    imports and caches across both arms; then the arms alternate each
+    round, so machine drift hits both equally and a noise spike can
+    only slow an arm, never flatter it.  Both arms must dispatch the
+    same events and end at the same clock.  Returns ``(off_s, on_s,
+    diverged_rounds, last_on_grid)``, where ``diverged_rounds`` counts
+    the rounds whose arms did not.
+    """
+    run(False)
+    run(True)
+    off_best = on_best = float("inf")
+    diverged = 0
+    for _ in range(rounds):
+        off_s, off = run(False)
+        on_s, on = run(True)
+        off_best, on_best = min(off_best, off_s), min(on_best, on_s)
+        diverged += ((off.engine.dispatched, off.engine.now)
+                     != (on.engine.dispatched, on.engine.now))
+    return off_best, on_best, diverged, on
+
+
+def _overhead_pct(off_s: float, on_s: float) -> float:
+    return round((on_s / off_s - 1.0) * 100, 2)
+
+
+def bench_trace(smoke: bool, perfetto_out: str) -> Dict[str, object]:
     """Tracing overhead: identical same-seed runs with tracing off/on.
 
     The determinism contract says spans are passive (no events, no RNG),
-    so the only cost is span-object bookkeeping; the issue budget is
-    <= 10% wall-clock overhead on the standard scenario.  Best-of-N
-    per arm to shave scheduler noise; a sample Perfetto export rides
-    along so the artifact is loadable straight from CI.
+    so the only cost is span-object bookkeeping; the budget is <= 10%
+    wall-clock overhead on the standard scenario.  Smoke runs are about
+    0.3 s, deep in scheduler noise, hence more rounds there.  The last
+    traced run is exported to ``perfetto_out`` so the artifact loads
+    straight into ui.perfetto.dev.
     """
-    # Smoke runs are ~0.35s, deep in scheduler-noise territory: interleave
-    # the arms and take best-of-N so a noise spike can only slow an arm,
-    # never flatter it.
     days = 2 if smoke else 7
     reps = 5 if smoke else 3
 
@@ -354,131 +394,414 @@ def bench_trace(smoke: bool) -> Dict[str, object]:
         grid.run_full()
         return time.perf_counter() - t0, grid
 
-    run(tracing=True)   # warm-up: pay the one-time trace-package import
-    run(tracing=False)  # ...and level caches across both arms
-    untraced = traced = float("inf")
-    grid = None
-    for _ in range(reps):
-        t, _g = run(tracing=False)
-        untraced = min(untraced, t)
-        t, grid = run(tracing=True)
-        traced = min(traced, t)
+    untraced, traced, diverged, grid = interleaved_best_of(run, reps)
     store = grid.tracer.store
+    n_events = write_chrome_trace(store, perfetto_out,
+                                  clip_open_at=grid.engine.now)
+    print(f"  wrote {n_events} trace events to {perfetto_out}", flush=True)
     return {
         "duration_days": days,
         "reps": reps,
         "untraced_s": round(untraced, 3),
         "traced_s": round(traced, 3),
-        "overhead_pct": round((traced / untraced - 1.0) * 100, 1),
+        "overhead_pct": _overhead_pct(untraced, traced),
+        "diverged_rounds": diverged,
         "traces": len(store),
         "spans": store.span_count(),
-        "_grid": grid,  # stripped before writing; reused for the export
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny workloads (CI smoke job)")
-    parser.add_argument("--out", default="BENCH_kernel.json",
-                        help="output path (default: BENCH_kernel.json)")
-    parser.add_argument("--transfers-out", default="BENCH_transfers.json",
-                        help="transfer-benchmark output path")
-    parser.add_argument("--trace-out", default="BENCH_trace.json",
-                        help="tracing-overhead output path")
-    parser.add_argument("--perfetto-out", default="trace_sample.json",
-                        help="sample Perfetto trace from the traced arm")
-    parser.add_argument("--sweep-out", default="BENCH_sweep.json",
-                        help="worker-count sweep output path")
-    parser.add_argument("--scale-bench-out", default="BENCH_scale.json",
-                        help="site-count scale ladder output path")
-    args = parser.parse_args()
+#: The progress-hook run: one week of the default mix, in both modes.
+PROGRESS_CONFIG = dict(scale=200.0, duration_days=7.0, seed=42)
+#: Best-of-N needs enough rounds to shake scheduler noise out of both
+#: arms; 3 was observably too few (±10% round-to-round on a busy box).
+PROGRESS_ROUNDS = 6
 
-    current = {}
-    for label, fn in (("kernel", bench_kernel), ("grid_7day", bench_grid),
-                      ("store", bench_store)):
+
+def bench_progress(smoke: bool) -> Dict[str, object]:
+    """Progress-hook overhead: same-seed runs with hooks off and on.
+
+    The pipeline's contract is "zero cost when off, cheap when on": a
+    hooks-off run takes exactly the pre-observability code path, and a
+    hooks-on run only adds sliced ``engine.run(until=)`` calls plus
+    counter reads between slices.  The budget is <= 5% of wall clock.
+    """
+    emitted: List[object] = []
+
+    def run(hooks: bool):
+        grid = Grid3(Grid3Config(**PROGRESS_CONFIG))
+        emitted.clear()
         t0 = time.perf_counter()
-        current[label] = fn(args.smoke)
-        print(f"{label}: {current[label]} ({time.perf_counter() - t0:.1f}s)",
+        grid.run_full(progress=emitted.append if hooks else None)
+        return time.perf_counter() - t0, grid
+
+    off, on, diverged, _grid = interleaved_best_of(run, PROGRESS_ROUNDS)
+    return {
+        "config": PROGRESS_CONFIG,
+        "rounds": PROGRESS_ROUNDS,
+        "hooks_off_best_s": round(off, 4),
+        "hooks_on_best_s": round(on, 4),
+        "events_emitted": len(emitted),
+        "overhead_pct": _overhead_pct(off, on),
+        "diverged_rounds": diverged,
+    }
+
+
+SERVICE_CONFIG = {"scale": 3000, "duration_days": 0.05, "apps": ["exerciser"],
+                  "tracing": True, "seed": 7}
+HOT_REQUESTS = 50
+
+
+def _http(method: str, url: str, payload=None):
+    data = json.dumps(payload).encode() if payload is not None else None
+    request = urllib.request.Request(url, data=data, method=method)
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return response.status, json.loads(response.read())
+
+
+def bench_service(smoke: bool) -> Dict[str, object]:
+    """Grid-as-a-service on an ephemeral port with one real worker
+    process: a cold submit -> poll -> report round trip (one full
+    simulation behind it), then a burst of identical resubmissions that
+    must all be answered from the result cache without running
+    anything — the service's reason to exist."""
+    service = ReproService(port=0, workers=1, queue_depth=8).start()
+    try:
+        runs = f"{service.url}/v1/runs"
+        t0 = time.perf_counter()
+        _status, submitted = _http("POST", runs, {"config": SERVICE_CONFIG})
+        run_id = submitted["run_id"]
+        while True:
+            _status, view = _http("GET", f"{runs}/{run_id}")
+            if view["state"] in ("done", "failed"):
+                break
+            time.sleep(0.02)
+        assert view["state"] == "done", view
+        _http("GET", f"{runs}/{run_id}/report/ops?limit=50")
+        cold = time.perf_counter() - t0
+
+        hot_cached = 0
+        t0 = time.perf_counter()
+        for _ in range(HOT_REQUESTS):
+            status, answer = _http("POST", runs, {"config": SERVICE_CONFIG})
+            hot_cached += status == 200 and answer["dedup"] == "cached"
+        hot_each = (time.perf_counter() - t0) / HOT_REQUESTS
+        _status, gauges = _http("GET", f"{service.url}/v1/metrics?format=json")
+    finally:
+        service.close(drain=True, timeout=60.0)
+    return {
+        "config": SERVICE_CONFIG,
+        "cold_round_trip_s": round(cold, 4),
+        "hot_requests": HOT_REQUESTS,
+        "hot_cached": hot_cached,
+        "hot_request_mean_s": round(hot_each, 6),
+        "cache_speedup": round(cold / max(hot_each, 1e-9), 1),
+        "simulations_executed": gauges["service.queue.executed"],
+        "cache_hits": gauges["service.cache.hits"],
+    }
+
+
+#: Per-run stub duration: long enough that dispatch order dominates the
+#: outcome, short enough that two full 50-run trials stay under ~3 s.
+RUN_S = 0.02
+GREEDY_RUNS = 30
+LIGHT_RUNS = 10
+#: Completed-run window the max/min ratio is read at: enough for FIFO
+#: to expose the starvation, well under the total so fairness can show.
+WINDOW = 20
+
+
+def _stub_payload(seed):
+    return {"reports": {"ops": [], "troubleshooting": [], "trace": []},
+            "summary": {"seed": seed}}
+
+
+def _submission(seed, client) -> bytes:
+    return json.dumps({"config": {"seed": seed}, "client": client}).encode()
+
+
+def _submit(app, seed, client):
+    status, body, _headers = app.respond(
+        "POST", "/v1/runs", {}, _submission(seed, client))
+    assert status == 202, body
+    return json.loads(body)["run_id"]
+
+
+def _contention_trial(fair):
+    """One 3-client race through a single worker; returns the window
+    completion counts and per-client p95 queue wait."""
+    gate = threading.Event()
+
+    def runner(config):
+        if config.seed == 999999:   # the blocker occupying the worker
+            gate.wait(30.0)
+        else:
+            time.sleep(RUN_S)
+        return _stub_payload(config.seed)
+
+    app = ServiceApp(
+        workers=1, queue_depth=256, cache_bytes=1024 * 1024,
+        pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
+        runner=runner,
+    )
+    if not fair:
+        app.queue.admission = None  # strict FIFO baseline
+    owners = {}
+    try:
+        _submit(app, 999999, "warmup")  # holds the worker while we queue
+        time.sleep(0.05)
+        # The greedy client floods first; the light clients arrive after.
+        for i in range(GREEDY_RUNS):
+            owners[_submit(app, 1000 + i, "greedy")] = "greedy"
+        for i in range(LIGHT_RUNS):
+            owners[_submit(app, 2000 + i, "light-a")] = "light-a"
+        for i in range(LIGHT_RUNS):
+            owners[_submit(app, 3000 + i, "light-b")] = "light-b"
+        gate.set()
+        # Read the score when WINDOW contended runs have completed.
+        deadline = time.monotonic() + 60.0
+        while True:
+            done = [r for r in app.store.runs()
+                    if r.state == "done" and r.run_id in owners]
+            if len(done) >= WINDOW:
+                break
+            assert time.monotonic() < deadline, "contention trial stalled"
+            time.sleep(0.005)
+        window_counts = {"greedy": 0, "light-a": 0, "light-b": 0}
+        for record in done[:WINDOW]:
+            window_counts[owners[record.run_id]] += 1
+        assert app.queue.drain(timeout=60.0)
+        waits = {"greedy": [], "light-a": [], "light-b": []}
+        for run_id, owner in owners.items():
+            record = app.store.get(run_id)
+            waits[owner].append(record.started_at - record.submitted_at)
+        p95 = {
+            owner: round(statistics.quantiles(vals, n=20)[-1], 4)
+            for owner, vals in waits.items()
+        }
+    finally:
+        gate.set()
+        app.close(drain=True, timeout=30.0)
+    ratio = max(window_counts.values()) / max(1, min(window_counts.values()))
+    return {"window_counts": window_counts, "ratio": round(ratio, 2),
+            "p95_wait_s": p95}
+
+
+def _quota_isolation_check():
+    """A greedy client at quota gets 429; another client still gets 202."""
+    gate = threading.Event()
+
+    def runner(config):
+        gate.wait(30.0)
+        return _stub_payload(config.seed)
+
+    app = ServiceApp(
+        workers=1, queue_depth=64, cache_bytes=1024 * 1024,
+        pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
+        runner=runner, quota_per_client=2,
+    )
+    try:
+        _submit(app, 1, "greedy")
+        _submit(app, 2, "greedy")
+        status, payload, headers = app.respond(
+            "POST", "/v1/runs", {}, _submission(3, "greedy"))
+        breach_seen = (
+            status == 429
+            and json.loads(payload)["error"]["code"] == "quota_exceeded"
+            and int(dict(headers)["Retry-After"]) >= 1
+        )
+        other_unblocked = app.respond(
+            "POST", "/v1/runs", {}, _submission(4, "light"))[0] == 202
+    finally:
+        gate.set()
+        app.close(drain=True, timeout=30.0)
+    return breach_seen, other_unblocked
+
+
+def bench_admission(smoke: bool) -> Dict[str, object]:
+    """Admission fairness under contention: three clients (one greedy,
+    two light) race 50 stub runs through a single worker under FIFO and
+    under fair-share dispatch.  Records each mode's max/min
+    completed-runs ratio inside a fixed completion window and each
+    client's p95 queue wait, and checks that a quota breach never
+    blocks another client's lane."""
+    fifo = _contention_trial(fair=False)
+    fair = _contention_trial(fair=True)
+    breach_seen, other_unblocked = _quota_isolation_check()
+    return {
+        "clients": {"greedy": GREEDY_RUNS, "light-a": LIGHT_RUNS,
+                    "light-b": LIGHT_RUNS},
+        "run_stub_s": RUN_S,
+        "window": WINDOW,
+        "fifo_ratio": fifo["ratio"],
+        "fair_ratio": fair["ratio"],
+        "fifo_window_counts": fifo["window_counts"],
+        "fair_window_counts": fair["window_counts"],
+        "fifo_p95_wait_s": fifo["p95_wait_s"],
+        "fair_p95_wait_s": fair["p95_wait_s"],
+        "quota_breach_seen": breach_seen,
+        "quota_isolated": other_unblocked,
+    }
+
+
+def _fairshare_variant(fair_share: bool) -> Dict[str, object]:
+    grid = Grid3(SCENARIOS["contention"](seed=42, fair_share=fair_share))
+    grid.run_full()
+    done = Counter(r.vo for r in grid.acdc_db.records() if r.succeeded)
+    ratio = max(done.values()) / max(1, min(done.values())) if done else 0.0
+    out = {
+        "completed_by_vo": dict(sorted(done.items())),
+        "maxmin_ratio": round(ratio, 3),
+        "records": len(grid.acdc_db),
+    }
+    if fair_share:
+        out["policy_rejections"] = sum(r.count for r in grid.policy_report())
+        out["cap_violations"] = len(grid.policy_engine.cap_violations())
+        out["sched_usage_samples"] = len(
+            grid.monitors["sched"].query("sched.fairshare.usage")
+        )
+    return out
+
+
+def bench_fairshare(smoke: bool) -> Dict[str, object]:
+    """Fair-share scheduling: the multi-VO contention scenario at its
+    pinned seed, fair share off then on.  The §5/§7 shape claims:
+    fair share lowers the max/min per-VO completion ratio, share caps
+    hold, and the policy layer records its usage."""
+    t0 = time.perf_counter()
+    off = _fairshare_variant(False)
+    on = _fairshare_variant(True)
+    return {
+        "scenario": "contention",
+        "seed": 42,
+        "wall_seconds_both_runs": round(time.perf_counter() - t0, 3),
+        "off": off,
+        "on": on,
+    }
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+        ">": operator.gt, ">=": operator.ge}
+
+
+def gate(name: str, value, op: str, budget) -> Dict[str, object]:
+    """One gate: ``value op budget`` must hold."""
+    return {"name": name, "value": value, "budget": f"{op} {budget}",
+            "ok": bool(_OPS[op](value, budget))}
+
+
+def gate_table(sections: Dict[str, Dict]) -> List[Dict[str, object]]:
+    """Every gate of a snapshot, read from its ``sections``.
+
+    The two wall-clock budgets (tracing, progress hooks) are best-of-N
+    ratios; everything else is exact.
+    """
+    sweep, trace, progress = (sections[k] for k in ("sweep", "trace", "progress"))
+    service, admission = sections["service"], sections["admission"]
+    off, on = sections["fairshare"]["off"], sections["fairshare"]["on"]
+    rows = []
+    # Only on a multi-core box: fanning out must reproduce the
+    # sequential results and never lose to sequential at the same spec.
+    for run in sweep["runs"]:
+        arm = f"sweep.workers{run['workers']}"
+        rows.append((f"{arm}.identical_results",
+                     run["identical_results"], "==", True))
+        rows.append((f"{arm}.parallel_s",
+                     run["parallel_s"], "<=", sweep["sequential_s"]))
+    for rung in sections["scale"]["ladder"]:
+        rows.append((f"scale.sites{rung['sites']}.metrics_live_bytes",
+                     rung["metrics_live_bytes"], "<=",
+                     int(rung["metrics_budget_mb"] * 1024 * 1024)))
+    rows += [
+        ("trace.overhead_pct", trace["overhead_pct"], "<=", 10.0),
+        ("trace.diverged_rounds", trace["diverged_rounds"], "==", 0),
+        ("progress.overhead_pct", progress["overhead_pct"], "<=", 5.0),
+        ("progress.diverged_rounds", progress["diverged_rounds"], "==", 0),
+        ("service.simulations_executed", service["simulations_executed"], "==", 1),
+        ("service.cache_hits", service["cache_hits"], ">=", service["hot_requests"]),
+        ("service.hot_cached", service["hot_cached"], "==", service["hot_requests"]),
+        ("admission.fair_ratio", admission["fair_ratio"], "<", admission["fifo_ratio"]),
+        ("admission.quota_breach_seen", admission["quota_breach_seen"], "==", True),
+        ("admission.quota_isolated", admission["quota_isolated"], "==", True),
+        ("fairshare.on.maxmin_ratio", on["maxmin_ratio"], "<", off["maxmin_ratio"]),
+        ("fairshare.on.cap_violations", on["cap_violations"], "==", 0),
+        ("fairshare.on.sched_usage_samples", on["sched_usage_samples"], ">", 0),
+    ]
+    return [gate(*row) for row in rows]
+
+
+def head_commit() -> str:
+    """Short hash of the checked-out commit, or ``"unknown"``."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                              cwd=REPO, capture_output=True, text=True)
+    except FileNotFoundError:  # no git on this machine
+        return "unknown"
+    return done.stdout.strip() or "unknown"
+
+
+def record(out: str, entry: Dict[str, object]) -> int:
+    """Write ``entry`` into the history at ``out``, then return the exit
+    status: 1 if any of its gates failed, else 0.
+
+    An entry with the same commit and mode is replaced in place;
+    otherwise ``entry`` is appended.
+    """
+    history = []
+    if os.path.exists(out):
+        with open(out) as fh:
+            history = json.load(fh)["history"]
+    key = (entry["commit"], entry["mode"])
+    for i, old in enumerate(history):
+        if (old["commit"], old["mode"]) == key:
+            history[i] = entry
+            break
+    else:
+        history.append(entry)
+    with open(out, "w") as fh:
+        json.dump({"history": history}, fh, indent=2)
+        fh.write("\n")
+    return 0 if all(g["ok"] for g in entry["gates"]) else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--smoke", action="store_true",
+                        help="tiny simulator workloads (CI smoke job)")
+    parser.add_argument("--out", default="BENCH.json",
+                        help="history file to update (default: BENCH.json)")
+    args = parser.parse_args(argv)
+    perfetto_out = os.path.join(os.path.dirname(args.out), "trace_sample.json")
+
+    sections: Dict[str, Dict] = {}
+    for name, fn in (
+        ("kernel", bench_kernel), ("grid_7day", bench_grid),
+        ("store", bench_store), ("sweep", bench_worker_sweep),
+        ("scale", bench_scale), ("transfers", bench_transfers),
+        ("trace", lambda smoke: bench_trace(smoke, perfetto_out)),
+        ("progress", bench_progress), ("service", bench_service),
+        ("admission", bench_admission), ("fairshare", bench_fairshare),
+    ):
+        t0 = time.perf_counter()
+        sections[name] = fn(args.smoke)
+        print(f"{name}: {sections[name]} ({time.perf_counter() - t0:.1f}s)",
               flush=True)
 
-    snapshot = {
-        "generated_by": "benchmarks/record_bench.py",
+    gates = gate_table(sections)
+    for g in gates:
+        print(f"{'ok  ' if g['ok'] else 'FAIL'} {g['name']} = {g['value']} "
+              f"(budget {g['budget']})")
+    status = record(args.out, {
+        "commit": head_commit(),
         "mode": "smoke" if args.smoke else "full",
         "python": sys.version.split()[0],
-        "baseline": BASELINE,
-        "current": current,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-
-    t0 = time.perf_counter()
-    worker_sweep = bench_worker_sweep(args.smoke)
-    print(f"worker_sweep: {worker_sweep} ({time.perf_counter() - t0:.1f}s)",
-          flush=True)
-    with open(args.sweep_out, "w") as fh:
-        json.dump({
-            "generated_by": "benchmarks/record_bench.py",
-            "mode": "smoke" if args.smoke else "full",
-            "python": sys.version.split()[0],
-            "current": worker_sweep,
-        }, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.sweep_out}")
-
-    t0 = time.perf_counter()
-    scale = bench_scale(args.smoke)
-    print(f"scale: {len(scale['ladder'])} ladder rungs "
-          f"({time.perf_counter() - t0:.1f}s)", flush=True)
-    with open(args.scale_bench_out, "w") as fh:
-        json.dump({
-            "generated_by": "benchmarks/record_bench.py",
-            "mode": "smoke" if args.smoke else "full",
-            "python": sys.version.split()[0],
-            "current": scale,
-        }, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.scale_bench_out}")
-
-    t0 = time.perf_counter()
-    transfers = bench_transfers(args.smoke)
-    print(f"transfers: {transfers} ({time.perf_counter() - t0:.1f}s)",
-          flush=True)
-    with open(args.transfers_out, "w") as fh:
-        json.dump({
-            "generated_by": "benchmarks/record_bench.py",
-            "mode": "smoke" if args.smoke else "full",
-            "python": sys.version.split()[0],
-            "current": transfers,
-        }, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.transfers_out}")
-
-    t0 = time.perf_counter()
-    trace = bench_trace(args.smoke)
-    traced_grid = trace.pop("_grid")
-    print(f"trace: {trace} ({time.perf_counter() - t0:.1f}s)", flush=True)
-    with open(args.trace_out, "w") as fh:
-        json.dump({
-            "generated_by": "benchmarks/record_bench.py",
-            "mode": "smoke" if args.smoke else "full",
-            "python": sys.version.split()[0],
-            "budget_overhead_pct": 10.0,
-            "current": trace,
-        }, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.trace_out}")
-
-    from repro.trace import write_chrome_trace  # noqa: E402
-    n_events = write_chrome_trace(
-        traced_grid.tracer.store, args.perfetto_out,
-        clip_open_at=traced_grid.engine.now,
-    )
-    print(f"wrote {n_events} trace events to {args.perfetto_out} "
-          f"(load in ui.perfetto.dev)")
-    return 0
+        "sections": sections,
+        "gates": gates,
+    })
+    print(f"wrote {args.out}; {sum(not g['ok'] for g in gates)} of "
+          f"{len(gates)} gates failed")
+    return status
 
 
 if __name__ == "__main__":

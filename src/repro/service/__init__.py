@@ -60,7 +60,6 @@ from .schemas import (
     RunView,
     SchemaError,
     parse_pagination,
-    parse_run_request,
     parse_submission,
 )
 from .store import RunRecord, RunStore
@@ -91,7 +90,6 @@ __all__ = [
     "execute_run",
     "iter_sse_events",
     "parse_pagination",
-    "parse_run_request",
     "parse_sse_stream",
     "parse_submission",
     "serve",

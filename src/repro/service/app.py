@@ -2,10 +2,9 @@
 
 :class:`ServiceApp` is the pure request handler — ``respond(method,
 path, query, body)`` returns ``(status, json_body, headers)`` and can
-be unit tested without a socket (``handle(...)`` is the two-tuple
-shim).  :class:`ReproService` wraps it in a ``ThreadingHTTPServer``
-(stdlib only, so tier-1 stays hermetic) on an ephemeral or fixed port;
-:func:`serve` is the blocking CLI entry.
+be unit tested without a socket.  :class:`ReproService` wraps it in a
+``ThreadingHTTPServer`` (stdlib only, so tier-1 stays hermetic) on an
+ephemeral or fixed port; :func:`serve` is the blocking CLI entry.
 
 The API is **versioned**: every endpoint lives under ``/v1/``; a bare
 unversioned path answers ``404 not_found`` with a hint pointing there.
@@ -361,12 +360,6 @@ class ServiceApp:
                 hint="this is a server-side bug; the run registry is intact",
             ).to_json()
         return status, payload, headers
-
-    def handle(self, method: str, path: str, query: Dict[str, str],
-               body: bytes) -> Tuple[int, str]:
-        """Two-tuple shim over :meth:`respond` (header-less callers)."""
-        status, payload, _headers = self.respond(method, path, query, body)
-        return status, payload
 
     def _route(self, method: str, path: str, query: Dict[str, str],
                body: bytes) -> Tuple[int, str]:

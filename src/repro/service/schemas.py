@@ -258,12 +258,6 @@ def parse_submission(body: bytes) -> RunRequest:
     return RunRequest(config=config, client=client, lane=lane)
 
 
-def parse_run_request(body: bytes) -> Grid3Config:
-    """Back-compat shim: the validated config alone (pre-admission
-    callers).  New code wants :func:`parse_submission`."""
-    return parse_submission(body).config
-
-
 def parse_pagination(
     query: Dict[str, str], default_limit: int = 500
 ) -> Tuple[int, int]:

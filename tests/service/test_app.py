@@ -31,7 +31,7 @@ def app():
 
 
 def call(app, method, path, query=None, body=b""):
-    status, payload = app.handle(method, path, query or {}, body)
+    status, payload = app.respond(method, path, query or {}, body)[:2]
     return status, json.loads(payload)
 
 
@@ -203,7 +203,7 @@ def test_metrics_scrape_feeds_metric_store(app):
 
 
 def test_metrics_default_is_prometheus_text(app):
-    status, text = app.handle("GET", "/v1/metrics", {}, b"")
+    status, text = app.respond("GET", "/v1/metrics", {}, b"")[:2]
     assert status == 200
     lines = text.splitlines()
     assert "# TYPE service_queue_depth gauge" in lines
@@ -264,9 +264,9 @@ def test_progress_capable_runner_streams_into_record_log():
         runner=streaming_runner,
     )
     try:
-        status, payload = instance.handle(
+        status, payload = instance.respond(
             "POST", "/v1/runs", {},
-            json.dumps({"config": {"seed": 9}}).encode())
+            json.dumps({"config": {"seed": 9}}).encode())[:2]
         assert status == 202
         run_id = json.loads(payload)["run_id"]
         assert instance.queue.drain(timeout=10.0)
@@ -275,8 +275,8 @@ def test_progress_capable_runner_streams_into_record_log():
         assert [e["seq"] for e in events] == [0, 1, 2, 3]
         assert closed  # terminal state closed the log
         # The delta poll serves the same sequence.
-        status, body = instance.handle(
-            "GET", f"/v1/runs/{run_id}/events", {"since": "1"}, b"")
+        status, body = instance.respond(
+            "GET", f"/v1/runs/{run_id}/events", {"since": "1"}, b"")[:2]
         assert status == 200
         delta = json.loads(body)
         assert [e["seq"] for e in delta["events"]] == [2, 3]

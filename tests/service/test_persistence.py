@@ -42,7 +42,7 @@ def make_app(tmp_path, runner=fake_payload, **kwargs):
 
 
 def call(app, method, path, query=None, body=b""):
-    status, payload = app.handle(method, path, query or {}, body)
+    status, payload = app.respond(method, path, query or {}, body)[:2]
     return status, payload
 
 

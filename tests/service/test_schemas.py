@@ -15,7 +15,6 @@ from repro.service import (
     ApiError,
     SchemaError,
     parse_pagination,
-    parse_run_request,
     parse_submission,
 )
 from repro.service.schemas import split_hint
@@ -26,16 +25,16 @@ def body(**payload):
 
 
 def test_empty_body_is_default_config():
-    config = parse_run_request(b"")
+    config = parse_submission(b"").config
     assert isinstance(config, Grid3Config)
     assert config.seed == Grid3Config().seed
 
 
 def test_config_knobs_land():
-    config = parse_run_request(body(config={
+    config = parse_submission(body(config={
         "scale": 3000, "duration_days": 0.05, "seed": 9,
         "apps": ["exerciser"], "tracing": True,
-    }))
+    })).config
     assert config.seed == 9
     assert config.apps == ["exerciser"]
     assert config.tracing is True
@@ -44,20 +43,20 @@ def test_config_knobs_land():
 
 
 def test_scenario_base_with_overrides():
-    config = parse_run_request(body(scenario="contention",
-                                    config={"seed": 11}))
+    config = parse_submission(body(scenario="contention",
+                                   config={"seed": 11})).config
     assert config.fair_share is True  # the contention scenario's point
     assert config.seed == 11
 
 
 def test_unknown_scenario_rejected():
     with pytest.raises(SchemaError, match="unknown scenario"):
-        parse_run_request(body(scenario="no-such-era"))
+        parse_submission(body(scenario="no-such-era"))
 
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(SchemaError, match="unknown request key"):
-        parse_run_request(body(cfg={"scale": 5}))
+        parse_submission(body(cfg={"scale": 5}))
 
 
 def test_unknown_knob_gets_suggestion():
@@ -68,28 +67,28 @@ def test_unknown_knob_gets_suggestion():
          "unknown Grid3Config knob 'metrics_memory_budget_mb'"),
     ):
         with pytest.raises(SchemaError) as excinfo:
-            parse_run_request(body(config={knob: 64}))
+            parse_submission(body(config={knob: 64}))
         assert str(excinfo.value) == message
 
 
 def test_bad_knob_value_rejected():
     with pytest.raises(SchemaError, match="must be positive"):
-        parse_run_request(body(config={"scale": -1}))
+        parse_submission(body(config={"scale": -1}))
 
 
 def test_non_json_body_rejected():
     with pytest.raises(SchemaError, match="not valid JSON"):
-        parse_run_request(b"{nope")
+        parse_submission(b"{nope")
 
 
 def test_non_object_body_rejected():
     with pytest.raises(SchemaError, match="must be a JSON object"):
-        parse_run_request(b"[1, 2]")
+        parse_submission(b"[1, 2]")
 
 
 def test_failures_knob_not_settable_over_wire():
     with pytest.raises(SchemaError, match="not settable over the API"):
-        parse_run_request(body(config={"failures": {"node_mtbf": 1}}))
+        parse_submission(body(config={"failures": {"node_mtbf": 1}}))
 
 
 @pytest.mark.parametrize("raw, knob", [
@@ -160,7 +159,7 @@ def test_property_parsed_knobs_have_their_declared_types(payload):
 
 def test_config_must_be_object():
     with pytest.raises(SchemaError, match="'config' must be a JSON object"):
-        parse_run_request(body(config=[1]))
+        parse_submission(body(config=[1]))
 
 
 def test_pagination_defaults_and_parsing():
@@ -216,6 +215,6 @@ def test_error_envelope_shape_and_hint_split():
 
 
 def test_validated_request_digests_stably():
-    one = parse_run_request(body(config={"seed": 5, "scale": 100}))
-    two = parse_run_request(body(config={"scale": 100, "seed": 5}))
+    one = parse_submission(body(config={"seed": 5, "scale": 100})).config
+    two = parse_submission(body(config={"scale": 100, "seed": 5})).config
     assert one.canonical_digest() == two.canonical_digest()

@@ -1,0 +1,48 @@
+"""The snapshot harness's history file and exit status (no section runs)."""
+
+import json
+import pathlib
+
+from benchmarks import record_bench
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def entry(commit, mode="smoke", overhead_pct=3.0):
+    return {
+        "commit": commit, "mode": mode, "python": "3.12.0", "sections": {},
+        "gates": [record_bench.gate("trace.overhead_pct", overhead_pct,
+                                    "<=", 10.0)],
+    }
+
+
+def history(path):
+    return json.loads(path.read_text())["history"]
+
+
+def test_failing_gate_exits_1_after_the_entry_is_written(tmp_path):
+    out = tmp_path / "BENCH.json"
+    failing = entry("aaaaaaa", overhead_pct=11.0)
+    assert failing["gates"] == [{"name": "trace.overhead_pct", "value": 11.0,
+                                 "budget": "<= 10.0", "ok": False}]
+    assert record_bench.record(str(out), failing) == 1
+    assert history(out) == [failing]
+
+
+def test_rerun_replaces_same_commit_and_mode_and_new_commit_appends(tmp_path):
+    out = str(tmp_path / "BENCH.json")
+    assert record_bench.record(out, entry("aaaaaaa", overhead_pct=11.0)) == 1
+    assert record_bench.record(out, entry("bbbbbbb")) == 0
+    assert record_bench.record(out, entry("aaaaaaa")) == 0
+    assert record_bench.record(out, entry("aaaaaaa", mode="full")) == 0
+    assert history(tmp_path / "BENCH.json") == [
+        entry("aaaaaaa"), entry("bbbbbbb"), entry("aaaaaaa", mode="full"),
+    ]
+
+
+def test_committed_history_starts_at_the_seed_baseline():
+    entries = history(REPO / "BENCH.json")
+    assert entries[0]["commit"] == "800238b"
+    assert "measured_at" in entries[0]
+    for one in entries:
+        assert {"commit", "mode", "python", "sections", "gates"} <= set(one)
