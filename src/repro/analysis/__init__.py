@@ -23,14 +23,6 @@ from .figures import (
     figure5_data_consumed,
     figure6_jobs_by_month,
 )
-from .series import (
-    bin_events,
-    cumulative,
-    interval_occupancy,
-    moving_average,
-    percentile_summary,
-    rate_per_day,
-)
 from .report import (
     fmt_cell,
     render_bar_chart,
@@ -57,15 +49,9 @@ __all__ = [
     "compare_run",
     "compare_table1",
     "PAPER_TABLE1",
-    "bin_events",
-    "cumulative",
     "export_database",
     "export_records",
     "import_records",
-    "interval_occupancy",
-    "moving_average",
-    "percentile_summary",
-    "rate_per_day",
     "record_to_row",
     "row_to_record",
     "PAPER_TOTAL_RECORDS",

@@ -102,10 +102,3 @@ class ReservationError(GridError):
 class ConfigurationError(GridError):
     """A :class:`~repro.core.grid3.Grid3Config` failed validation: an
     unknown knob, an out-of-range value, or contradictory settings."""
-
-
-class PolicyRejectionError(SubmissionError):
-    """A site's usage policy refused the job at match time (VO not in
-    the allow-list, or the walltime request exceeds the site's runtime
-    class).  Counts toward the site-failure class like any other
-    submission rejection."""

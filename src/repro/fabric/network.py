@@ -18,7 +18,7 @@ O(active flows) instead of per-packet.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import NetworkInterruptionError
 from ..sim.engine import Engine, Event
@@ -178,10 +178,6 @@ class Network:
     def active_flows(self) -> List[Flow]:
         """Snapshot of in-flight flows."""
         return list(self._flows)
-
-    def current_rate(self, flow: Flow) -> float:
-        """The flow's max-min fair rate as of the last recompute."""
-        return flow.rate
 
     # -- internals -------------------------------------------------------------
     def _detach(self, flow: Flow) -> None:

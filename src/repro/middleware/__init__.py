@@ -8,7 +8,7 @@ from .gram import (
     Gatekeeper,
     attach_gatekeeper,
 )
-from .gridftp import GridFTPServer, NetLoggerEvent, attach_gridftp, transfer
+from .gridftp import GridFTPServer, attach_gridftp, transfer
 from .dcache import DCachePoolManager, Pool
 from .gsi import (
     Authenticator,
@@ -16,15 +16,6 @@ from .gsi import (
     CertificateAuthority,
     GridMapFile,
     Proxy,
-)
-from .netlogger import (
-    TransferLifeline,
-    TransferStatistics,
-    analyse_server,
-    compute_statistics,
-    find_anomalies,
-    grid_archive,
-    reconstruct_lifelines,
 )
 from .mds import GIIS, GRIS, build_mds_hierarchy, glue_record, renew_registrations
 from .pacman import (
@@ -45,13 +36,6 @@ __all__ = [
     "Authenticator",
     "DCachePoolManager",
     "Pool",
-    "TransferLifeline",
-    "TransferStatistics",
-    "analyse_server",
-    "compute_statistics",
-    "find_anomalies",
-    "grid_archive",
-    "reconstruct_lifelines",
     "Certificate",
     "CertificateAuthority",
     "DEFAULT_OVERLOAD_THRESHOLD",
@@ -63,7 +47,6 @@ __all__ = [
     "GridMapFile",
     "LOAD_PER_MANAGED_JOB",
     "LocalReplicaCatalog",
-    "NetLoggerEvent",
     "Package",
     "PacmanCache",
     "Proxy",

@@ -4,8 +4,7 @@
 Resource Manager (SRM), and dCache, can be provided by individual VOs if
 desired."  The Tier1s ran dCache in front of their tape/disk farms: many
 independent disk *pools* behind a single logical door, with pool
-selection on write, replica hotspot handling, and pool drain for
-maintenance.
+selection on write and replica hotspot handling.
 
 :class:`DCachePoolManager` presents the same interface surface as a
 :class:`~repro.fabric.storage.StorageElement` for store/lookup/delete —
@@ -17,7 +16,6 @@ files), and hot-file replication across pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ReplicaNotFoundError, StorageFullError
@@ -195,38 +193,6 @@ class DCachePoolManager:
     def restore_pool(self, pool: Pool) -> None:
         """Bring a pool back online, closing its ledger outage."""
         pool.restore(note="pool repaired")
-
-    def drain_pool(self, pool: Pool) -> int:
-        """Maintenance drain: migrate the pool's files elsewhere, then
-        take it offline.  Returns files migrated.  Raises
-        StorageFullError if the rest of the farm cannot absorb them."""
-        migrated = 0
-        for lfn in list(pool.storage._files):
-            obj = pool.storage.lookup(lfn)
-            holders = self._locations[lfn]
-            others = [
-                p for p in self.pools
-                if p is not pool and p.online and p.storage.free >= obj.size
-            ]
-            target = next(
-                (p for p in others if p not in holders),
-                None,
-            )
-            if target is None and not any(
-                p is not pool and p.online and lfn in p.storage for p in holders
-            ):
-                raise StorageFullError(
-                    f"dCache {self.name}: cannot drain {pool.name}, "
-                    f"{lfn} has nowhere to go"
-                )
-            if target is not None:
-                target.storage.store(lfn, obj.size)
-                holders.append(target)
-                migrated += 1
-            pool.storage.delete(lfn)
-            holders.remove(pool)
-        pool.fail("maintenance drain")
-        return migrated
 
     # -- full StorageElement interface compatibility --------------------------
     # (so a Site's .storage can be swapped for a pool manager: probes,

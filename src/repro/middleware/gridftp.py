@@ -3,10 +3,10 @@
 §6.3's demonstrator showed "2 TB across Grid3 per day" with the main
 deployment problems being "account privileges, ports, and firewalls".
 The server model has a bounded connection pool (real GridFTP servers
-were configured with connection limits), a per-transfer setup latency,
-and optional NetLogger instrumentation, which the paper's CS
-demonstrator used: "NetLogger events were generated at program start,
-end, and on errors (the default)".
+were configured with connection limits), a per-transfer setup latency
+and lifetime byte/transfer counters.  Where the paper's CS demonstrator
+logged each transfer's start, end and errors (§4.7), a traced transfer
+records one span with its outcome.
 
 Transfers are written as plain generators so callers compose them with
 ``yield from`` inside their own processes.
@@ -14,38 +14,20 @@ Transfers are written as plain generators so callers compose them with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
-
 from ..errors import (
     NetworkInterruptionError,
     StorageFullError,
     TransferError,
 )
-from ..services import GridService, ServiceLog
+from ..services import GridService
 from ..sim.engine import Engine
 from ..sim.resources import Resource
 from ..sim.units import SECOND
 from ..trace import NULL_SPAN
 
 
-@dataclass(frozen=True)
-class NetLoggerEvent:
-    """One NetLogger record: program start/end/error plus I/O details."""
-
-    time: float
-    event: str        # "transfer.start" | "transfer.end" | "transfer.error"
-    host: str
-    lfn: str
-    size: float
-    detail: str = ""
-
-
 class GridFTPServer(GridService):
-    """A site's GridFTP endpoint: connection pool + instrumentation."""
-
-    #: Keep at most this many NetLogger events per server (ring buffer).
-    NETLOG_LIMIT = 10_000
+    """A site's GridFTP endpoint: connection pool + counters."""
 
     _counter_names = (
         "bytes_sent",
@@ -65,21 +47,11 @@ class GridFTPServer(GridService):
         self.site = site
         self.connections = Resource(engine, max_connections)
         self.setup_latency = setup_latency
-        self.netlogger: ServiceLog = ServiceLog(self.NETLOG_LIMIT)
         #: Lifetime counters for the monitoring layer.
         self.bytes_sent = 0.0
         self.bytes_received = 0.0
         self.transfers_ok = 0
         self.transfers_failed = 0
-
-    def log(self, event: str, lfn: str, size: float, detail: str = "") -> None:
-        """Append a NetLogger record (bounded)."""
-        # NETLOG_LIMIT is an overridable (class or instance) knob; keep
-        # the ring bound in sync with whatever the caller set it to.
-        self.netlogger.capacity = self.NETLOG_LIMIT
-        self.netlogger.append(
-            NetLoggerEvent(self.engine.now, event, self.site.name, lfn, size, detail)
-        )
 
     def __repr__(self) -> str:
         return f"<GridFTP {self.site.name} {self.connections.in_use}/{self.connections.capacity}>"
@@ -113,8 +85,7 @@ def transfer(
     replica is registered (the ATLAS/LIGO publication step).
 
     With ``span`` given, the whole transfer (slot wait included) is
-    recorded as a child span — the NetLogger lifeline, inside the
-    owning job's trace.
+    recorded as a child span inside the owning job's trace.
 
     Returns the byte count on success.  Always releases its connection
     slots, even on failure.
@@ -143,7 +114,6 @@ def transfer(
             for server, slot in slots:
                 yield slot
                 granted.append((server, slot))
-            src_server.log("transfer.start", lfn, size)
             if src_server.setup_latency + dst_server.setup_latency > 0:
                 yield engine.timeout(src_server.setup_latency + dst_server.setup_latency)
             flow = src_site.network.start_transfer(
@@ -151,16 +121,14 @@ def transfer(
             )
             try:
                 yield flow.done
-            except NetworkInterruptionError as exc:
-                src_server.log("transfer.error", lfn, size, detail=str(exc))
+            except NetworkInterruptionError:
                 src_server.transfers_failed += 1
                 dst_server.transfers_failed += 1
                 raise
             if write_to_storage:
                 try:
                     dst_site.storage.store(lfn, size, reservation=reservation)
-                except StorageFullError as exc:
-                    src_server.log("transfer.error", lfn, size, detail=str(exc))
+                except StorageFullError:
                     src_server.transfers_failed += 1
                     dst_server.transfers_failed += 1
                     raise
@@ -179,7 +147,6 @@ def transfer(
     except BaseException as exc:
         tspan.finish("error", error=type(exc).__name__)
         raise
-    src_server.log("transfer.end", lfn, size)
     src_server.bytes_sent += size
     dst_server.bytes_received += size
     src_server.transfers_ok += 1

@@ -158,11 +158,6 @@ class GIIS(GridService):
         else:
             self._cacheable = False
 
-    def deregister(self, name: str) -> None:
-        """Explicitly remove a registration."""
-        self._registry.pop(name, None)
-        self._sweep = None
-
     def registered_names(self) -> List[str]:
         """Names with live (unexpired) registrations."""
         now = self.engine.now

@@ -50,7 +50,7 @@ class MonALISARepository:
         return rrd
 
     def ingest(self, samples: List[MetricSample]) -> None:
-        """Store samples into their per-series RRDs."""
+        """Write samples into their per-series RRDs."""
         for sample in samples:
             self._rrd(sample.name, sample.tags).update(sample.time, sample.value)
 

@@ -26,14 +26,12 @@ from .reports import (
     weekly_report,
 )
 from .policy import (
-    AcceptableUsePolicy,
     PolicyViolation,
     SitePolicy,
     audit_policy,
     policy_for_site,
 )
 from .results import (
-    DataSummary,
     GramAccounting,
     GridFTPAccounting,
     SlowJobRow,
@@ -41,13 +39,10 @@ from .results import (
 )
 from .tickets import RESPONSIBILITY_MATRIX, Ticket, TroubleTicketSystem, responsible_party
 from .troubleshooting import (
-    JobLink,
-    JobLinkIndex,
     TroubleshootingAPI,
 )
 
 __all__ = [
-    "AcceptableUsePolicy",
     "AlertEngine",
     "AlertMonitor",
     "AlertRule",
@@ -57,13 +52,10 @@ __all__ = [
     "lint_rules",
     "service_rules",
     "AutoValidator",
-    "DataSummary",
     "GramAccounting",
     "GridFTPAccounting",
     "SlowJobRow",
     "StorageAccounting",
-    "JobLink",
-    "JobLinkIndex",
     "TroubleshootingAPI",
     "ValidationReport",
     "DIRECTION",

@@ -13,32 +13,11 @@ execution and resource usage policies".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..monitoring.acdc import ACDCDatabase
 from ..sim.units import HOUR
-
-
-@dataclass(frozen=True)
-class AcceptableUsePolicy:
-    """The grid-wide AUP every VO signs (modelled after LCG's)."""
-
-    text: str = (
-        "Resources are provided for the registered VOs' scientific "
-        "programmes; users shall not attempt to circumvent allocation "
-        "or accounting; sites may suspend access at their discretion."
-    )
-    accepted_by: Tuple[str, ...] = ()
-
-    def accept(self, vo: str) -> "AcceptableUsePolicy":
-        """A copy with ``vo`` recorded as a signatory."""
-        if vo in self.accepted_by:
-            return self
-        return AcceptableUsePolicy(self.text, tuple(sorted((*self.accepted_by, vo))))
-
-    def is_accepted(self, vo: str) -> bool:
-        return vo in self.accepted_by
 
 
 @dataclass(frozen=True)

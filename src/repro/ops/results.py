@@ -10,7 +10,7 @@ sorted-key ``to_json()``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 from ..core.results import ReportRecord
 
@@ -65,27 +65,3 @@ class SlowJobRow(ReportRecord):
     makespan: float
     job_ids: Tuple[int, ...]
     critical_phase: str
-
-
-@dataclass(frozen=True)
-class DataSummary(ReportRecord):
-    """Grid-wide data-management counters.
-
-    The counter key set belongs to the data subsystem
-    (``agent.*`` / ``transfers.*`` / ``selector.*``), so it is carried
-    as sorted (name, value) pairs; ``as_dict()`` returns the flat
-    ``{name: value}`` mapping — exactly the old return shape.
-    """
-
-    counters: Tuple[Tuple[str, float], ...]
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The flat counter mapping (the pre-redesign return shape)."""
-        return dict(self.counters)
-
-    def counter(self, name: str, default: float = 0.0) -> float:
-        """One counter by name."""
-        for key, value in self.counters:
-            if key == name:
-                return value
-        return default

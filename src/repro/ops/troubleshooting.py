@@ -10,86 +10,24 @@ The paper asks for exactly these, which deployed Grid3 lacked:
   the submit (VO) side."
 * "tools for analyzing and querying log files."
 
-:class:`JobLinkIndex` provides the submit-side ↔ execution-side ID join;
-:class:`TroubleshootingAPI` answers the per-job timeline, error
-aggregation, and gatekeeper/GridFTP accounting queries directly from the
+:class:`TroubleshootingAPI` answers the trace-backed job queries (the
+submit-side ↔ execution-side join is ``trace_for_job``), error
+aggregation, and gatekeeper/GridFTP/storage accounting directly from the
 live services — no log parsing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.job import Job
-from ..scheduling.condorg import CondorG, GridJobHandle
 from ..services import AvailabilityRow, availability_rows, grid_services
-from ..sim.units import HOUR
 from .results import (
-    DataSummary,
     GramAccounting,
     GridFTPAccounting,
     SlowJobRow,
     StorageAccounting,
 )
-
-
-@dataclass(frozen=True)
-class JobLink:
-    """One submit-side handle joined to its execution-side attempts."""
-
-    submit_id: int                  # client-side (Condor-G handle) id
-    vo: str
-    spec_name: str
-    execution_job_ids: Tuple[int, ...]   # GRAM/LRM job ids, per attempt
-    sites_tried: Tuple[str, ...]
-    final_state: str
-
-
-class JobLinkIndex:
-    """The §8 submit-side ↔ execution-side job-ID join.
-
-    Register Condor-G handles as campaigns run; query in either
-    direction afterwards.
-    """
-
-    def __init__(self) -> None:
-        self._by_submit: Dict[int, JobLink] = {}
-        self._by_execution: Dict[int, int] = {}
-        self._counter = 0
-
-    def register(self, handle: GridJobHandle) -> JobLink:
-        """Index one finished (or in-flight) handle."""
-        self._counter += 1
-        exec_ids = tuple(
-            [handle.job.job_id] if handle.job is not None else []
-        )
-        link = JobLink(
-            submit_id=self._counter,
-            vo=handle.spec.vo,
-            spec_name=handle.spec.name,
-            execution_job_ids=exec_ids,
-            sites_tried=tuple(handle.sites_tried),
-            final_state=handle.job.state.value if handle.job else "pending",
-        )
-        self._by_submit[link.submit_id] = link
-        for exec_id in exec_ids:
-            self._by_execution[exec_id] = link.submit_id
-        return link
-
-    def submit_side(self, execution_job_id: int) -> Optional[JobLink]:
-        """Execution-side id -> the submit-side link (§8's missing join)."""
-        submit_id = self._by_execution.get(execution_job_id)
-        return self._by_submit.get(submit_id) if submit_id is not None else None
-
-    def execution_side(self, submit_id: int) -> Tuple[int, ...]:
-        """Submit-side id -> execution-side job ids."""
-        link = self._by_submit.get(submit_id)
-        return link.execution_job_ids if link else ()
-
-    def __len__(self) -> int:
-        return len(self._by_submit)
 
 
 class TroubleshootingAPI:
@@ -107,26 +45,9 @@ class TroubleshootingAPI:
         #: phase_breakdown, trace_for_job) answer from it.
         self.trace = trace
         #: Optional FairShareLedger / PolicyEngine: the fair-share and
-        #: policy-rejection queries answer from them.
+        #: share-cap queries answer from them.
         self.fairshare = fairshare
         self.policy = policy
-
-    # -- per-job ------------------------------------------------------------
-    def job_timeline(self, job_id: int) -> List[Tuple[float, str]]:
-        """(time, event) pairs for one execution-side job: queue entry,
-        start, completion — joined from the ACDC record."""
-        for record in self.acdc_db.records():
-            if record.job_id == job_id:
-                timeline = [(record.submitted_at, "submitted")]
-                if record.started_at >= 0:
-                    timeline.append((record.started_at, "started"))
-                outcome = (
-                    "completed" if record.succeeded
-                    else f"failed: {record.failure_type}"
-                )
-                timeline.append((record.finished_at, outcome))
-                return timeline
-        return []
 
     # -- trace-backed queries (the tracing pipeline's ops surface) ------------
     def trace_for_job(self, job_id: int):
@@ -227,13 +148,6 @@ class TroubleshootingAPI:
             write_failures=storage.write_failures,
         )
 
-    def data_summary(self) -> Optional[DataSummary]:
-        """Grid-wide data-management counters (evictions, replications,
-        managed-transfer outcomes).  None when the subsystem is off."""
-        if self.data is None:
-            return None
-        return DataSummary(counters=tuple(sorted(self.data.counters().items())))
-
     # -- fair-share / policy queries ------------------------------------------
     def fairshare_report(self) -> List:
         """Per-VO fair-share rows
@@ -242,14 +156,6 @@ class TroubleshootingAPI:
         if self.fairshare is None:
             return []
         return self.fairshare.report(self._engine_now())
-
-    def policy_rejects(self) -> List:
-        """Policy-rejection rows
-        (:class:`~repro.scheduling.policy.PolicyRejectRow`); empty when
-        fair-share scheduling is off."""
-        if self.policy is None:
-            return []
-        return self.policy.reject_rows()
 
     def share_caps(self) -> List:
         """Peak-vs-cap rows per (site, VO) share slot
@@ -267,18 +173,6 @@ class TroubleshootingAPI:
                 return engine.now
         return 0.0
 
-    def pressure_sites(self, threshold: float = 0.85) -> List[Tuple[str, float]]:
-        """Sites whose SE occupancy exceeds ``threshold``, worst first —
-        the proactive version of waiting for StorageFullError tickets."""
-        rows = [
-            (name, site.storage.utilisation)
-            for name, site in sorted(self.sites.items())
-            if getattr(site, "storage", None) is not None
-            and site.storage.utilisation >= threshold
-        ]
-        rows.sort(key=lambda pair: (-pair[1], pair[0]))
-        return rows
-
     # -- service health (downtime-ledger queries) ---------------------------
     def service_health(self, site_name: str) -> Dict[str, Dict]:
         """Lifecycle snapshot for every GridService at one site:
@@ -289,20 +183,6 @@ class TroubleshootingAPI:
             role: service.health()
             for role, service in grid_services(site).items()
         }
-
-    def service_availability(
-        self,
-        site_name: str,
-        role: str,
-        since: float = 0.0,
-        until: Optional[float] = None,
-    ) -> float:
-        """Availability fraction for one service over a window, straight
-        from its downtime ledger (1.0 for roles a site doesn't run)."""
-        service = grid_services(self.sites[site_name]).get(role)
-        if service is None:
-            return 1.0
-        return service.availability(since=since, until=until)
 
     def availability_report(
         self,
@@ -337,15 +217,3 @@ class TroubleshootingAPI:
         ]
         ranked.sort(key=lambda pair: -pair[1])
         return ranked
-
-    def stuck_jobs(self, now: float, max_queue_age: float = 24 * HOUR) -> List[Job]:
-        """Jobs sitting in some LRM queue longer than ``max_queue_age``."""
-        stuck = []
-        for site in self.sites.values():
-            lrm = site.services.get("lrm")
-            if lrm is None:
-                continue
-            for job in lrm.queued_jobs():
-                if job.submitted_at >= 0 and now - job.submitted_at > max_queue_age:
-                    stuck.append(job)
-        return stuck

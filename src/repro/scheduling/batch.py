@@ -22,7 +22,7 @@ from ..errors import (
     SubmissionError,
     WalltimeExceededError,
 )
-from ..sim.engine import AnyOf, Engine, Interrupt, Process
+from ..sim.engine import AnyOf, Engine, Interrupt
 
 
 def default_runner(engine: Engine, job: Job, node) -> "generator":
@@ -76,10 +76,6 @@ class BatchScheduler:
     def running_jobs(self) -> List[Job]:
         """Snapshot of running jobs."""
         return [entry[0] for entry in self._running.values()]
-
-    def queued_jobs(self) -> List[Job]:
-        """Snapshot of queued jobs in arrival order."""
-        return list(self._queue)
 
     # -- submission ----------------------------------------------------------
     def submit(self, job: Job) -> Job:

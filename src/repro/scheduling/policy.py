@@ -220,9 +220,6 @@ class PolicyEngine:
         self.rejections = 0
 
     # -- admission ------------------------------------------------------
-    def policy_for(self, site_name: str) -> Optional[UsagePolicy]:
-        return self.policies.get(site_name)
-
     def admits(self, site_name: str, vo: str, walltime_request: float) -> bool:
         """Policy check at match time; rejections are counted and
         published (``sched.policy.rejects``), never submitted."""

@@ -1,7 +1,7 @@
 """Bounded structured service logs with stable cursors.
 
 Grid3 services kept logs that monitoring agents tailed (the MonALISA
-GRAM-log sensor, NetLogger's per-server event stream).  The seed code
+GRAM-log sensor).  The seed code
 hand-capped plain lists in each service (``if len(log) > N: del
 log[:N//2]``), which silently breaks any consumer holding a list index
 across an eviction.  :class:`ServiceLog` centralises the ring-buffer

@@ -2,10 +2,10 @@
 per-site, per-role availability report.
 
 The Site Status Catalog (§5.2) and the iGOC operations loop both need
-one answer to "is this service up?" — :func:`service_is_up` gives it
-uniformly through the :meth:`~repro.services.base.GridService.health`
-snapshot (falling back to duck-typing for the rare non-migrated
-object).  :func:`availability_rows` turns the downtime ledgers into the
+one answer to "is this service up?" — :func:`service_is_up` reads it
+from the ``available`` flag of any
+:class:`~repro.services.base.GridService` or stand-in.
+:func:`availability_rows` turns the downtime ledgers into the
 per-site, per-role availability table the paper's operations sections
 describe but deployed Grid3 could only sample with probes.
 """
@@ -20,15 +20,13 @@ from .base import GridService
 
 
 def service_is_up(service) -> bool:
-    """Whether a service answers requests, via its health() snapshot.
+    """Whether a service answers requests: its ``available`` flag.
 
-    Non-GridService objects (legacy stubs, plain test doubles) fall back
-    to their ``available`` flag, defaulting to up — the same defaulted
-    read for every role, so no probe path can AttributeError.
+    This is the ``available`` key of
+    :meth:`~repro.services.base.GridService.health` without building
+    the rest of the snapshot.  Objects without the flag (plain test
+    doubles) count as up, so no probe path can AttributeError.
     """
-    health = getattr(service, "health", None)
-    if callable(health):
-        return bool(health()["available"])
     return bool(getattr(service, "available", True))
 
 

@@ -3,12 +3,11 @@
 Everything in :mod:`repro` runs on this kernel: a deterministic event
 calendar (:class:`~repro.sim.engine.Engine`, an urgent FIFO plus one
 ``(time, seq)`` heap), generator-based processes, shared resources,
-item stores, named RNG streams, and calendar helpers.
+named RNG streams, and calendar helpers.
 """
 
 from .calendar import GRID3_EPOCH, SC2003_START, SimCalendar
 from .engine import (
-    AllOf,
     AnyOf,
     Engine,
     Event,
@@ -17,9 +16,8 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, ContainerError, Request, Resource
+from .resources import Request, Resource
 from .rng import RngRegistry
-from .store import PriorityStore, Store
 from .units import (
     BPS,
     DAY,
@@ -42,15 +40,11 @@ from .units import (
 )
 
 __all__ = [
-    "AllOf",
     "AnyOf",
-    "Container",
-    "ContainerError",
     "Engine",
     "Event",
     "GRID3_EPOCH",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Request",
     "Resource",
@@ -58,7 +52,6 @@ __all__ = [
     "SC2003_START",
     "SimCalendar",
     "SimulationError",
-    "Store",
     "Timeout",
     "BPS",
     "DAY",

@@ -10,7 +10,7 @@ design mirrors the well-known process-interaction style:
   yields must be an :class:`Event`, and the process resumes when that
   event fires (receiving the event's value, or having the event's
   exception thrown into it).
-* :class:`AllOf` / :class:`AnyOf` compose events.
+* :class:`AnyOf` waits on the first of several events.
 
 Pending work lives in two structures:
 
@@ -123,14 +123,6 @@ class Event:
         engine = self.engine
         engine._urgent.append((engine._now, self))
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome onto this one (callback form)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
 
     # -- internals ----------------------------------------------------------
     def _process(self) -> None:
@@ -293,15 +285,15 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
-class ConditionEvent(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
+class AnyOf(Event):
+    """Fires when the *first* component event triggers (success or failure
+    mirrored).  With no components it fires at once with value ``{}``."""
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
         super().__init__(engine)
         self.events = list(events)
-        self._count = 0
         for ev in self.events:
             if ev.engine is not engine:
                 raise ValueError("cannot mix events from different engines")
@@ -315,38 +307,6 @@ class ConditionEvent(Event):
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Fires when *all* component events succeed (value: dict event→value).
-
-    Fails as soon as any component fails, with that component's exception.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed({ev: ev._value for ev in self.events})
-
-
-class AnyOf(ConditionEvent):
-    """Fires when the *first* component event triggers (success or failure
-    mirrored)."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -409,14 +369,6 @@ class Engine:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when all of ``events`` succeed."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first of ``events`` triggers."""
-        return AnyOf(self, events)
 
     # -- execution --------------------------------------------------------------
     def step(self) -> bool:

@@ -1,15 +1,14 @@
 """Shared-resource primitives built on the event kernel.
 
 :class:`Resource` models a fixed number of identical slots (CPUs in a
-cluster, GridFTP server connections, gatekeeper jobmanager slots).
-:class:`Container` models a continuous quantity (disk space on a storage
-element).  Both hand out events that processes ``yield`` on.
+cluster, GridFTP server connections, gatekeeper jobmanager slots).  It
+hands out :class:`Request` events that processes ``yield`` on.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional
+from typing import List
 
 from .engine import Engine, Event
 
@@ -109,79 +108,3 @@ class Resource:
                 continue
             self._in_use += 1
             request.succeed(self)
-
-
-class ContainerError(RuntimeError):
-    """Raised on invalid container operations (overdraw, overfill)."""
-
-
-class Container:
-    """A continuous quantity with bounded capacity (e.g. disk space).
-
-    ``try_put``/``try_get`` are non-blocking and return success — the
-    Grid3 failure model wants disk-full to be an observable *error*, not
-    an invisible wait.  Blocking ``get`` (wait until enough available) is
-    provided for consumers that legitimately wait, with FIFO service.
-    """
-
-    def __init__(self, engine: Engine, capacity: float, initial: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise ValueError("initial level out of range")
-        self.engine = engine
-        self.capacity = float(capacity)
-        self._level = float(initial)
-        self._getters: List = []  # FIFO of (amount, Event)
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    @property
-    def free(self) -> float:
-        """Remaining capacity."""
-        return self.capacity - self._level
-
-    def try_put(self, amount: float) -> bool:
-        """Add ``amount`` if it fits; False (and no change) otherwise."""
-        if amount < 0:
-            raise ContainerError(f"negative put {amount}")
-        if self._level + amount > self.capacity + 1e-9:
-            return False
-        self._level = min(self.capacity, self._level + amount)
-        self._serve_getters()
-        return True
-
-    def put(self, amount: float) -> None:
-        """Add ``amount``; raises :class:`ContainerError` if it overflows."""
-        if not self.try_put(amount):
-            raise ContainerError(
-                f"container overflow: level={self._level} + {amount} > {self.capacity}"
-            )
-
-    def try_get(self, amount: float) -> bool:
-        """Remove ``amount`` if present; False (and no change) otherwise."""
-        if amount < 0:
-            raise ContainerError(f"negative get {amount}")
-        if amount > self._level + 1e-9:
-            return False
-        self._level = max(0.0, self._level - amount)
-        return True
-
-    def get(self, amount: float) -> Event:
-        """Event that fires once ``amount`` has been removed (FIFO)."""
-        event = Event(self.engine)
-        self._getters.append((amount, event))
-        self._serve_getters()
-        return event
-
-    def _serve_getters(self) -> None:
-        while self._getters:
-            amount, event = self._getters[0]
-            if amount > self._level + 1e-9:
-                break
-            self._getters.pop(0)
-            self._level -= amount
-            event.succeed(amount)

@@ -1,9 +1,9 @@
 """Distributed tracing for the Grid3 repro: spans, critical paths,
 exports.
 
-The paper's operations sections (§4.7, §5) reconstruct job paths by
-correlating NetLogger GridFTP lifelines with MonALISA service metrics
-by hand; this package gives the repro the cross-layer view directly — a
+The paper's operators (§4.7, §5) reconstructed job paths by hand,
+correlating GridFTP transfer logs with MonALISA service metrics; this
+package gives the repro the cross-layer view directly — a
 span tree per grid job threading submission → gatekeeper → queue →
 stage-in → compute → stage-out → registration, a critical-path
 analyzer over the tree, and Chrome-trace/JSONL exporters.

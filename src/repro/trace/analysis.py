@@ -46,7 +46,7 @@ def job_breakdown(root: Span) -> Dict[str, float]:
       phase spans inside the final attempt (register folds into
       stage-out);
     * ``other``    = the residual (matchmaking, GRAM handshakes,
-      inter-phase glue) so the identity is exact.
+      gaps between phases) so the identity is exact.
 
     Works on still-open traces too (open spans are clipped at the last
     closed instant seen in the tree), but the invariant is only

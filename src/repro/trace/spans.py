@@ -321,8 +321,8 @@ class JobTracer:
     ) -> Span:
         """Retrospectively file a span with explicit times.
 
-        For importing externally reconstructed timelines (NetLogger
-        lifelines, hand-built test fixtures) into a trace tree.  A
+        For filing a timeline reconstructed elsewhere (a hand-built
+        fixture, a transfer rebuilt from logs) into a trace tree.  A
         ``parent`` of None opens a new trace rooted at this span.
         """
         if parent is None:

@@ -1,4 +1,4 @@
-"""Tests for the time-series utilities and the CSV export round-trip."""
+"""Tests for the CSV export round-trip."""
 
 import io
 
@@ -14,102 +14,8 @@ from repro.analysis.export import (
     record_to_row,
     row_to_record,
 )
-from repro.analysis.series import (
-    bin_events,
-    cumulative,
-    interval_occupancy,
-    moving_average,
-    percentile_summary,
-    rate_per_day,
-)
 from repro.monitoring.acdc import ACDCDatabase, JobRecord
-from repro.sim import DAY, HOUR
 
-
-# --- series -----------------------------------------------------------------
-
-def test_bin_events_counts():
-    series = bin_events([0.5, 1.5, 1.7, 9.0], t0=0.0, t1=10.0, bin_width=1.0)
-    assert len(series) == 10
-    values = dict(series)
-    assert values[0.0] == 1 and values[1.0] == 2 and values[9.0] == 1
-    assert values[5.0] == 0
-
-
-def test_bin_events_weights_and_validation():
-    series = bin_events([0.5, 0.6], 0.0, 1.0, 1.0, weights=[2.0, 3.0])
-    assert series == [(0.0, 5.0)]
-    with pytest.raises(ValueError):
-        bin_events([], 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        bin_events([], 1.0, 1.0, 1.0)
-
-
-def test_interval_occupancy_basic():
-    # One interval covering [0, 2) fully and half of [2, 4).
-    series = interval_occupancy([(0.0, 3.0)], 0.0, 4.0, 2.0)
-    assert series == [(0.0, 1.0), (2.0, 0.5)]
-
-
-def test_interval_occupancy_overlap_counts():
-    series = interval_occupancy([(0.0, 2.0), (0.0, 2.0), (1.0, 2.0)], 0.0, 2.0, 2.0)
-    assert series[0][1] == pytest.approx(2.5)  # 2 + 2 + 1 seconds over 2
-
-
-def test_interval_occupancy_clips_window():
-    series = interval_occupancy([(-10.0, 100.0)], 0.0, 4.0, 2.0)
-    assert [v for _t, v in series] == [1.0, 1.0]
-
-
-def test_cumulative():
-    assert cumulative([(0, 1.0), (1, 2.0), (2, 3.0)]) == [
-        (0, 1.0), (1, 3.0), (2, 6.0)
-    ]
-
-
-def test_moving_average():
-    series = [(0, 0.0), (1, 2.0), (2, 4.0)]
-    out = moving_average(series, window=2)
-    assert out == [(0, 0.0), (1, 1.0), (2, 3.0)]
-    with pytest.raises(ValueError):
-        moving_average(series, 0)
-
-
-def test_percentile_summary():
-    summary = percentile_summary(list(range(101)))
-    assert summary["min"] == 0 and summary["max"] == 100
-    assert summary["p50"] == 50
-    assert summary["p99"] == 99
-    assert percentile_summary([]) == {}
-
-
-def test_rate_per_day():
-    series = [(0.0, 10.0), (DAY, 20.0)]
-    assert rate_per_day(series) == pytest.approx(30.0)
-    assert rate_per_day([]) == 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    intervals=st.lists(
-        st.tuples(st.floats(0, 100), st.floats(0, 100)).map(
-            lambda ab: (min(ab), max(ab))
-        ),
-        max_size=20,
-    )
-)
-def test_property_occupancy_conserves_time(intervals):
-    """Property: total occupancy time equals total in-window interval
-    length."""
-    series = interval_occupancy(intervals, 0.0, 100.0, 10.0)
-    total_from_bins = sum(v for _t, v in series) * 10.0
-    total_direct = sum(
-        max(0.0, min(100.0, e) - max(0.0, s)) for s, e in intervals
-    )
-    assert total_from_bins == pytest.approx(total_direct, abs=1e-6)
-
-
-# --- export ------------------------------------------------------------------
 
 def sample_record(i=1, ok=True):
     return JobRecord(

@@ -7,12 +7,11 @@ from repro.errors import (
     ServiceUnavailableError,
     StorageFullError,
 )
-from repro.middleware.gridftp import GridFTPServer, attach_gridftp, transfer
+from repro.middleware.gridftp import attach_gridftp, transfer
 from repro.middleware.rls import LocalReplicaCatalog, ReplicaLocationIndex
-from repro.sim import Engine, GB, TB
+from repro.sim import GB
 
 from ..conftest import make_site
-from repro.fabric import Network
 
 
 def run_transfer(eng, *args, **kwargs):
@@ -38,13 +37,6 @@ def test_transfer_negative_size_rejected(eng, two_sites):
         run_transfer(eng, a, b, "/x", -5.0)
 
 
-def test_transfer_netlogger_events(eng, two_sites):
-    a, b = two_sites
-    run_transfer(eng, a, b, "/lfn/data", 1 * GB)
-    events = [e.event for e in a.service("gridftp").netlogger]
-    assert events == ["transfer.start", "transfer.end"]
-
-
 def test_transfer_registers_in_rls(eng, two_sites):
     a, b = two_sites
     rls = ReplicaLocationIndex(eng)
@@ -61,7 +53,6 @@ def test_transfer_to_full_disk_fails(eng, net):
         run_transfer(eng, a, b, "/big", 2 * GB)
     gftp = a.service("gridftp")
     assert gftp.transfers_failed == 1
-    assert any(e.event == "transfer.error" for e in gftp.netlogger)
     # Connection slots were released despite the failure.
     assert gftp.connections.in_use == 0
     assert b.service("gridftp").connections.in_use == 0
@@ -163,12 +154,3 @@ def test_transfer_without_storage_write(eng, two_sites):
     run_transfer(eng, a, b, "/stream", 1 * GB, write_to_storage=False)
     assert "/stream" not in b.storage
     assert b.service("gridftp").bytes_received == 1 * GB
-
-
-def test_netlogger_ring_buffer_bounded(eng, two_sites):
-    a, _b = two_sites
-    server: GridFTPServer = a.service("gridftp")
-    server.NETLOG_LIMIT = 10
-    for i in range(25):
-        server.log("transfer.start", f"/f{i}", 1.0)
-    assert len(server.netlogger) <= 11

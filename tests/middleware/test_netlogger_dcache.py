@@ -1,113 +1,10 @@
-"""Tests for NetLogger analysis and the dCache pool manager."""
+"""Tests for the dCache pool manager."""
 
 import pytest
 
 from repro.errors import ReplicaNotFoundError, StorageFullError
 from repro.middleware.dcache import DCachePoolManager
-from repro.middleware.gridftp import NetLoggerEvent
-from repro.middleware.netlogger import (
-    analyse_server,
-    compute_statistics,
-    find_anomalies,
-    grid_archive,
-    reconstruct_lifelines,
-)
-from repro.middleware import transfer
 from repro.sim import Engine, GB
-
-from ..conftest import make_site
-
-
-# --- NetLogger ---------------------------------------------------------------
-
-def ev(time, event, lfn="/f", size=100.0, detail=""):
-    return NetLoggerEvent(time, event, "host", lfn, size, detail)
-
-
-def test_lifeline_reconstruction_pairs_start_end():
-    events = [
-        ev(0.0, "transfer.start"),
-        ev(10.0, "transfer.end"),
-    ]
-    lifelines = reconstruct_lifelines(events)
-    assert len(lifelines) == 1
-    life = lifelines[0]
-    assert life.outcome == "ok"
-    assert life.duration == 10.0
-    assert life.throughput == pytest.approx(10.0)
-
-
-def test_lifeline_error_and_inflight():
-    events = [
-        ev(0.0, "transfer.start", "/a"),
-        ev(5.0, "transfer.error", "/a", detail="disk full"),
-        ev(7.0, "transfer.start", "/b"),
-    ]
-    lifelines = reconstruct_lifelines(events)
-    by_lfn = {l.lfn: l for l in lifelines}
-    assert by_lfn["/a"].outcome == "error"
-    assert by_lfn["/a"].error_detail == "disk full"
-    assert by_lfn["/b"].outcome == "in-flight"
-    assert by_lfn["/b"].duration == -1.0
-    assert by_lfn["/b"].throughput == 0.0
-
-
-def test_lifeline_retransfer_fifo_pairing():
-    events = [
-        ev(0.0, "transfer.start", "/a"),
-        ev(1.0, "transfer.start", "/a"),
-        ev(5.0, "transfer.error", "/a"),
-        ev(9.0, "transfer.end", "/a"),
-    ]
-    lifelines = reconstruct_lifelines(events)
-    assert [l.outcome for l in lifelines] == ["error", "ok"]
-    assert lifelines[0].started_at == 0.0  # FIFO pairing
-
-
-def test_orphan_end_ignored():
-    assert reconstruct_lifelines([ev(1.0, "transfer.end")]) == []
-
-
-def test_statistics_and_reliability():
-    events = []
-    for i in range(4):
-        events.append(ev(i * 10.0, "transfer.start", f"/f{i}", size=1000.0))
-        kind = "transfer.end" if i < 3 else "transfer.error"
-        events.append(ev(i * 10.0 + 5.0, kind, f"/f{i}", size=1000.0))
-    stats = compute_statistics(reconstruct_lifelines(events))
-    assert stats.transfers == 4
-    assert stats.ok == 3 and stats.errors == 1
-    assert stats.reliability == pytest.approx(0.75)
-    assert stats.bytes_moved == 3000.0
-    assert stats.mean_throughput == pytest.approx(200.0)
-
-
-def test_analyse_real_server(eng, two_sites):
-    a, b = two_sites
-    eng.run_process(transfer(eng, a, b, "/data", 1 * GB))
-    stats = analyse_server(a.service("gridftp"))
-    assert stats.ok == 1 and stats.errors == 0
-    assert stats.mean_throughput > 0
-    archive = grid_archive([a.service("gridftp"), b.service("gridftp")])
-    assert set(archive) == {"SiteA", "SiteB"}
-
-
-def test_find_anomalies():
-    events = [
-        ev(0.0, "transfer.start", "/fast", 1000.0),
-        ev(1.0, "transfer.end", "/fast", 1000.0),      # 1000 B/s
-        ev(0.0, "transfer.start", "/slow", 1000.0),
-        ev(100.0, "transfer.end", "/slow", 1000.0),    # 10 B/s
-        ev(0.0, "transfer.start", "/dead", 1000.0),
-        ev(2.0, "transfer.error", "/dead", 1000.0),
-        ev(0.0, "transfer.start", "/stuck", 1000.0),   # never ends
-    ]
-    flagged = find_anomalies(reconstruct_lifelines(events), now=7200.0)
-    kinds = {lfn: kind for kind, l in flagged for lfn in [l.lfn]}
-    assert kinds["/dead"] == "error"
-    assert kinds["/stuck"] == "stalled"
-    assert kinds["/slow"] == "slow"
-    assert "/fast" not in kinds
 
 
 # --- dCache -------------------------------------------------------------------
@@ -177,26 +74,6 @@ def test_pool_failure_isolation():
     assert "/b" not in dc
     dc.restore_pool(victim)
     assert "/b" in dc
-
-
-def test_drain_pool_migrates_files():
-    dc = make_dcache()
-    dc.store("/a", 1 * GB)
-    victim = next(p for p in dc.pools if "/a" in p.storage)
-    migrated = dc.drain_pool(victim)
-    assert migrated == 1
-    assert not victim.online
-    assert "/a" in dc  # survived the drain elsewhere
-    assert "/a" not in victim.storage
-
-
-def test_drain_pool_nowhere_to_go():
-    dc = make_dcache(pools=2, capacity=5 * GB)
-    dc.store("/a", 4 * GB)
-    dc.store("/b", 4 * GB)
-    victim = dc.pools[0]
-    with pytest.raises(StorageFullError):
-        dc.drain_pool(victim)
 
 
 def test_free_excludes_offline_pools():

@@ -5,7 +5,6 @@ import pytest
 from repro.monitoring.acdc import ACDCDatabase, JobRecord
 from repro.ops import (
     IGOC,
-    AcceptableUsePolicy,
     MilestonesTracker,
     OperationsTeam,
     PAPER_TARGETS,
@@ -14,7 +13,7 @@ from repro.ops import (
     audit_policy,
     policy_for_site,
 )
-from repro.sim import DAY, GB, HOUR, RngRegistry, TB
+from repro.sim import DAY, GB, HOUR
 
 from ..conftest import make_site, wire_site
 
@@ -131,13 +130,6 @@ def test_igoc_service_registry(eng):
 
 
 # --- policy ---------------------------------------------------------------
-
-def test_aup_acceptance():
-    aup = AcceptableUsePolicy()
-    aup2 = aup.accept("usatlas").accept("uscms").accept("usatlas")
-    assert aup2.is_accepted("usatlas") and aup2.is_accepted("uscms")
-    assert not aup.is_accepted("usatlas")  # original untouched
-
 
 def test_site_policy_admits(eng, net):
     site = make_site(eng, net, "SiteA", max_walltime=24 * HOUR)

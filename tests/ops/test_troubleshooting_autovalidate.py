@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.core.job import Job, JobSpec
+from repro.core.job import JobSpec
 from repro.middleware.mds import GRIS
 from repro.ops.autovalidate import AutoValidator
-from repro.ops.troubleshooting import JobLinkIndex, TroubleshootingAPI
+from repro.ops.troubleshooting import TroubleshootingAPI
 from repro.monitoring.acdc import ACDCDatabase, JobRecord
-from repro.scheduling.condorg import GridJobHandle
-from repro.sim import DAY, HOUR, MINUTE
+from repro.sim import HOUR, MINUTE
 
 from ..conftest import make_grid_fragment, make_site, wire_site
 
@@ -16,31 +15,6 @@ from ..conftest import make_grid_fragment, make_site, wire_site
 def spec(name="j", runtime=HOUR):
     return JobSpec(name=name, vo="usatlas", user="alice", runtime=runtime,
                    walltime_request=4 * HOUR)
-
-
-# --- JobLinkIndex ----------------------------------------------------------
-
-def test_job_link_roundtrip(eng, net, ca):
-    """§8: 'link a job ID on the execution side with a job ID at the
-    submit (VO) side'."""
-    from repro.scheduling.condorg import CondorG
-    sites, _giis, proxy = make_grid_fragment(eng, net, ca)
-    cg = CondorG(eng, "submit", sites, proxy_provider=lambda u: proxy)
-    handle = cg.submit(spec(), "Frag0")
-    eng.run()
-    index = JobLinkIndex()
-    link = index.register(handle)
-    assert len(index) == 1
-    exec_id = handle.job.job_id
-    # Execution-side -> submit-side.
-    back = index.submit_side(exec_id)
-    assert back is not None and back.submit_id == link.submit_id
-    assert back.sites_tried == ("Frag0",)
-    assert back.final_state == "done"
-    # Submit-side -> execution-side.
-    assert index.execution_side(link.submit_id) == (exec_id,)
-    assert index.submit_side(999999) is None
-    assert index.execution_side(999999) == ()
 
 
 # --- TroubleshootingAPI --------------------------------------------------------
@@ -57,16 +31,6 @@ def api_with_run(eng, net, ca):
         for job in site.service("lrm").completed:
             db.add(JobRecord.from_job(job))
     return TroubleshootingAPI(sites, db), handles, sites
-
-
-def test_job_timeline(api_with_run):
-    api, handles, _sites = api_with_run
-    timeline = api.job_timeline(handles[0].job.job_id)
-    events = [e for _t, e in timeline]
-    assert events == ["submitted", "started", "completed"]
-    times = [t for t, _e in timeline]
-    assert times == sorted(times)
-    assert api.job_timeline(10**9) == []
 
 
 def test_gram_accounting_no_log_parsing(api_with_run):
@@ -104,23 +68,6 @@ def test_error_summary_and_worst_sites():
     worst = api.worst_sites(min_jobs=3)
     assert worst[0][0] == "BadSite"
     assert worst[0][1] > worst[-1][1]
-
-
-def test_stuck_jobs(eng, net):
-    site = make_site(eng, net, "SiteA", cpus=1, max_walltime=300 * HOUR)
-    wire_site(eng, site, [])
-    lrm = site.service("lrm")
-    lrm.submit(Job(spec=JobSpec(
-        name="running", vo="usatlas", user="alice",
-        runtime=100 * HOUR, walltime_request=200 * HOUR,
-    )))
-    stuck_job = Job(spec=spec(name="stuck"))
-    lrm.submit(stuck_job)
-    eng.run(until=30 * HOUR)
-    api = TroubleshootingAPI({"SiteA": site}, ACDCDatabase())
-    stuck = api.stuck_jobs(now=eng.now, max_queue_age=24 * HOUR)
-    assert stuck == [stuck_job]
-    assert api.stuck_jobs(now=eng.now, max_queue_age=100 * HOUR) == []
 
 
 # --- AutoValidator ----------------------------------------------------------------

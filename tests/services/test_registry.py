@@ -20,6 +20,34 @@ def test_service_is_up_for_grid_services(eng, net):
     assert not service_is_up(gatekeeper)
 
 
+def test_service_is_up_matches_health_snapshot(eng, net):
+    """Differential: the flag read agrees with the full ``health()``
+    snapshot for every role, through UP, DEGRADED, DOWN and back."""
+    site = wire_site(eng, make_site(eng, net, "SiteA"))
+    services = grid_services(site)
+    assert services
+
+    def agree(expected_up):
+        for role, service in services.items():
+            assert service_is_up(service) is service.health()["available"], role
+            assert service_is_up(service) is expected_up, role
+
+    transitions = [
+        (lambda s: None, True),
+        (lambda s: s.degrade("slow disk"), True),
+        (lambda s: s.fail("crashed"), False),
+        (lambda s: s.degrade("ignored while down"), False),
+        (lambda s: s.restore(), True),
+        (lambda s: setattr(s, "available", False), False),
+        (lambda s: setattr(s, "available", True), True),
+    ]
+    for step, (transition, expected_up) in enumerate(transitions):
+        eng.run(until=10.0 * (step + 1))
+        for service in services.values():
+            transition(service)
+        agree(expected_up)
+
+
 def test_service_is_up_duck_types_legacy_objects():
     class Legacy:
         available = False

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Engine,
-    Event,
     Interrupt,
     SimulationError,
 )
@@ -296,27 +294,12 @@ def test_interrupted_process_can_resume_waiting():
     assert log == [("resume", 4.0), ("done", 10.0)]
 
 
-def test_all_of_collects_values():
-    eng = Engine()
-    result = []
-
-    def proc():
-        t1 = eng.timeout(1.0, value="a")
-        t2 = eng.timeout(3.0, value="b")
-        values = yield AllOf(eng, [t1, t2])
-        result.append((eng.now, sorted(values.values())))
-
-    eng.process(proc())
-    eng.run()
-    assert result == [(3.0, ["a", "b"])]
-
-
-def test_all_of_empty_fires_immediately():
+def test_any_of_empty_fires_immediately():
     eng = Engine()
     hit = []
 
     def proc():
-        yield AllOf(eng, [])
+        yield AnyOf(eng, [])
         hit.append(eng.now)
 
     eng.process(proc())
@@ -324,7 +307,7 @@ def test_all_of_empty_fires_immediately():
     assert hit == [0.0]
 
 
-def test_all_of_fails_fast_on_component_failure():
+def test_any_of_mirrors_component_failure():
     eng = Engine()
     caught = []
 
@@ -334,7 +317,7 @@ def test_all_of_fails_fast_on_component_failure():
 
     def proc():
         try:
-            yield AllOf(eng, [eng.process(failer()), eng.timeout(50.0)])
+            yield AnyOf(eng, [eng.process(failer()), eng.timeout(50.0)])
         except IOError as exc:
             caught.append((eng.now, str(exc)))
 
@@ -361,7 +344,7 @@ def test_any_of_returns_first():
 def test_condition_rejects_foreign_events():
     eng1, eng2 = Engine(), Engine()
     with pytest.raises(ValueError):
-        AllOf(eng1, [eng2.event()])
+        AnyOf(eng1, [eng2.event()])
 
 
 def test_peek_reports_next_event_time():

@@ -1,41 +1,23 @@
 """Deeper kernel tests: nested condition events, interrupt races,
 resource+condition interactions."""
 
-import pytest
-
-from repro.sim import AllOf, AnyOf, Engine, Event, Interrupt, Resource
+from repro.sim import AnyOf, Engine, Interrupt, Resource
 
 
-def test_allof_of_anyofs():
-    """Barrier over races: AllOf of AnyOf pairs fires when each pair has
-    a winner."""
+def test_anyof_of_anyofs():
+    """A race of races fires at the earliest component anywhere."""
     eng = Engine()
     hit = []
 
     def proc():
-        race1 = AnyOf(eng, [eng.timeout(5.0, "a"), eng.timeout(9.0, "b")])
-        race2 = AnyOf(eng, [eng.timeout(7.0, "c"), eng.timeout(3.0, "d")])
-        yield AllOf(eng, [race1, race2])
-        hit.append(eng.now)
+        slow_pair = AnyOf(eng, [eng.timeout(10.0), eng.timeout(20.0)])
+        fast_pair = AnyOf(eng, [eng.timeout(3.0, "c"), eng.timeout(2.0, "d")])
+        winner = yield AnyOf(eng, [slow_pair, fast_pair])
+        hit.append((eng.now, winner is fast_pair, winner.value.value))
 
     eng.process(proc())
     eng.run()
-    assert hit == [5.0]  # max(min(5,9), min(7,3))
-
-
-def test_anyof_of_allofs():
-    eng = Engine()
-    hit = []
-
-    def proc():
-        slow_pair = AllOf(eng, [eng.timeout(10.0), eng.timeout(20.0)])
-        fast_pair = AllOf(eng, [eng.timeout(1.0), eng.timeout(2.0)])
-        yield AnyOf(eng, [slow_pair, fast_pair])
-        hit.append(eng.now)
-
-    eng.process(proc())
-    eng.run()
-    assert hit == [2.0]
+    assert hit == [(2.0, True, "d")]
 
 
 def test_condition_over_processes_and_timeouts():
@@ -48,10 +30,10 @@ def test_condition_over_processes_and_timeouts():
     def proc():
         p1 = eng.process(worker(4.0, "w1"))
         p2 = eng.process(worker(6.0, "w2"))
-        values = yield AllOf(eng, [p1, p2, eng.timeout(1.0, "t")])
-        return sorted(str(v) for v in values.values())
+        first = yield AnyOf(eng, [p1, p2, eng.timeout(9.0, "t")])
+        return eng.now, first.value
 
-    assert eng.run_process(proc()) == ["t", "w1", "w2"]
+    assert eng.run_process(proc()) == (4.0, "w1")
 
 
 def test_interrupt_during_condition_wait():
@@ -60,7 +42,7 @@ def test_interrupt_during_condition_wait():
 
     def waiter():
         try:
-            yield AllOf(eng, [eng.timeout(100.0), eng.timeout(200.0)])
+            yield AnyOf(eng, [eng.timeout(100.0), eng.timeout(200.0)])
         except Interrupt:
             log.append(("interrupted", eng.now))
 

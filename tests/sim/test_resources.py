@@ -1,10 +1,10 @@
-"""Unit + property tests for Resource and Container."""
+"""Unit + property tests for Resource."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, ContainerError, Engine, Resource
+from repro.sim import Engine, Resource
 
 
 def test_resource_capacity_validation():
@@ -159,101 +159,3 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     eng.run()
     assert peak[0] <= capacity
     assert sorted(completed) == list(range(len(holds)))
-
-
-def test_container_validation():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Container(eng, 0)
-    with pytest.raises(ValueError):
-        Container(eng, 10, initial=20)
-
-
-def test_container_try_put_get():
-    eng = Engine()
-    disk = Container(eng, 100.0)
-    assert disk.try_put(60.0)
-    assert disk.level == 60.0
-    assert not disk.try_put(50.0)  # would overflow: disk-full behaviour
-    assert disk.level == 60.0
-    assert disk.try_get(10.0)
-    assert disk.level == 50.0
-    assert not disk.try_get(60.0)
-    assert disk.level == 50.0
-
-
-def test_container_put_overflow_raises():
-    eng = Engine()
-    disk = Container(eng, 10.0)
-    with pytest.raises(ContainerError):
-        disk.put(11.0)
-
-
-def test_container_negative_amounts_rejected():
-    eng = Engine()
-    disk = Container(eng, 10.0)
-    with pytest.raises(ContainerError):
-        disk.try_put(-1.0)
-    with pytest.raises(ContainerError):
-        disk.try_get(-1.0)
-
-
-def test_container_blocking_get_fifo():
-    eng = Engine()
-    tank = Container(eng, 100.0)
-    got = []
-
-    def consumer(tag, amount):
-        yield tank.get(amount)
-        got.append((tag, eng.now))
-
-    def producer():
-        yield eng.timeout(1.0)
-        tank.put(5.0)
-        yield eng.timeout(1.0)
-        tank.put(10.0)
-
-    eng.process(consumer("first", 5.0))
-    eng.process(consumer("second", 10.0))
-    eng.process(producer())
-    eng.run()
-    assert got == [("first", 1.0), ("second", 2.0)]
-
-
-def test_container_blocking_get_head_of_line():
-    """A large waiting get blocks later small gets (FIFO semantics)."""
-    eng = Engine()
-    tank = Container(eng, 100.0, initial=3.0)
-    got = []
-
-    def consumer(tag, amount):
-        yield tank.get(amount)
-        got.append(tag)
-
-    eng.process(consumer("big", 50.0))
-    eng.process(consumer("small", 1.0))
-    eng.run(until=10.0)
-    assert got == []  # big blocks, small waits behind it
-    tank.put(48.0)  # 3 + 48 = 51: enough for big (50) then small (1)
-    eng.run(until=20.0)
-    assert got == ["big", "small"]
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["put", "get"]), st.floats(min_value=0.0, max_value=30.0)),
-        max_size=60,
-    )
-)
-def test_container_level_always_in_bounds(ops):
-    """Property: level stays within [0, capacity] under any try_ sequence."""
-    eng = Engine()
-    tank = Container(eng, 50.0, initial=25.0)
-    for op, amount in ops:
-        if op == "put":
-            tank.try_put(amount)
-        else:
-            tank.try_get(amount)
-        assert -1e-9 <= tank.level <= tank.capacity + 1e-9
-        assert abs((tank.level + tank.free) - tank.capacity) < 1e-6

@@ -9,6 +9,8 @@ import ast
 import importlib
 import pathlib
 import re
+import tokenize
+from collections import Counter
 
 import pytest
 
@@ -70,6 +72,75 @@ def test_design_module_inventory_resolves():
                 continue
         else:
             pytest.fail(f"DESIGN.md references unknown module {module}")
+
+
+def test_design_layout_lists_existing_modules():
+    """Every ``*.py`` in DESIGN.md's layout block exists, and every
+    module under ``src/repro`` is listed.  A ``dir/`` token at indent 2
+    names a subpackage; deeper-indented lines continue it; a line at
+    column 0 names a repo-root directory."""
+    design = (REPO / "DESIGN.md").read_text()
+    block = design.split("## 4. Repository layout", 1)[1].split("```", 2)[1]
+    src = REPO / "src" / "repro"
+    listed, missing = set(), []
+    directory = src
+    for line in block.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0] == "src/repro/":
+            continue
+        if not line.startswith(" "):
+            directory = REPO / tokens[0]
+            tokens = tokens[1:]
+        elif not line.startswith("   "):
+            directory = src
+            if tokens[0].endswith("/"):
+                directory = src / tokens[0]
+                tokens = tokens[1:]
+        for token in tokens:
+            if token.endswith(".py"):
+                path = directory / token
+                listed.add(path)
+                if not path.exists():
+                    missing.append(str(path.relative_to(REPO)))
+    assert missing == [], f"DESIGN.md layout lists missing files: {missing}"
+    unlisted = sorted(
+        str(path.relative_to(REPO)) for path in src.rglob("*.py")
+        if path.name != "__init__.py" and path not in listed
+    )
+    assert unlisted == [], f"DESIGN.md layout omits: {unlisted}"
+
+
+#: Called by ``http.server`` by name, never from this repo's code.
+FRAMEWORK_CALLBACKS = {"do_GET", "do_POST", "log_message"}
+
+
+def test_every_definition_is_referenced():
+    """Each ``def``/``class`` name in ``src/repro`` appears as an
+    identifier somewhere besides its own definitions: in ``src/``,
+    ``tests/``, ``examples/``, ``benchmarks/`` or ``perfbench/``.
+    Dunder methods are called by the language and are skipped."""
+    definitions = Counter()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                definitions[node.name] += 1
+    identifiers = Counter()
+    for top in ("src", "tests", "examples", "benchmarks", "perfbench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            with path.open() as handle:
+                identifiers.update(
+                    token.string
+                    for token in tokenize.generate_tokens(handle.readline)
+                    if token.type == tokenize.NAME
+                )
+    unreferenced = sorted(
+        name for name, count in definitions.items()
+        if identifiers[name] <= count
+        and name not in FRAMEWORK_CALLBACKS
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unreferenced == [], f"defined but never referenced: {unreferenced}"
 
 
 def test_experiments_covers_every_figure_and_table():
