@@ -9,29 +9,32 @@ The bench (a) cross-checks CPU consumption measured independently by
 the ACDC job-record path and by the MonALISA VO-activity-sensor path,
 and (b) disables the MonALISA path mid-run and shows the grid stays
 observable through the others — which it would not be with a single
-collection path.
+collection path.  A shorter run kills the other way: with every Ganglia
+agent stopped, MonALISA's own sensors and ACDC keep observing, and
+MonALISA's Ganglia pass-through repeats the last row Ganglia wrote.
 """
 
 import pytest
 
 from repro import Grid3, Grid3Config
 from repro.failures import FailureProfile
+from repro.monitoring.ganglia import METRICS
 from repro.sim import DAY, HOUR
 
 
-def run_grid():
+def run_grid(days=20, kill_day=12, kill="monalisa"):
     grid = Grid3(Grid3Config(
-        seed=88, scale=300, duration_days=20,
+        seed=88, scale=300, duration_days=days,
         apps=["ivdgl", "exerciser", "btev"],
         failures=FailureProfile.disabled(),
         misconfig_probability=0.0,
     ))
     grid.deploy()
     grid.start_applications()
-    grid.run(days=12)
-    # Kill the MonALISA path for the remainder (agents stop collecting).
+    grid.run(days=kill_day)
+    # Kill one path for the remainder (its agents stop collecting).
     for site in grid.sites.values():
-        agent = site.services.get("monalisa")
+        agent = site.services.get(kill)
         if agent is not None:
             agent.producer.enabled = False
     grid.run()
@@ -87,3 +90,38 @@ def test_monitoring_redundancy(benchmark):
     assert len(fresh) == 27
     print(f"after MonALISA death: ACDC still harvested "
           f"{len(post_kill_records)} records; Ganglia fresh at {len(fresh)}/27 sites")
+
+
+def test_monitoring_survives_ganglia_death(benchmark):
+    grid = benchmark.pedantic(run_grid, kwargs=dict(days=6, kill_day=3, kill="ganglia"),
+                              rounds=1, iterations=1)
+    # Deploy takes under an hour, so the kill falls before ``after``.
+    after = 3 * DAY + HOUR
+
+    # Ganglia went stale: no row is newer than the kill.
+    agents = grid.monitors["ganglia"].store.agents
+    assert len(agents) == 27
+    assert all(agent.collected_at < after for agent in agents)
+
+    # MonALISA's own sensors kept writing...
+    repo = grid.monitors["monalisa"]
+    fresh = {
+        name: sum(
+            sum(1 for t, _v in series if t > after)
+            for series in repo.series_matching(name).values()
+        )
+        for name in ("vo.cpus_in_use", "queue.idle", "queue.running")
+    }
+    assert all(fresh.values()), f"MonALISA went blind with Ganglia: {fresh}"
+    # ...its Ganglia pass-through repeats the last row Ganglia wrote...
+    cpu_busy = METRICS.index("cpu.busy")
+    for agent in agents:
+        series = repo.series("ganglia.cpu_busy", site=agent.site.name)
+        assert {v for t, v in series if t > after} == {agent.readings[cpu_busy]}
+    # ...and ACDC kept harvesting.
+    post_kill_records = [
+        r for r in grid.acdc_db.records() if r.finished_at > after
+    ]
+    assert post_kill_records, "ACDC path lost with Ganglia — no redundancy"
+    print(f"\nafter Ganglia death: ACDC still harvested "
+          f"{len(post_kill_records)} records; MonALISA bins written: {fresh}")

@@ -93,6 +93,9 @@ class Site:
         #: Attached services, keyed by role ("gatekeeper", "gridftp",
         #: "gris", "ganglia", ...); populated by the grid builder.
         self.services: Dict[str, object] = {}
+        #: Calls of :meth:`attach_service` so far: a reader that caches
+        #: what ``services`` holds rebuilds when this moves.
+        self.attachments = 0
         #: Operational status: "online" | "offline" | "degraded".
         self.status = "online"
         #: Published usage policy (§5): which VOs may run here and at
@@ -131,6 +134,7 @@ class Site:
     def attach_service(self, role: str, service: object) -> None:
         """Register a service under ``role`` (gatekeeper, gridftp, ...)."""
         self.services[role] = service
+        self.attachments += 1
 
     def route_to(self, other: "Site") -> List[str]:
         """Link names a transfer from this site to ``other`` traverses.

@@ -9,7 +9,9 @@ ACDC, the Site Status Catalog) are built from these pieces:
 * a :class:`MetricStore` is the queryable sample sink: one bounded
   deque per metric name, scanned on read (runs append batches and read
   whole series, never a windowed or tagged query, so there is no
-  index);
+  index).  A read-only subclass answers the same reads from state kept
+  elsewhere: the Ganglia pages read their agents' rows, the
+  service-health view the downtime ledgers;
 * :class:`PeriodicProducer` is the common "sample every N seconds"
   process shape.
 
@@ -72,17 +74,15 @@ class MetricStore:
     grow without bound.  ``query`` is a scan, ``latest`` a reverse scan
     with early exit, ``latest_per_series`` one forward pass.
 
-    Subclasses change what is retained by overriding ``append``,
-    ``extend`` and :meth:`_retained`, keeping one sized container per
-    name in ``_samples``: ``names`` and ``len`` read ``_samples``, every
-    other reader reads :meth:`_retained`.
+    ``names`` and ``len`` read ``_samples``; every other reader reads
+    :meth:`_retained`.  The read-only views (the Ganglia pages, the
+    service-health view) make ``append``/``extend`` raise and answer
+    ``names``, ``len`` and :meth:`_retained` from what they view.
     """
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
         self._samples: Dict[str, Deque[MetricSample]] = {}
         self.max_samples = max_samples
-        #: name -> (times, values) columns, dropped on each write of name.
-        self._col_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def append(self, sample: MetricSample) -> None:
         """Record one sample."""
@@ -91,7 +91,6 @@ class MetricStore:
         if series is None:
             series = self._samples[name] = deque(maxlen=self.max_samples)
         series.append(sample)
-        self._col_cache.pop(name, None)
 
     def extend(self, samples: Iterable[MetricSample]) -> None:
         """Record a batch (the :class:`PeriodicProducer` delivery path)."""
@@ -142,22 +141,15 @@ class MetricStore:
         """Columnar (times, values) float64 arrays for ``name``.
 
         The cheap bulk accessor for :mod:`repro.analysis` aggregations —
-        no per-sample Python objects cross the boundary.  The arrays are
-        cached per name until its next write, so repeated reads of a
-        quiescent series (end-of-run reports, alert rules between
-        scrapes) build the columns once.  Treat the returned arrays as
-        read-only — they are shared.
+        no per-sample Python objects cross the boundary.  The columns are
+        built fresh on each call.
         """
-        cached = self._col_cache.get(name)
-        if cached is not None:
-            return cached
         retained = self._retained(name)
         if not retained:
             return np.empty(0, dtype=float), np.empty(0, dtype=float)
         n = len(retained)
         times = np.fromiter((s.time for s in retained), dtype=float, count=n)
         values = np.fromiter((s.value for s in retained), dtype=float, count=n)
-        self._col_cache[name] = (times, values)
         return times, values
 
     def series_window(
@@ -167,7 +159,7 @@ class MetricStore:
         until: float = float("inf"),
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Columnar (times, values) restricted to ``[since, until]``:
-        a boolean mask over the cached columns, in arrival order."""
+        a boolean mask over the columns, in arrival order."""
         times, values = self.series(name)
         mask = (times >= since) & (times <= until)
         return times[mask], values[mask]
@@ -181,7 +173,7 @@ class MetricStore:
         """Vectorized reductions over one time window.
 
         Returns ``{"count", "sum", "mean", "min", "max"}`` (NaNs for
-        the empty window, except count/sum) in one pass over the cached
+        the empty window, except count/sum) in one pass over the
         columns — the building block for windowed dashboards that used
         to re-query per statistic.
         """

@@ -6,65 +6,71 @@ information is available through web pages served at the sites and a
 summary [at] a central server at iGOC."
 
 A :class:`GangliaAgent` samples its site's cluster/SE/GridFTP state
-periodically into the site-local store; the central :class:`GangliaWeb`
-aggregates the latest values across sites (the iGOC summary page).
-Both pages show current values, so each store is a
-:class:`LatestValueStore`, which keeps the newest sample per (metric,
-tags) and no history: a site-local store holds its 6 metrics, the
-central one 6 per site, however long the run.
+periodically into one fixed row: the time of its last collect and its
+readings of :data:`METRICS`.  Both pages show current values, so both
+are read-only :class:`GangliaPage` views over rows, not stores: the
+site-local page over its own agent's row, the central
+:class:`GangliaWeb` (the iGOC summary) over every registered agent's.
+A page answers 6 samples per agent that has collected, however long
+the run, and nothing is written twice.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
 from .core import MetricSample, MetricStore, PeriodicProducer, make_tags
 
-Tags = Tuple[Tuple[str, str], ...]
+#: The metrics of an agent's row, in row order.
+METRICS = ("cpu.total", "cpu.busy", "cpu.load", "disk.used", "disk.free",
+           "net.bytes")
 
 
-class LatestValueStore(MetricStore):
-    """A MetricStore that keeps only the newest sample per (name, tags).
+class GangliaPage(MetricStore):
+    """A read-only MetricStore over the rows of a list of Ganglia agents.
 
-    A new sample replaces the one with the same name and tags.  Only
-    retention differs from :class:`MetricStore`, so ``names``,
-    ``latest`` and ``latest_per_series`` answer what a plain store fed
-    the same stream answers; ``query``, ``series`` and ``window_stats``
-    see only the retained samples, in the order they were written, and
-    ``len()`` is the number of distinct (name, tags).
+    Each agent that has collected contributes one sample per metric,
+    stamped with its last-collect time and tagged with its site.  Reads
+    see the agents least recently collected first (ties in ``agents``
+    order), so ``names``, ``latest`` and ``latest_per_series`` answer
+    what a plain store fed every collect answers; ``query``, ``series``
+    and ``window_stats`` see only the newest row of each agent.
+    ``append``/``extend`` raise.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, agents: Iterable["GangliaAgent"] = ()) -> None:
         super().__init__()
-        #: name -> {tags: newest sample}, least recently written first.
-        self._samples: Dict[str, Dict[Tags, MetricSample]] = {}
+        self.agents: List[GangliaAgent] = list(agents)
 
     def append(self, sample: MetricSample) -> None:
-        self.extend((sample,))
+        raise TypeError("a Ganglia page is read-only")
 
     def extend(self, samples: Iterable[MetricSample]) -> None:
-        retained = self._samples
-        col_cache = self._col_cache
-        for sample in samples:
-            name = sample.name
-            per_tags = retained.get(name)
-            if per_tags is None:
-                per_tags = retained[name] = {}
-            else:
-                # Re-insert so the dict stays in write order.
-                per_tags.pop(sample.tags, None)
-            per_tags[sample.tags] = sample
-            col_cache.pop(name, None)
+        raise TypeError("a Ganglia page is read-only")
 
-    def _retained(self, name: str) -> Collection[MetricSample]:
-        per_tags = self._samples.get(name)
-        return per_tags.values() if per_tags is not None else ()
+    def _retained(self, name: str) -> List[MetricSample]:
+        if name not in METRICS:
+            return []
+        i = METRICS.index(name)
+        collected = sorted((a for a in self.agents if a.collected_at is not None),
+                           key=lambda agent: agent.collected_at)
+        return [MetricSample(a.collected_at, name, a.readings[i], a.tags)
+                for a in collected]
+
+    def names(self) -> List[str]:
+        """The row's metrics once any agent has collected, none before."""
+        if any(a.collected_at is not None for a in self.agents):
+            return sorted(METRICS)
+        return []
+
+    def __len__(self) -> int:
+        return len(METRICS) * sum(a.collected_at is not None for a in self.agents)
 
 
 class GangliaAgent:
-    """Per-site gmond: publishes cluster metrics locally and upstream."""
+    """Per-site gmond: keeps its site's row, read by both pages."""
 
     def __init__(
         self,
@@ -76,54 +82,48 @@ class GangliaAgent:
         self.engine = engine
         self.site = site
         self.central = central
-        #: The site-local web page's backing store.
-        self.local_store = LatestValueStore()
+        #: Time of the last collect (None until the first one) and its
+        #: readings, in :data:`METRICS` order.
+        self.collected_at: Optional[float] = None
+        self.readings: Tuple[float, ...] = ()
+        self.tags = make_tags(site=site.name)
         self._last_gridftp_bytes = 0.0
-        self._tags = make_tags(site=site.name)
-        sinks = [self.local_store]
+        #: The site-local web page.
+        self.local_store = GangliaPage([self])
         if central is not None:
-            sinks.append(central.store)
+            central.store.agents.append(self)
         self.producer = PeriodicProducer(
-            engine, f"ganglia-{site.name}", interval, self._collect, sinks
+            engine, f"ganglia-{site.name}", interval, self._collect
         )
         site.attach_service("ganglia", self)
 
-    def _collect(self) -> List[MetricSample]:
-        now = self.engine.now
-        tags = self._tags
+    def _collect(self) -> Tuple[()]:
+        """Read the site, then overwrite the row.  A reading that raises
+        leaves the row untouched.  Nothing is left for the producer to
+        deliver."""
         cluster = self.site.cluster
+        storage = self.site.storage
         gridftp = self.site.services.get("gridftp")
         net_bytes = 0.0
         if gridftp is not None:
             total = gridftp.bytes_sent + gridftp.bytes_received
             net_bytes = total - self._last_gridftp_bytes
             self._last_gridftp_bytes = total
-        return [
-            MetricSample(now, "cpu.total", float(cluster.total_cpus), tags),
-            MetricSample(now, "cpu.busy", float(cluster.busy_cpus), tags),
-            MetricSample(now, "cpu.load", cluster.utilisation, tags),
-            MetricSample(now, "disk.used", self.site.storage.used, tags),
-            MetricSample(now, "disk.free", self.site.storage.free, tags),
-            MetricSample(now, "net.bytes", net_bytes, tags),
-        ]
+        readings = (float(cluster.total_cpus), float(cluster.busy_cpus),
+                    cluster.utilisation, storage.used, storage.free, net_bytes)
+        self.collected_at = self.engine.now
+        self.readings = readings
+        return ()
 
 
 class GangliaWeb:
     """The central Ganglia summary at the iGOC."""
 
     def __init__(self) -> None:
-        self.store = LatestValueStore()
+        #: The page over every agent registered with this server.
+        self.store = GangliaPage()
 
     def latest(self, site: str, metric: str) -> Optional[float]:
         """Newest value of ``metric`` for ``site`` (None if never seen)."""
         sample = self.store.latest(metric, site=site)
         return sample.value if sample else None
-
-    def grid_summary(self, metric: str, sites: List[str]) -> float:
-        """Sum of the latest per-site values (the hierarchical grid view)."""
-        total = 0.0
-        for site in sites:
-            value = self.latest(site, metric)
-            if value is not None:
-                total += value
-        return total

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..sim.engine import Engine
 from ..sim.units import HOUR, MINUTE
 from .core import MetricSample, PeriodicProducer, make_tags
+from .ganglia import METRICS
 from .rrd import RoundRobinDatabase
 
 
@@ -90,6 +91,10 @@ _GROUP_NAMES = {
     "queue": ("queue.idle", "queue.running"),
     "ganglia": ("ganglia.cpu_busy",),
 }
+
+
+#: Where Ganglia's row holds ``cpu.busy``.
+_CPU_BUSY = METRICS.index("cpu.busy")
 
 
 class MonALISAAgent:
@@ -181,12 +186,11 @@ class MonALISAAgent:
             readings.append(("queue", (float(lrm.queue_length),
                                        float(lrm.running_count))))
             readings.append(("vo", self._vo_activity_sensor(lrm)))
-        # Ganglia pass-through (the "Ganglia metrics" agents).
+        # Ganglia pass-through (the "Ganglia metrics" agents): the
+        # newest cpu.busy of the site's Ganglia row, once there is one.
         ganglia = services.get("ganglia")
-        if ganglia is not None:
-            latest = ganglia.local_store.latest("cpu.busy", site=self.site.name)
-            if latest is not None:
-                readings.append(("ganglia", (latest.value,)))
+        if ganglia is not None and ganglia.collected_at is not None:
+            readings.append(("ganglia", (ganglia.readings[_CPU_BUSY],)))
         now = self.engine.now
         for group, values in readings:
             for rrd, value in zip(self._group_rrds(group), values):

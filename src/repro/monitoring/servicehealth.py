@@ -85,7 +85,7 @@ class ServiceHealthView(MetricStore):
         #: carries no sample; later instants are built by repeated
         #: addition, the way the engine advances a periodic timeout.
         self._grid: List[float] = [agent.engine.now]
-        #: role -> [(tags, service)], and the engine's dispatch count
+        #: role -> [(tags, service)], and the sites' total attach count
         #: when it was built.
         self._roster: Dict[str, List[Tuple[Tags, GridService]]] = {}
         self._roster_at: Optional[int] = None
@@ -105,12 +105,14 @@ class ServiceHealthView(MetricStore):
         """role -> [(tags, service)] in publication order: each site's
         services by key, then the extra services by display name.
 
-        Re-read from the sites once per dispatched event, so a read
-        sees every service attached by the simulation so far.
+        Re-read from the sites whenever one has attached a service since
+        the last read (``Site.attachments`` only grows), so a read sees
+        every service attached so far.  Only ``attach_service`` adds a
+        GridService to a site; ``extra_services`` is fixed at creation.
         """
         agent = self.agent
-        dispatched = agent.engine.dispatched
-        if self._roster_at == dispatched:
+        attached = sum(site.attachments for site in agent.sites)
+        if self._roster_at == attached:
             return self._roster
         pairs = [
             (site.name, service)
@@ -127,7 +129,7 @@ class ServiceHealthView(MetricStore):
                     site=site_name, role=role)
             roster.setdefault(role, []).append((tags, service))
         self._roster = roster
-        self._roster_at = dispatched
+        self._roster_at = attached
         return roster
 
     def _instants(self) -> List[float]:

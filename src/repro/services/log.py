@@ -40,25 +40,16 @@ class ServiceLog:
         """Retained-entry bound (None = unbounded)."""
         return self._capacity
 
-    @capacity.setter
-    def capacity(self, value: Optional[int]) -> None:
-        self._capacity = value
-        self._trim()
-
-    def _trim(self) -> None:
-        if self._capacity is None:
-            return
-        entries = self._entries
-        while len(entries) > self._capacity:
-            entries.popleft()
-            self._seq0 += 1
-
     # -- list surface -----------------------------------------------------
     def append(self, entry: Any) -> int:
-        """Add one entry; returns its absolute sequence number."""
-        seq = self._seq0 + len(self._entries)
-        self._entries.append(entry)
-        self._trim()
+        """Add one entry, evicting the oldest past ``capacity``; returns
+        its absolute sequence number."""
+        entries = self._entries
+        seq = self._seq0 + len(entries)
+        entries.append(entry)
+        if self._capacity is not None and len(entries) > self._capacity:
+            entries.popleft()
+            self._seq0 += 1
         return seq
 
     def extend(self, entries: Iterable[Any]) -> None:

@@ -309,33 +309,6 @@ class JobTracer:
         self.store.add_root(root)
         return root
 
-    def record(
-        self,
-        parent: Optional[Span],
-        name: str,
-        start: float,
-        end: float,
-        phase: str = "",
-        status: str = "ok",
-        **attrs: object,
-    ) -> Span:
-        """Retrospectively file a span with explicit times.
-
-        For filing a timeline reconstructed elsewhere (a hand-built
-        fixture, a transfer rebuilt from logs) into a trace tree.  A
-        ``parent`` of None opens a new trace rooted at this span.
-        """
-        if parent is None:
-            span = self.start_trace(name, kind=phase or "record", **attrs)
-        else:
-            span = self._start(parent, name, phase, dict(attrs))
-        span.start = start
-        if end >= 0:
-            span.end = end
-            span.status = status
-            self._finished(span)
-        return span
-
     def bind_job(self, job_id: int, span: Span) -> None:
         """Index an execution-side job id under ``span``'s trace."""
         self.store.bind_job(job_id, span.trace_id)
@@ -389,9 +362,6 @@ class NullTracer:
     engine = None
 
     def start_trace(self, name: str, kind: str = "job", **attrs: object) -> _NullSpan:
-        return NULL_SPAN
-
-    def record(self, parent, name, start, end, phase="", status="ok", **attrs):
         return NULL_SPAN
 
     def bind_job(self, job_id: int, span) -> None:

@@ -7,7 +7,7 @@ from repro.core.job import Job, JobSpec
 from repro.errors import StorageFullError
 from repro.middleware.gram import Gatekeeper, attach_gatekeeper
 from repro.middleware.gsi import Authenticator, GridMapFile
-from repro.monitoring import monalisa
+from repro.monitoring import ganglia, monalisa
 from repro.monitoring.acdc import ACDCDatabase, ACDCJobMonitor, JobRecord
 from repro.monitoring.core import MetricSample, make_tags
 from repro.monitoring.ganglia import GangliaAgent, GangliaWeb
@@ -51,18 +51,6 @@ def test_ganglia_net_bytes_are_deltas(eng, net):
     assert central.latest("SiteA", "net.bytes") == 0.0  # no new traffic
 
 
-def test_ganglia_grid_summary(eng, net):
-    central = GangliaWeb()
-    for i, busy in enumerate((1, 2)):
-        site = make_site(eng, net, f"S{i}", cpus=4)
-        for j in range(busy):
-            site.cluster.allocate(f"job-{j}")
-        GangliaAgent(eng, site, central, interval=MINUTE)
-    eng.run(until=2 * MINUTE)
-    assert central.grid_summary("cpu.busy", ["S0", "S1"]) == 3.0
-    assert central.grid_summary("cpu.busy", ["S0", "S1", "Ghost"]) == 3.0
-
-
 def test_ganglia_stores_keep_latest_values_only(eng, net):
     central = GangliaWeb()
     agents = [GangliaAgent(eng, make_site(eng, net, f"S{i}", cpus=4), central,
@@ -72,6 +60,27 @@ def test_ganglia_stores_keep_latest_values_only(eng, net):
     assert [len(agent.local_store) for agent in agents] == [6, 6, 6]
     assert len(central.store) == 3 * 6
     assert central.store.latest("cpu.total", site="S2").time == 100 * MINUTE
+
+
+def test_ganglia_collect_overwrites_the_row_and_delivers_nothing(eng, net, monkeypatch):
+    built = []
+
+    def counting_sample(*args, **kwargs):
+        built.append(args)
+        return MetricSample(*args, **kwargs)
+
+    monkeypatch.setattr(ganglia, "MetricSample", counting_sample)
+    site = make_site(eng, net, "SiteA", cpus=4)
+    agent = GangliaAgent(eng, site, GangliaWeb(), interval=MINUTE)
+    assert agent.collected_at is None and agent.readings == ()
+    site.cluster.allocate("job-1")
+    eng.run(until=3 * MINUTE)
+    assert agent.producer.collections == 3 and built == []
+    assert agent.collected_at == 3 * MINUTE
+    assert agent.readings[:3] == (4.0, 1.0, 0.25)
+    # Reading a page builds its samples; collecting never did.
+    assert agent.central.latest("SiteA", "cpu.busy") == 1.0
+    assert built
 
 
 # --- MonALISA ---------------------------------------------------------------

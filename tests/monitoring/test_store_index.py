@@ -8,6 +8,7 @@ eviction and out-of-order appends — and every observable must agree.
 """
 
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring.core import MetricSample, MetricStore, make_tags
-from repro.monitoring.ganglia import LatestValueStore
+from repro.monitoring.ganglia import METRICS, GangliaAgent, GangliaWeb
 from repro.monitoring.prometheus import render_store
+from repro.sim import Engine
 
 
 class LinearScanStore:
@@ -232,7 +234,7 @@ def _assert_columns(store, name, expected):
 
 def test_column_cache_follows_a_saturated_ring():
     """Once a ring is full its length stops moving; every further
-    append must still refresh the cached columns."""
+    append must still show in the columns."""
     k = 5
     store = MetricStore(max_samples=k)
     stream = [MetricSample(float(i), "cpu", float(i * i % 11))
@@ -244,92 +246,178 @@ def test_column_cache_follows_a_saturated_ring():
 
 
 def test_column_cache_follows_a_latest_value_overwrite():
-    """An overwrite of an existing (name, tags) leaves ``len`` alone but
-    must refresh the cached columns."""
-    a, b = make_tags(site="A"), make_tags(site="B")
-    store = LatestValueStore()
-    first = [MetricSample(0.0, "cpu", 1.0, a), MetricSample(1.0, "cpu", 2.0, b)]
-    store.extend(first)
-    _assert_columns(store, "cpu", first)
-    retained = {s.tags: s for s in first}
-    for i in range(2, 8):
-        sample = MetricSample(float(i), "cpu", float(10 + i), (a, b)[i % 2])
-        store.append(sample)
-        retained.pop(sample.tags)
-        retained[sample.tags] = sample
-        assert len(store) == 2
-        _assert_columns(store, "cpu", list(retained.values()))
+    """A later collect overwrites a Ganglia row and leaves ``len`` alone,
+    but ``series`` must return the new values."""
+    grid = ScriptedGanglia(2)
+    store = grid.web.store
+    expected = {}
+    for i in range(1, 8):
+        grid.advance(float(i))
+        which = i % 2
+        samples = grid.collect(which, (4, i, 0.5, 1e9 + i, 2e9 - i, 10 * i))
+        expected[which] = samples[METRICS.index("cpu.busy")]
+        assert len(store) == len(METRICS) * len(expected)
+        _assert_columns(store, "cpu.busy", sorted(expected.values(),
+                                                  key=lambda s: s.time))
 
 
-# -- the latest-value store ----------------------------------------------
+# -- the Ganglia pages ----------------------------------------------------
 
-#: Few names, tag sets and instants, so a stream interleaves names,
-#: repeats tag sets and shares timestamps.
-TAG_SETS = [(), make_tags(site="A"), make_tags(site="B"),
-            make_tags(site="A", vo="atlas"), make_tags(site="B", vo="cms")]
+class ScriptedSite:
+    """What a GangliaAgent reads of a site, set before each collect."""
 
-latest_stream = st.lists(
-    st.builds(
-        MetricSample,
-        time=st.sampled_from([0.0, 1.0, 1.0, 2.0, 3600.0]),
-        name=st.sampled_from(NAMES),
-        value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        tags=st.sampled_from(TAG_SETS),
+    def __init__(self, name):
+        self.name = name
+        self.services = {"gridftp": SimpleNamespace(bytes_sent=0.0,
+                                                    bytes_received=0.0)}
+        self.cluster = self.storage = None
+
+    def attach_service(self, role, service):
+        self.services[role] = service
+
+
+class ScriptedGanglia:
+    """Agents over scripted sites, registered with one central page, and
+    a plain MetricStore fed every sample a collect reads."""
+
+    def __init__(self, n_sites):
+        self.engine = Engine()
+        self.web = GangliaWeb()
+        self.sites = [ScriptedSite(f"S{i}") for i in range(n_sites)]
+        # The producers never fire: the test drives every collect.
+        self.agents = [GangliaAgent(self.engine, site, self.web, interval=1e12)
+                       for site in self.sites]
+        self.plain = MetricStore()
+
+    def advance(self, now):
+        self.engine.run(until=now)
+
+    def collect(self, i, readings):
+        """Collect at site ``i``; ``readings`` None makes the collect
+        raise.  Returns the samples the plain store took."""
+        site, agent = self.sites[i], self.agents[i]
+        if readings is None:
+            site.storage = None
+            with pytest.raises(AttributeError):
+                agent._collect()
+            return []
+        total, busy, load, used, free, net = readings
+        site.cluster = SimpleNamespace(total_cpus=total, busy_cpus=busy,
+                                       utilisation=load)
+        site.storage = SimpleNamespace(used=used, free=free)
+        site.services["gridftp"].bytes_sent += net
+        assert agent._collect() == ()
+        values = (float(total), float(busy), load, used, free, float(net))
+        samples = [MetricSample(self.engine.now, name, value, agent.tags)
+                   for name, value in zip(METRICS, values)]
+        self.plain.extend(samples)
+        return samples
+
+
+readings_strategy = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=0, max_value=64),
+        st.floats(min_value=0, max_value=1, allow_nan=False),
+        st.floats(min_value=0, max_value=1e13, allow_nan=False),
+        st.floats(min_value=0, max_value=1e13, allow_nan=False),
+        st.integers(min_value=0, max_value=10**9),
     ),
-    max_size=60,
+)
+
+#: Each step moves the clock on, then some sites collect in
+#: registration order, so sites share collect times.
+ganglia_script = st.lists(
+    st.tuples(st.sampled_from([1.0, 60.0, 3600.0]),
+              st.dictionaries(st.integers(min_value=0, max_value=2),
+                              readings_strategy, max_size=3)),
+    max_size=12,
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(samples=latest_stream, monotone=st.booleans(),
-       batches=st.integers(min_value=1, max_value=4))
-def test_latest_value_store_answers_like_a_plain_store(samples, monotone, batches):
-    """The latest-value store keeps one sample per (name, tags) and
-    answers every latest-value read exactly as a plain store fed the
-    same stream, through ``append`` and ``extend`` alike."""
-    if monotone:
-        samples = sorted(samples, key=lambda s: s.time)
-    plain = MetricStore()
-    latest = LatestValueStore()
-    for s in samples:
-        plain.append(s)
-    cut = len(samples) // batches or 1
-    for i in range(0, len(samples), cut):
-        chunk = samples[i:i + cut]
-        if i // cut % 2:
-            latest.extend(iter(chunk))
-        else:
-            for s in chunk:
-                latest.append(s)
-    assert latest.names() == plain.names()
-    assert len(latest) == len({(s.name, s.tags) for s in samples})
-    filters = [{}, {"site": "A"}, {"site": "B", "vo": "cms"}, {"vo": "atlas"},
+def _assert_page_answers_like(page, fed):
+    """``page`` answers as ``fed`` (every sample written) for the
+    latest-value reads, and as a plain store fed only the newest sample
+    per (name, tags), in write order, for the history reads."""
+    assert page.names() == fed.names()
+    assert len(page) == len({(s.name, s.tags) for n in METRICS
+                             for s in fed.query(n)})
+    newest = MetricStore()
+    for name in METRICS:
+        keep = set(fed.latest_per_series(name).values())
+        newest.extend(s for s in fed.query(name) if s in keep)
+    filters = [{}, {"site": "S0"}, {"site": "S2"}, {"site": "S1", "vo": "x"},
                {"site": "nope"}]
-    for name in NAMES + ["absent"]:
-        assert latest.latest_per_series(name) == plain.latest_per_series(name)
+    for name in METRICS + ("absent",):
+        assert page.latest_per_series(name) == fed.latest_per_series(name)
         for tf in filters:
-            assert latest.latest(name, **tf) == plain.latest(name, **tf), (name, tf)
-        retained = set(plain.latest_per_series(name).values())
-        assert set(latest.query(name)) == retained
-        for tf in filters:
-            assert set(latest.query(name, 1.0, 2.0, **tf)) == {
-                s for s in plain.query(name, 1.0, 2.0, **tf) if s in retained}
-        assert latest.window_stats(name, 1.0, 2.0)["count"] == sum(
-            1.0 <= s.time <= 2.0 for s in retained)
-    assert render_store(latest, "p_") == render_store(plain, "p_")
+            assert page.latest(name, **tf) == fed.latest(name, **tf), (name, tf)
+            assert page.query(name, **tf) == newest.query(name, **tf)
+            assert (page.query(name, 1.0, 3600.0, **tf)
+                    == newest.query(name, 1.0, 3600.0, **tf))
+        got_t, got_v = page.series(name)
+        want_t, want_v = newest.series(name)
+        assert got_t.tolist() == want_t.tolist()
+        assert got_v.tolist() == want_v.tolist()
+        for window in ((), (1.0, 3600.0), (1e9,)):
+            assert (repr(page.window_stats(name, *window))
+                    == repr(newest.window_stats(name, *window)))
+    assert render_store(page, "p_") == render_store(fed, "p_")
+    sample = MetricSample(0.0, "cpu.busy", 1.0, make_tags(site="S0"))
+    with pytest.raises(TypeError):
+        page.append(sample)
+    with pytest.raises(TypeError):
+        page.extend([sample])
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=ganglia_script)
+def test_latest_value_store_answers_like_a_plain_store(script):
+    """The central Ganglia page and each site page, read after every
+    step, answer exactly as plain stores fed every collect's samples;
+    a collect that raises writes nothing."""
+    grid = ScriptedGanglia(3)
+    local = [MetricStore() for _agent in grid.agents]
+    now = 0.0
+    for dt, collects in script:
+        now += dt
+        grid.advance(now)
+        for i in sorted(collects):
+            local[i].extend(grid.collect(i, collects[i]))
+        _assert_page_answers_like(grid.web.store, grid.plain)
+        for agent, fed in zip(grid.agents, local):
+            _assert_page_answers_like(agent.local_store, fed)
 
 
 def test_latest_value_store_reads_in_write_order():
-    store = LatestValueStore()
-    a, b = make_tags(site="A"), make_tags(site="B")
-    store.extend([MetricSample(0.0, "cpu", 1.0, a), MetricSample(0.0, "cpu", 2.0, b),
-                  MetricSample(60.0, "cpu", 3.0, a)])
-    assert [s.value for s in store.query("cpu")] == [2.0, 3.0]
-    assert [s.value for s in store.query("cpu", since=30.0)] == [3.0]
-    assert store.latest("cpu").value == 3.0
-    times, values = store.series("cpu")
-    assert times.tolist() == [0.0, 60.0] and values.tolist() == [2.0, 3.0]
-    times, values = store.series_window("cpu", since=30.0)
-    assert times.tolist() == [60.0] and values.tolist() == [3.0]
+    """A site whose last collect raised keeps its older row, so it reads
+    first; sites that collected at one instant read in registration
+    order."""
+    grid = ScriptedGanglia(3)
+    store = grid.web.store
+    assert store.names() == [] and len(store) == 0
+    assert store.latest("cpu.busy") is None
+    grid.advance(60.0)
+    for i in range(3):
+        grid.collect(i, (8, i + 1, 0.5, 1.0, 2.0, 0))
+    grid.advance(120.0)
+    grid.collect(0, None)
+    grid.collect(1, (8, 5, 0.5, 1.0, 2.0, 0))
+    assert store.names() == sorted(METRICS)
+    assert [(s.tag("site"), s.value) for s in store.query("cpu.busy")] == [
+        ("S0", 1.0), ("S2", 3.0), ("S1", 5.0)]
+    assert [s.value for s in store.query("cpu.busy", since=90.0)] == [5.0]
+    assert store.latest("cpu.busy").value == 5.0
+    assert store.latest("cpu.busy", site="S0").time == 60.0
+    assert grid.web.latest("S0", "cpu.busy") == 1.0
+    assert grid.web.latest("Ghost", "cpu.busy") is None
+    times, values = store.series("cpu.busy")
+    assert times.tolist() == [60.0, 60.0, 120.0]
+    assert values.tolist() == [1.0, 3.0, 5.0]
+    times, values = store.series_window("cpu.busy", since=90.0)
+    assert times.tolist() == [120.0] and values.tolist() == [5.0]
     assert store.series("absent")[0].size == 0
-    assert len(store) == 2
+    assert len(store) == 3 * len(METRICS)
+    assert len(grid.agents[1].local_store) == len(METRICS)
+    assert grid.agents[1].local_store.latest("cpu.busy").value == 5.0

@@ -44,15 +44,6 @@ def test_since_cursor_survives_eviction():
     assert entries == []
 
 
-def test_capacity_setter_trims():
-    log = ServiceLog(capacity=None)
-    log.extend(range(100))
-    assert len(log) == 100
-    log.capacity = 10
-    assert list(log) == list(range(90, 100))
-    assert log.first_seq == 90
-
-
 def test_tail():
     log = ServiceLog(capacity=5)
     log.extend("abcdefg")

@@ -223,3 +223,30 @@ def test_counters_are_live_without_history(eng, net):
     assert [s.time for s in agent.store.query("service.gatekeeper.up")] == [
         HOUR, 2 * HOUR]
 
+
+
+def test_roster_is_rebuilt_on_attach_not_on_dispatch(eng, net):
+    site = wire_site(eng, make_site(eng, net, "SiteA"))
+    agent = ServiceHealthAgent(eng, [site])
+    store = agent.store
+
+    def tick():
+        while True:
+            yield eng.timeout(600.0)
+
+    eng.process(tick())
+    eng.run(until=HOUR)
+    roster = store._services()
+    dispatched = eng.dispatched
+    eng.run(until=2 * HOUR)
+    assert eng.dispatched > dispatched
+    assert store._services() is roster
+    # A non-service attachment moves the count; the rebuilt roster is
+    # the same, and a removal of it (Pacman's fix) changes nothing.
+    site.attach_service("misconfigured", True)
+    assert store._services() == roster
+    site.services.pop("misconfigured")
+    assert "service.rls.up" not in store.names()
+    site.attach_service("rls", ReplicaLocationIndex(eng))
+    assert "service.rls.up" in store.names()
+    assert store.latest("service.rls.up", site="SiteA").value == 1.0

@@ -79,7 +79,6 @@ def test_null_tracer_is_inert():
     assert not NULL_TRACER.enabled
     assert NULL_TRACER.store is None
     assert NULL_TRACER.start_trace("x") is NULL_SPAN
-    assert NULL_TRACER.record(None, "x", 0.0, 1.0) is NULL_SPAN
     assert NULL_TRACER.current_label() == ""
     NULL_TRACER.bind_job(1, NULL_SPAN)
     NULL_TRACER.finalize(NULL_SPAN)
@@ -112,21 +111,6 @@ def test_store_job_binding_and_eviction_cleanup():
 def test_store_validates_bound():
     with pytest.raises(ValueError):
         SpanStore(max_traces=0)
-
-
-def test_record_backdates_spans():
-    engine, tracer = make_tracer()
-    engine._now = 100.0
-    root = tracer.start_trace("job")
-    span = tracer.record(root, "gridftp /f", start=3.0, end=9.5,
-                         phase="transfer", status="error", src="BNL_ATLAS")
-    assert span.start == 3.0 and span.end == 9.5
-    assert span.status == "error"
-    assert span.attrs["src"] == "BNL_ATLAS"
-    # parent=None opens its own trace
-    solo = tracer.record(None, "orphan", start=1.0, end=2.0, phase="transfer")
-    assert solo.parent_id is None
-    assert tracer.store.get(solo.trace_id) is solo
 
 
 def test_finalize_closes_open_spans_and_publishes_metrics():
