@@ -797,24 +797,20 @@ class Grid3:
     def run_full(self, progress=None, progress_slices: Optional[int] = None) -> None:
         """deploy + start apps + simulate the whole window + drain.
 
-        With ``progress`` (a callable taking one
-        :class:`~repro.monitoring.progress.ProgressEvent`), the window
-        is simulated in ``progress_slices`` sliced ``engine.run(until=)``
-        calls with a snapshot emitted after each — the kernel dispatches
-        the identical event sequence either way, so a progress-observed
-        run is byte-identical to a silent one.  Without it, this is
-        exactly the pre-observability code path.
+        The window is simulated in ``progress_slices`` sliced
+        ``engine.run(until=)`` calls with a
+        :class:`~repro.monitoring.progress.ProgressEvent` snapshot
+        delivered to ``progress`` (a one-argument callable) after each;
+        without a callback the snapshots go nowhere.  The kernel
+        dispatches the identical event sequence as one unsliced
+        ``run()``, so every run is byte-identical to the plain
+        ``deploy(); start_applications(); run()`` sequence — except
+        that a window shorter than deployment ends at once instead of
+        raising.
         """
-        if progress is None:
-            self.deploy()
-            self.start_applications()
-            self.run()
-            # Final monitoring sweep so analysis sees everything.
-            self.monitors["acdc"].poll_once()
-            return
         from ..monitoring.progress import DEFAULT_SLICES, ProgressMeter
         meter = ProgressMeter(
-            self, progress,
+            self, progress if progress is not None else lambda event: None,
             slices=progress_slices if progress_slices else DEFAULT_SLICES,
         )
         self.deploy()

@@ -10,19 +10,20 @@ callback.
 
 Design constraints, in order:
 
-* **Zero cost when off.**  ``Grid3.run_full()`` without a progress
-  callback takes exactly the pre-observability code path; a same-seed
-  run is byte-identical.
-* **No simulation perturbation when on.**  The meter schedules no
-  events and draws no RNG — it slices ``engine.run(until=...)`` into
-  ``slices`` sim-time windows, which dispatches the identical event
-  sequence (the kernel claims buckets in the same order either way),
-  and reads counters between slices.
+* **One path.**  Every ``Grid3.run_full()`` is metered; without a
+  callback the events go nowhere.  There is no unsliced fork to keep
+  in step with the sliced one.
+* **No simulation perturbation.**  The meter schedules no events and
+  draws no RNG — it slices ``engine.run(until=...)`` into ``slices``
+  sim-time windows, which dispatches the identical event sequence (the
+  kernel claims buckets in the same order either way), and reads
+  counters between slices.  A same-seed run is byte-identical to the
+  plain ``deploy(); start_applications(); run()`` sequence.
 * **Deterministic sequence numbers.**  ``seq`` increments once per
   emitted event, so every transport downstream (pipe, SSE stream,
   delta poll) can agree on position.
 
-The transport side (bounded coalescing pipe to the service process,
+The transport side (the worker's pipe to the service process,
 SSE/poll exposure) lives in :mod:`repro.service.progress`.
 """
 

@@ -55,6 +55,7 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.grid3 import Grid3Config
@@ -118,7 +119,7 @@ class ServiceApp:
         queue_depth: int = 64,
         cache_bytes: int = 64 * 1024 * 1024,
         pool_factory: Optional[Callable] = None,
-        runner: Callable[[Grid3Config], Dict[str, object]] = execute_run,
+        runner: Callable[[Grid3Config, Connection], Dict[str, object]] = execute_run,
         clock: Callable[[], float] = time.time,
         state_dir: Optional[str] = None,
         quota_per_client: int = 0,

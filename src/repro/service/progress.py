@@ -3,16 +3,15 @@
 Three pieces move a :class:`~repro.monitoring.progress.ProgressEvent`
 from a simulation running in a worker *process* to an HTTP client:
 
-* :class:`ProgressSender` lives in the worker.  ``emit()`` never
-  blocks the simulation: events land in a small coalescing buffer and
-  a daemon thread drains it into the multiprocessing pipe.  Under a
-  slow reader the buffer coalesces — consecutive ``tick`` events
-  collapse to the newest one; lifecycle events (``phase``/``end``)
-  are never dropped — so a stalled consumer costs the run nothing but
-  staler ticks.  ``close()`` ends the stream with
-  :data:`END_OF_STREAM`, which is how the server's reader knows the
-  run is over: pipe EOF never arrives while another forked process
-  (e.g. a pool worker) still holds a copy of the write end.
+* :class:`ProgressSender` lives in the worker.  ``emit()`` sends each
+  event straight down the multiprocessing pipe.  A run emits
+  ``DEFAULT_SLICES + 3`` events of about 200 pickled bytes each, far
+  below the pipe buffer, and the queue's reader thread drains the pipe
+  as they arrive, so a send does not block the simulation.
+  ``close()`` ends the stream with :data:`END_OF_STREAM`, which is how
+  the server's reader knows the run is over: pipe EOF never arrives
+  while another forked process (e.g. a pool worker) still holds a copy
+  of the write end.
 * :class:`ProgressLog` lives on the server's RunRecord.  The queue's
   reader thread appends events; any number of SSE streams and
   ``?since=`` pollers read it concurrently.  Events carry the
@@ -26,11 +25,9 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
+import time
 from typing import Dict, List, Optional, Tuple
 
-#: Worker-side buffer bound: past this, tick coalescing kicks in.
-SENDER_BUFFER = 256
 #: Server-side retained events per run.  4096 far exceeds the default
 #: 32-slice emission (~35 events); the bound is a safety net against a
 #: pathological emitter, not a working limit.
@@ -40,77 +37,29 @@ END_OF_STREAM = "end-of-stream"
 
 
 class ProgressSender:
-    """Worker-side, non-blocking, coalescing pipe writer.
+    """Worker-side pipe writer.
 
-    ``emit(event_dict)`` appends to a bounded deque and returns; a
-    daemon thread performs the (potentially blocking) ``conn.send``
-    calls.  When the buffer is full and the incoming event is a
-    ``tick``, it *replaces* the newest buffered tick (keeping the
-    freshest snapshot) instead of growing; lifecycle events always
-    enqueue.  A broken pipe (the parent died) silences the sender
-    rather than killing the simulation.
+    ``emit`` sends one event dict synchronously.  A broken pipe (the
+    parent died) silences the sender rather than killing the
+    simulation.
     """
 
-    def __init__(self, conn, buffer: int = SENDER_BUFFER) -> None:
+    def __init__(self, conn) -> None:
         self._conn = conn
-        self._buffer = buffer
-        self._queue: deque = deque()
-        self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._closed = False
         self._broken = False
-        self.sent = 0
-        self.coalesced = 0
-        self._thread = threading.Thread(
-            target=self._pump, name="progress-sender", daemon=True
-        )
-        self._thread.start()
 
-    def emit(self, event) -> None:
-        """Queue one event (a ProgressEvent or its plain dict); never
-        blocks, never raises into the simulation."""
-        payload = event if isinstance(event, dict) else event.as_dict()
-        with self._lock:
-            if self._closed:
-                return
-            if (len(self._queue) >= self._buffer
-                    and payload.get("kind") == "tick"):
-                # Coalesce: the newest buffered tick is superseded.
-                for i in range(len(self._queue) - 1, -1, -1):
-                    if self._queue[i].get("kind") == "tick":
-                        del self._queue[i]
-                        self.coalesced += 1
-                        break
-            self._queue.append(payload)
-        self._wake.set()
+    def emit(self, payload) -> None:
+        """Send one event dict; never raises into the simulation."""
+        if self._broken:
+            return
+        try:
+            self._conn.send(payload)
+        except (OSError, ValueError):
+            self._broken = True
 
-    def _pump(self) -> None:
-        while True:
-            self._wake.wait()
-            with self._lock:
-                if self._queue:
-                    payload = self._queue.popleft()
-                elif self._closed:
-                    payload = END_OF_STREAM
-                else:
-                    self._wake.clear()
-                    continue
-            if not self._broken:
-                try:
-                    self._conn.send(payload)
-                    self.sent += 1
-                except (BrokenPipeError, OSError, ValueError):
-                    self._broken = True
-            if payload is END_OF_STREAM:
-                return
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Flush the buffer, send :data:`END_OF_STREAM`, stop the pump,
-        and close the worker's pipe end."""
-        with self._lock:
-            self._closed = True
-        self._wake.set()
-        self._thread.join(timeout=timeout)
+    def close(self) -> None:
+        """Send :data:`END_OF_STREAM` and close the worker's pipe end."""
+        self.emit(END_OF_STREAM)
         try:
             self._conn.close()
         except OSError:
@@ -189,12 +138,10 @@ class ProgressLog:
                 if out or self.closed:
                     return out, self.closed
                 if deadline is None:
-                    import time as _time
-                    deadline = _time.monotonic() + timeout
+                    deadline = time.monotonic() + timeout
                     remaining = timeout
                 else:
-                    import time as _time
-                    remaining = deadline - _time.monotonic()
+                    remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return [], self.closed
                 self._cond.wait(remaining)
@@ -220,12 +167,11 @@ def sse_end_frame() -> bytes:
     return b"event: eof\ndata: {}\n\n"
 
 
-def parse_sse_stream(chunks) -> "Tuple[List[Dict[str, object]], bool]":
-    """Parse SSE bytes into ``(events, saw_end)`` — the client half,
-    used by ``repro top`` and the tests.  ``chunks`` is an iterable of
-    byte strings (e.g. a streaming response read in pieces)."""
-    events: List[Dict[str, object]] = []
-    saw_end = False
+def _sse_events(chunks):
+    """The SSE frame parser: yield each frame's event dict from an
+    iterable of byte strings, then ``None`` for the ``eof`` frame (and
+    stop there).  Frames without a parsable dict (keepalive comments)
+    yield nothing."""
     buffer = b""
     for chunk in chunks:
         buffer += chunk
@@ -234,47 +180,38 @@ def parse_sse_stream(chunks) -> "Tuple[List[Dict[str, object]], bool]":
             kind, data = None, None
             for line in frame.split(b"\n"):
                 if line.startswith(b"event:"):
-                    kind = line[6:].strip().decode()
+                    kind = line[6:].strip()
                 elif line.startswith(b"data:"):
                     data = line[5:].strip()
-            if kind == "eof":
-                saw_end = True
-            elif data:
-                try:
-                    events.append(json.loads(data))
-                except json.JSONDecodeError:
-                    pass
-    return events, saw_end
-
-
-def iter_sse_events(response, timeout_events: Optional[int] = None):
-    """Yield parsed event dicts from a live SSE HTTP response as they
-    arrive; stops at the ``end`` frame, EOF, or after
-    ``timeout_events`` events.  The streaming client primitive behind
-    ``repro top``."""
-    buffer = b""
-    yielded = 0
-    while True:
-        chunk = response.read1(65536) if hasattr(response, "read1") \
-            else response.read(65536)
-        if not chunk:
-            return
-        buffer += chunk
-        while b"\n\n" in buffer:
-            frame, buffer = buffer.split(b"\n\n", 1)
-            kind, data = None, None
-            for line in frame.split(b"\n"):
-                if line.startswith(b"event:"):
-                    kind = line[6:].strip().decode()
-                elif line.startswith(b"data:"):
-                    data = line[5:].strip()
-            if kind == "eof":
+            if kind == b"eof":
+                yield None
                 return
             if data:
                 try:
-                    yield json.loads(data)
+                    event = json.loads(data)
                 except json.JSONDecodeError:
                     continue
-                yielded += 1
-                if timeout_events is not None and yielded >= timeout_events:
-                    return
+                if isinstance(event, dict):
+                    yield event
+
+
+def parse_sse_stream(chunks) -> "Tuple[List[Dict[str, object]], bool]":
+    """Parse a whole SSE byte stream into ``(events, saw_end)``.
+    ``chunks`` is an iterable of byte strings (e.g. a streaming
+    response read in pieces)."""
+    events = list(_sse_events(chunks))
+    saw_end = bool(events) and events[-1] is None
+    if saw_end:
+        events.pop()
+    return events, saw_end
+
+
+def iter_sse_events(response):
+    """Yield parsed event dicts from a live SSE HTTP response as they
+    arrive; stops at the ``eof`` frame or at EOF.  The streaming client
+    primitive behind ``repro top``."""
+    read = getattr(response, "read1", response.read)
+    for event in _sse_events(iter(lambda: read(65536), b"")):
+        if event is None:
+            return
+        yield event

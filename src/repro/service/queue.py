@@ -29,12 +29,12 @@ one from ``pool_factory``, so later runs execute normally.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing as _mp
 import threading
 import traceback
 from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional
 
 from ..core.grid3 import Grid3, Grid3Config
@@ -48,16 +48,15 @@ class QueueFullError(GridError):
     """The bounded queue is at depth; the submission was rejected."""
 
 
-def execute_run(config: Grid3Config, progress=None) -> Dict[str, object]:
+def execute_run(config: Grid3Config, progress: Connection) -> Dict[str, object]:
     """Worker body: one full simulation -> its servable payload.
 
     Module-level (and taking only picklable arguments) so it crosses
     the process boundary; runs in a pool worker, never in the server
-    process.  ``progress``, when given, is the write end of a
-    multiprocessing pipe: the run streams
-    :class:`~repro.monitoring.progress.ProgressEvent` dicts through a
-    non-blocking coalescing :class:`ProgressSender`, so a slow (or
-    absent) reader never stalls the simulation.
+    process.  ``progress`` is the write end of a multiprocessing pipe:
+    the run sends each
+    :class:`~repro.monitoring.progress.ProgressEvent` dict down it
+    through a :class:`ProgressSender`, then ends the stream.
 
     The payload also carries ``metrics_text`` — the grid's full
     Prometheus exposition rendered here, in the worker, so the server
@@ -65,56 +64,41 @@ def execute_run(config: Grid3Config, progress=None) -> Dict[str, object]:
     """
     from ..monitoring.prometheus import grid_exposition
 
-    sender = ProgressSender(progress) if progress is not None else None
+    sender = ProgressSender(progress)
     last: Dict[str, object] = {}
 
     def emit(event) -> None:
         payload = event.as_dict()
         last.clear()
         last.update(payload)
-        sender.emit(payload)  # type: ignore[union-attr]
+        sender.emit(payload)
 
     try:
         grid = Grid3(config)
-        grid.run_full(progress=emit if sender is not None else None)
+        grid.run_full(progress=emit)
         return {
             "reports": collect_reports(grid),
             "summary": summarize_run(grid),
-            "metrics_text": grid_exposition(grid, progress=last or None),
+            "metrics_text": grid_exposition(grid, progress=last),
         }
     finally:
-        if sender is not None:
-            sender.close()
-
-
-def _accepts_progress(runner: Callable) -> bool:
-    """Can ``runner`` take a second (progress) argument?
-
-    Decided per call via the signature, because tests inject one-arg
-    runners (and swap them in after construction); those keep the plain
-    single-argument submit path.
-    """
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p for p in parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind == p.VAR_POSITIONAL for p in parameters.values()):
-        return True
-    return len(positional) >= 2 or "progress" in parameters
+        sender.close()
 
 
 class JobQueue:
-    """Bounded pending list + dispatcher threads + process worker pool."""
+    """Bounded pending list + dispatcher threads + process worker pool.
+
+    Every run is called as ``runner(config, progress)``: ``progress``
+    is the write end of a pipe whose reader thread fills the record's
+    :class:`~repro.service.progress.ProgressLog`.  A runner that sends
+    nothing leaves the log empty.
+    """
 
     def __init__(
         self,
         workers: int = 2,
         depth: int = 64,
-        runner: Callable[[Grid3Config], Dict[str, object]] = execute_run,
+        runner: Callable[[Grid3Config, Connection], Dict[str, object]] = execute_run,
         pool_factory: Optional[Callable[[int], Executor]] = None,
         on_start: Optional[Callable[[RunRecord], None]] = None,
         on_done: Optional[Callable[[RunRecord, Dict[str, object]], None]] = None,
@@ -218,30 +202,24 @@ class JobQueue:
         with self._lock:
             self._busy += 1
             pool = self._pool
-        wconn = None
-        reader: Optional[threading.Thread] = None
+        # One pipe per run: the runner's ProgressSender writes, this
+        # reader thread pumps events into the record's log until the
+        # sender's END_OF_STREAM.  Connection objects cross
+        # ProcessPoolExecutor's submit boundary via fd duplication
+        # (ForkingPickler).
+        rconn, wconn = _mp.Pipe(duplex=False)
+        reader = threading.Thread(
+            target=self._pump_progress, args=(rconn, record.progress),
+            name=f"progress-{record.run_id}", daemon=True,
+        )
+        reader.start()
         try:
             if self._on_start is not None:
                 self._on_start(record)
-            log = getattr(record, "progress", None)
-            if log is not None and _accepts_progress(self._runner):
-                # One pipe per run: the worker's ProgressSender writes,
-                # this reader thread pumps events into the record's log
-                # until the sender's END_OF_STREAM.  Connection objects
-                # cross ProcessPoolExecutor's submit boundary via fd
-                # duplication (ForkingPickler).
-                rconn, wconn = _mp.Pipe(duplex=False)
-                reader = threading.Thread(
-                    target=self._pump_progress, args=(rconn, log),
-                    name=f"progress-{record.run_id}", daemon=True,
-                )
-                reader.start()
-                future = pool.submit(self._runner, record.config, wconn)
-            else:
-                future = pool.submit(self._runner, record.config)
+            future = pool.submit(self._runner, record.config, wconn)
             payload = future.result()
-            if reader is not None:
-                reader.join(timeout=10.0)
+            # Every event is in the log before on_done closes it.
+            self._end_progress(wconn, reader)
             with self._lock:
                 self.executed += 1
             if self._on_done is not None:
@@ -261,18 +239,26 @@ class JobQueue:
             if self._on_error is not None:
                 self._on_error(record, detail)
         finally:
-            if wconn is not None:
-                if reader.is_alive():
-                    # The run ended without its sender's END_OF_STREAM
-                    # (it failed, or its worker died): end it here.
-                    try:
-                        wconn.send(END_OF_STREAM)
-                    except OSError:
-                        pass
-                wconn.close()
-                reader.join(timeout=5.0)
+            self._end_progress(wconn, reader)
+            wconn.close()
             with self._lock:
                 self._busy -= 1
+
+    @staticmethod
+    def _end_progress(wconn: Connection, reader: threading.Thread) -> None:
+        """Stop the run's reader thread once the pipe is drained.
+
+        A runner that streamed has already queued its sender's
+        END_OF_STREAM; one that failed, whose worker died, or that
+        never streamed gets it here.  A second END_OF_STREAM behind the
+        runner's own is never read.
+        """
+        if reader.is_alive():
+            try:
+                wconn.send(END_OF_STREAM)
+            except OSError:
+                pass
+        reader.join(timeout=5.0)
 
     @staticmethod
     def _pump_progress(rconn, log) -> None:

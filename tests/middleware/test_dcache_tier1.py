@@ -1,11 +1,14 @@
 """Integration tests: dCache pool managers fronting the Tier1 archives."""
 
+import hashlib
+
 import pytest
 
 from repro import Grid3, Grid3Config
+from repro.analysis.export import export_database
 from repro.failures import FailureProfile
 from repro.middleware.dcache import DCachePoolManager
-from repro.sim import GB
+from repro.sim import GB, HOUR
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +92,34 @@ def test_srm_over_dcache():
         assert storage.reserved == pytest.approx(0.0, abs=1e-6)
     app = grid.apps["btev"]
     assert app.stats.success_rate > 0.8
+
+
+def _pool_failure_run():
+    grid = Grid3(Grid3Config(
+        seed=51, scale=400, duration_days=4,
+        apps=["usatlas", "btev"],
+        failures=FailureProfile(pool_failure_interval=12 * HOUR),
+        tier1_dcache=True,
+        tier1_dcache_pools=4,
+    ))
+    grid.run_full()
+    return grid
+
+
+def test_injected_pool_failures_land_in_tier1_ledgers():
+    """The failure injector's pool loop fires against live Tier-1 pool
+    managers: outages reach the pools' downtime ledgers, and the run
+    stays deterministic."""
+    grid = _pool_failure_run()
+    assert grid.injector.injected["pool"] > 0
+    pools = [pool for name in ("BNL_ATLAS", "FNAL_CMS")
+             for pool in grid.sites[name].storage.pools]
+    assert any(len(pool.ledger) > 0 for pool in pools)
+    assert any(outage.cause == "injected pool failure"
+               for pool in pools for outage in pool.ledger.outages())
+
+    def digest(run):
+        return hashlib.sha256(
+            export_database(run.acdc_db).encode()).hexdigest()
+
+    assert digest(grid) == digest(_pool_failure_run())

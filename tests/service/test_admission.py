@@ -153,7 +153,7 @@ def test_queue_dispatches_in_fair_share_order():
     started = []
     order = []
 
-    def runner(config):
+    def runner(config, progress):
         gate.wait(10.0)
         return payload(config)
 
@@ -191,7 +191,7 @@ def test_queue_shutdown_hands_leftovers_to_on_interrupted():
     interrupted = []
     queue = JobQueue(
         workers=1, depth=16,
-        runner=lambda config: (gate.wait(30.0), payload(config))[1],
+        runner=lambda config, progress: (gate.wait(30.0), payload(config))[1],
         pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
         on_interrupted=lambda r: interrupted.append(r.run_id),
     )

@@ -9,8 +9,9 @@ import pytest
 from repro import Grid3Config, ServiceApp
 
 
-def fake_payload(config):
-    """A runner stub shaped like execute_run's payload, instant."""
+def fake_payload(config, progress=None):
+    """A runner stub shaped like execute_run's payload, instant; it
+    sends no progress."""
     rows = [{"record": "Row", "site": f"site-{i}", "seed": config.seed}
             for i in range(5)]
     return {
@@ -75,7 +76,7 @@ def test_duplicate_submit_never_reruns(app):
 
 def test_inflight_duplicate_joins(app):
     gate = threading.Event()
-    app.queue._runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]
+    app.queue._runner = lambda config, progress: (gate.wait(10.0), fake_payload(config))[1]
     status, first = submit(app, seed=5)
     assert status == 202 and first["dedup"] == "new"
     status, joined = submit(app, seed=5)
@@ -91,7 +92,7 @@ def test_inflight_duplicate_joins(app):
 def test_failed_run_reports_409_and_digest_can_rerun(app):
     calls = []
 
-    def flaky(config):
+    def flaky(config, progress):
         calls.append(1)
         if len(calls) == 1:
             raise RuntimeError("transient")
@@ -114,7 +115,7 @@ def test_failed_run_reports_409_and_digest_can_rerun(app):
 
 def test_report_before_done_is_409(app):
     gate = threading.Event()
-    app.queue._runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]
+    app.queue._runner = lambda config, progress: (gate.wait(10.0), fake_payload(config))[1]
     _, sub = submit(app, seed=2)
     status, body = call(app, "GET", f"/v1/runs/{sub['run_id']}/report/ops")
     assert status == 409 and body["error"]["code"] == "run_not_finished"
@@ -138,7 +139,7 @@ def test_evicted_payload_is_410_and_resubmit_reruns(app):
 
 def test_queue_full_maps_to_429(app):
     gate = threading.Event()
-    app.queue._runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]
+    app.queue._runner = lambda config, progress: (gate.wait(10.0), fake_payload(config))[1]
     seeds = iter(range(100))
     statuses = []
     while True:
@@ -250,7 +251,7 @@ def test_events_delta_poll_and_bad_since(app):
 def test_progress_capable_runner_streams_into_record_log():
     from repro.service.progress import ProgressSender
 
-    def streaming_runner(config, progress=None):
+    def streaming_runner(config, progress):
         sender = ProgressSender(progress)
         for i in range(4):
             sender.emit({"seq": i, "kind": "phase" if i == 0 else "tick",
@@ -337,7 +338,7 @@ def test_submit_with_client_and_lane_lands_on_the_record(app):
 
 def test_quota_breach_is_429_with_retry_after(app):
     gate = threading.Event()
-    app.queue._runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]
+    app.queue._runner = lambda config, progress: (gate.wait(10.0), fake_payload(config))[1]
     app.admission.quota = 1
     body = lambda seed: json.dumps(  # noqa: E731
         {"config": {"seed": seed}, "client": "greedy"}).encode()

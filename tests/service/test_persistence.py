@@ -197,7 +197,7 @@ def test_app_restart_serves_byte_identical_reports(tmp_path):
 
 def test_app_restart_marks_inflight_interrupted_and_resubmittable(tmp_path):
     gate = threading.Event()
-    runner = lambda config: (gate.wait(10.0), fake_payload(config))[1]  # noqa: E731
+    runner = lambda config, progress: (gate.wait(10.0), fake_payload(config))[1]  # noqa: E731
     app = make_app(tmp_path, runner=runner)
     _, sub = submit(app, seed=8)
     run_id = sub["run_id"]
@@ -242,7 +242,7 @@ def test_app_restart_marks_inflight_interrupted_and_resubmittable(tmp_path):
 
 def test_graceful_drain_persists_queued_leftovers(tmp_path):
     gate = threading.Event()
-    runner = lambda config: (gate.wait(30.0), fake_payload(config))[1]  # noqa: E731
+    runner = lambda config, progress: (gate.wait(30.0), fake_payload(config))[1]  # noqa: E731
     app = make_app(tmp_path, runner=runner)
     _, first = submit(app, seed=1)   # occupies the single worker
     _, second = submit(app, seed=2)  # stays queued

@@ -1,11 +1,13 @@
 """Unit tests for the progress transport: sender, log, SSE framing."""
 
+import pickle
 import threading
 import time
 
 import pytest
 
 from repro.monitoring.progress import (
+    DEFAULT_SLICES,
     ProgressMeter,
     render_progress_line,
     slice_times,
@@ -47,30 +49,27 @@ def test_render_progress_line_is_wire_data_driven():
 
 # -- ProgressSender ---------------------------------------------------------
 
-class _SlowConn:
-    """A pipe write end whose reader never drains fast."""
+class _RecordingConn:
+    """A pipe write end that records what is sent down it."""
 
-    def __init__(self, delay=0.0):
+    def __init__(self):
         self.sent = []
-        self.delay = delay
         self.closed = False
 
     def send(self, payload):
-        if self.delay:
-            time.sleep(self.delay)
         self.sent.append(payload)
 
     def close(self):
         self.closed = True
 
 
-class _BrokenConn(_SlowConn):
+class _BrokenConn(_RecordingConn):
     def send(self, payload):
         raise BrokenPipeError("reader is gone")
 
 
 def test_sender_delivers_in_order_and_closes_conn():
-    conn = _SlowConn()
+    conn = _RecordingConn()
     sender = ProgressSender(conn)
     for i in range(20):
         sender.emit(tick(i))
@@ -79,39 +78,7 @@ def test_sender_delivers_in_order_and_closes_conn():
     *events, last = conn.sent
     assert last == END_OF_STREAM
     assert [e["seq"] for e in events] == list(range(20))
-    assert conn.closed and sender.coalesced == 0
-
-
-def test_sender_coalesces_ticks_under_slow_reader():
-    conn = _SlowConn(delay=0.02)
-    sender = ProgressSender(conn, buffer=4)
-    sender.emit(tick(0, kind="phase"))
-    for i in range(1, 40):
-        sender.emit(tick(i))
-    sender.emit(tick(40, kind="end"))
-    sender.close(timeout=10.0)
-    *events, last = conn.sent
-    assert last == END_OF_STREAM
-    seqs = [e["seq"] for e in events]
-    # Some ticks were superseded, none reordered, lifecycle survived.
-    assert sender.coalesced > 0
-    assert seqs == sorted(seqs)
-    assert events[0]["kind"] == "phase"
-    assert events[-1]["kind"] == "end"
-    assert len(events) == 41 - sender.coalesced
-
-
-def test_sender_emit_never_blocks_on_slow_reader():
-    conn = _SlowConn(delay=0.05)
-    sender = ProgressSender(conn, buffer=2)
-    start = time.monotonic()
-    for i in range(100):
-        sender.emit(tick(i))
-    elapsed = time.monotonic() - start
-    sender.close(timeout=10.0)
-    # 100 emits against a reader that takes 5s to drain 100 events:
-    # emit() must have returned immediately every time.
-    assert elapsed < 0.5
+    assert conn.closed
 
 
 def test_sender_survives_broken_pipe():
@@ -215,15 +182,19 @@ def test_meter_seq_is_deterministic_for_same_config():
 
 def test_progress_observed_run_is_byte_identical():
     """The zero-perturbation contract: a progress-observed (sliced) run
-    produces byte-for-byte the reports of a silent one, and the alerts
-    knob off means no monitor exists to perturb anything."""
+    produces byte-for-byte the reports of the bare unsliced sequence,
+    and the alerts knob off means no monitor exists to perturb
+    anything."""
     import json
 
     from repro import Grid3, Grid3Config, collect_reports
     config = dict(scale=3000.0, duration_days=0.05, apps=["exerciser"],
                   tracing=True, seed=7)
     silent = Grid3(Grid3Config(**config))
-    silent.run_full()
+    silent.deploy()
+    silent.start_applications()
+    silent.run()
+    silent.monitors["acdc"].poll_once()
     observed = Grid3(Grid3Config(**config))
     observed.run_full(progress=lambda e: None, progress_slices=13)
     assert silent.alert_monitor is None
@@ -245,4 +216,33 @@ def test_meter_slices_control_emission_count():
     grid.run_full(progress=lambda e: events.append(e), progress_slices=8)
     # 2 phase events + 8 ticks + 1 end, regardless of sim content.
     assert len(events) == 11
-    assert ProgressMeter(grid, lambda e: None).slices == 32  # default
+    assert ProgressMeter(grid, lambda e: None).slices == DEFAULT_SLICES
+
+    # The traffic bound that lets the worker send synchronously: a
+    # default run's events, pickled as they cross the pipe, stay under
+    # a quarter of a 64 KiB pipe buffer.
+    events.clear()
+    grid = Grid3(Grid3Config(scale=3000.0, duration_days=0.05,
+                             apps=["exerciser"], seed=7))
+    grid.run_full(progress=lambda e: events.append(e))
+    assert len(events) == DEFAULT_SLICES + 3
+    assert sum(len(pickle.dumps(e.as_dict())) for e in events) < 16 * 1024
+
+
+def test_window_shorter_than_deployment_finishes():
+    """Deployment takes sim time, so a window shorter than it ends
+    before the applications start.  The bare unsliced ``run()`` refuses
+    a horizon already behind the clock; ``run_full`` skips the slices
+    already passed and finishes."""
+    from repro.core.grid3 import Grid3, Grid3Config
+    config = Grid3Config(scale=3000.0, duration_days=0.0001,
+                         apps=["exerciser"], seed=7)
+    bare = Grid3(config)
+    bare.deploy()
+    bare.start_applications()
+    with pytest.raises(ValueError, match="in the past"):
+        bare.run()
+
+    grid = Grid3(config)
+    grid.run_full()
+    assert grid.engine.now == bare.engine.now > grid.duration

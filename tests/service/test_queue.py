@@ -26,7 +26,7 @@ def test_queue_runs_jobs_and_fires_hooks():
     store = RunStore()
     done = []
     queue = make_queue(
-        lambda config: {"seed": config.seed},
+        lambda config, progress: {"seed": config.seed},
         on_start=store.mark_running,
         on_done=lambda record, payload: done.append((record.run_id, payload)),
     )
@@ -46,7 +46,7 @@ def test_queue_failure_path_surfaces_error():
     store = RunStore()
     errors = []
 
-    def boom(config):
+    def boom(config, progress):
         raise RuntimeError("sim exploded")
 
     queue = make_queue(
@@ -67,7 +67,8 @@ def test_queue_failure_path_surfaces_error():
 def test_queue_depth_bound_rejects_with_queue_full():
     store = RunStore()
     release = threading.Event()
-    queue = make_queue(lambda config: release.wait(10.0), workers=1, depth=2)
+    queue = make_queue(lambda config, progress: release.wait(10.0),
+                       workers=1, depth=2)
     try:
         queue.submit(store.create("d1", Grid3Config(seed=1)))
         queue.submit(store.create("d2", Grid3Config(seed=2)))
@@ -85,7 +86,7 @@ def test_queue_shutdown_drains_accepted_work():
     finished = []
     gate = threading.Event()
 
-    def slow(config):
+    def slow(config, progress):
         gate.wait(10.0)
         finished.append(config.seed)
         return {}
@@ -105,7 +106,7 @@ def test_queue_utilization_reflects_busy_workers():
     release = threading.Event()
     started = threading.Event()
 
-    def hold(config):
+    def hold(config, progress):
         started.set()
         release.wait(10.0)
         return {}
@@ -124,9 +125,9 @@ def test_queue_utilization_reflects_busy_workers():
 
 def test_queue_validates_construction():
     with pytest.raises(ValueError):
-        make_queue(lambda c: {}, workers=0)
+        make_queue(lambda c, p: {}, workers=0)
     with pytest.raises(ValueError):
-        make_queue(lambda c: {}, depth=0)
+        make_queue(lambda c, p: {}, depth=0)
 
 
 # -- out-of-process workers ---------------------------------------------------
