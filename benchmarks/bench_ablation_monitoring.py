@@ -82,10 +82,9 @@ def test_monitoring_redundancy(benchmark):
         r for r in grid.acdc_db.records() if r.finished_at > t_kill + HOUR
     ]
     assert post_kill_records, "ACDC path lost with MonALISA — no redundancy"
-    ganglia = grid.monitors["ganglia"]
     fresh = [
-        s for s in grid.sites
-        if ganglia.latest(s, "cpu.total") is not None
+        agent for agent in grid.monitors["ganglia"].store.agents
+        if agent.collected_at is not None
     ]
     assert len(fresh) == 27
     print(f"after MonALISA death: ACDC still harvested "

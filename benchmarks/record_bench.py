@@ -114,9 +114,11 @@ def bench_grid(smoke: bool) -> Dict[str, float]:
 
 
 def bench_store(smoke: bool) -> Dict[str, float]:
-    """Query/latest latency on a populated multi-site store, then the
-    paths runs take: 6-sample batches into a bounded ring and one
-    latest-per-series read of it."""
+    """Window-query latency on a populated multi-site store, then the
+    paths runs and the service take on a bounded 2048-sample ring:
+    6-sample batches in, then one latest-per-series read (the
+    exposition), a window query, a latest read and a window_stats read
+    (the service scrape store's alert reads)."""
     n = 20_000 if smoke else 200_000
     sites = [f"Site{i}" for i in range(8)]
     store = MetricStore()
@@ -133,18 +135,6 @@ def bench_store(smoke: bool) -> Dict[str, float]:
         got = store.query("cpu.busy", since=lo, until=hi)
     window_us = (time.perf_counter() - t0) / reps * 1e6
     assert got
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        got = store.query("cpu.busy", since=lo, until=hi, site="Site3")
-    tagged_us = (time.perf_counter() - t0) / reps * 1e6
-    assert got
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        latest = store.latest("cpu.busy", site="Site5")
-    latest_us = (time.perf_counter() - t0) / reps * 1e6
-    assert latest is not None
 
     ring = MetricStore(max_samples=2048)
     batches = [
@@ -164,14 +154,35 @@ def bench_store(smoke: bool) -> Dict[str, float]:
     per_series_us = (time.perf_counter() - t0) / reps * 1e6
     assert len(per_series) == 6
 
+    newest = ring.latest("cpu.busy").time
+    since = newest - 100.0
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        got = ring.query("cpu.busy", since=since, until=newest)
+    ring_window_us = (time.perf_counter() - t0) / reps * 1e6
+    assert len(got) == 6 * 101
+
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        latest = ring.latest("cpu.busy")
+    ring_latest_us = (time.perf_counter() - t0) / reps * 1e6
+    assert latest is not None
+
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        stats = ring.window_stats("cpu.busy", since, newest)
+    ring_stats_us = (time.perf_counter() - t0) / reps * 1e6
+    assert stats["count"] == 6 * 101
+
     return {
         "samples": n,
         "query_window_us": round(window_us, 1),
-        "query_tagged_us": round(tagged_us, 1),
-        "latest_tagged_us": round(latest_us, 2),
         "ring_samples": len(ring),
         "extend_batch6_us": round(extend_us, 2),
         "latest_per_series_us": round(per_series_us, 1),
+        "ring_query_window_us": round(ring_window_us, 1),
+        "ring_latest_us": round(ring_latest_us, 2),
+        "ring_window_stats_us": round(ring_stats_us, 1),
     }
 
 

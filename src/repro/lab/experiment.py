@@ -70,11 +70,9 @@ from ..core.grid3 import Grid3, Grid3Config
 #: by the others.
 _CHUNKS_PER_WORKER = 4
 
-#: Cost-model estimates (seconds) for bringing up a process pool:
-#: cold = spawn + interpreter start + ``import repro`` per worker;
-#: warm = dispatch overhead on an already-running pool.
+#: Cost-model estimate (seconds) for bringing up a cold process pool:
+#: spawn + interpreter start + ``import repro`` per worker.
 _COLD_POOL_COST_S = 0.5
-_WARM_POOL_COST_S = 0.05
 
 
 class UnpicklableSpecWarning(UserWarning):

@@ -8,10 +8,12 @@ ACDC, the Site Status Catalog) are built from these pieces:
 * a :class:`MetricSample` is one observation;
 * a :class:`MetricStore` is the queryable sample sink: one bounded
   deque per metric name, scanned on read (runs append batches and read
-  whole series, never a windowed or tagged query, so there is no
-  index).  A read-only subclass answers the same reads from state kept
-  elsewhere: the Ganglia pages read their agents' rows, the
-  service-health view the downtime ledgers;
+  whole series or one trailing window, so there is no index).  Every
+  read goes through two hooks, :meth:`MetricStore._retained` for
+  samples and :meth:`MetricStore._window_values` for ``window_stats``.
+  A read-only subclass answers them from state kept elsewhere: the
+  Ganglia pages read their agents' rows, the service-health view the
+  downtime ledgers;
 * :class:`PeriodicProducer` is the common "sample every N seconds"
   process shape.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Callable, Collection, Deque, Dict, Iterable, List, Optional, Tuple,
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -48,21 +50,10 @@ class MetricSample:
     #: Sorted (key, value) pairs — hashable, e.g. (("site","BNL"),).
     tags: Tuple[Tuple[str, str], ...] = ()
 
-    def tag(self, key: str) -> Optional[str]:
-        """Look up one tag value."""
-        for k, v in self.tags:
-            if k == key:
-                return v
-        return None
-
 
 def make_tags(**kwargs: str) -> Tuple[Tuple[str, str], ...]:
     """Build a canonical (sorted) tag tuple."""
     return tuple(sorted((k, str(v)) for k, v in kwargs.items()))
-
-
-def _matches(sample: MetricSample, pairs: Tuple[Tuple[str, str], ...]) -> bool:
-    return all(sample.tag(k) == v for k, v in pairs)
 
 
 class MetricStore:
@@ -71,13 +62,15 @@ class MetricStore:
     Each metric name keeps a ``deque(maxlen=max_samples)`` of its
     samples in arrival order; ``max_samples`` bounds the retained
     history (ring semantics) so site-local stores in long runs cannot
-    grow without bound.  ``query`` is a scan, ``latest`` a reverse scan
-    with early exit, ``latest_per_series`` one forward pass.
+    grow without bound.  ``query`` is a scan, ``latest`` the last
+    retained sample, ``latest_per_series`` one forward pass.
 
-    ``names`` and ``len`` read ``_samples``; every other reader reads
-    :meth:`_retained`.  The read-only views (the Ganglia pages, the
-    service-health view) make ``append``/``extend`` raise and answer
-    ``names``, ``len`` and :meth:`_retained` from what they view.
+    ``names`` and ``len`` read ``_samples``; ``window_stats`` reads
+    :meth:`_window_values`, every other reader :meth:`_retained`.  The
+    read-only views (the Ganglia pages, the service-health view) make
+    ``append``/``extend`` raise and answer ``names``, ``len`` and the
+    two hooks from what they view, overriding a reader only where a hot
+    path needs a shortcut.
     """
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
@@ -97,9 +90,16 @@ class MetricStore:
         for sample in samples:
             self.append(sample)
 
-    def _retained(self, name: str) -> Collection[MetricSample]:
-        """The retained samples of ``name``, oldest first (reversible)."""
+    def _retained(self, name: str) -> Sequence[MetricSample]:
+        """The retained samples of ``name``, oldest first."""
         return self._samples.get(name, ())
+
+    def _window_values(self, name: str, since: float,
+                       until: float) -> np.ndarray:
+        """The float64 values of ``name``'s samples in [since, until],
+        in arrival order."""
+        return np.fromiter((s.value for s in self._retained(name)
+                            if since <= s.time <= until), dtype=float)
 
     def names(self) -> List[str]:
         """All metric names seen."""
@@ -110,20 +110,14 @@ class MetricStore:
         name: str,
         since: float = -float("inf"),
         until: float = float("inf"),
-        **tag_filter: str,
     ) -> List[MetricSample]:
-        """Samples of ``name`` in [since, until] matching every tag."""
-        pairs = make_tags(**tag_filter)
-        return [s for s in self._retained(name)
-                if since <= s.time <= until and _matches(s, pairs)]
+        """Samples of ``name`` in [since, until], oldest first."""
+        return [s for s in self._retained(name) if since <= s.time <= until]
 
-    def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
-        """The newest matching sample, or None (reverse walk, early exit)."""
-        pairs = make_tags(**tag_filter)
-        for sample in reversed(self._retained(name)):
-            if _matches(sample, pairs):
-                return sample
-        return None
+    def latest(self, name: str) -> Optional[MetricSample]:
+        """The newest sample of ``name``, or None."""
+        retained = self._retained(name)
+        return retained[-1] if retained else None
 
     def latest_per_series(
         self, name: str
@@ -137,33 +131,6 @@ class MetricStore:
         """
         return {sample.tags: sample for sample in self._retained(name)}
 
-    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar (times, values) float64 arrays for ``name``.
-
-        The cheap bulk accessor for :mod:`repro.analysis` aggregations —
-        no per-sample Python objects cross the boundary.  The columns are
-        built fresh on each call.
-        """
-        retained = self._retained(name)
-        if not retained:
-            return np.empty(0, dtype=float), np.empty(0, dtype=float)
-        n = len(retained)
-        times = np.fromiter((s.time for s in retained), dtype=float, count=n)
-        values = np.fromiter((s.value for s in retained), dtype=float, count=n)
-        return times, values
-
-    def series_window(
-        self,
-        name: str,
-        since: float = -float("inf"),
-        until: float = float("inf"),
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar (times, values) restricted to ``[since, until]``:
-        a boolean mask over the columns, in arrival order."""
-        times, values = self.series(name)
-        mask = (times >= since) & (times <= until)
-        return times[mask], values[mask]
-
     def window_stats(
         self,
         name: str,
@@ -173,11 +140,10 @@ class MetricStore:
         """Vectorized reductions over one time window.
 
         Returns ``{"count", "sum", "mean", "min", "max"}`` (NaNs for
-        the empty window, except count/sum) in one pass over the
-        columns — the building block for windowed dashboards that used
-        to re-query per statistic.
+        the empty window, except count/sum) in one pass over
+        :meth:`_window_values`.
         """
-        _times, values = self.series_window(name, since, until)
+        values = self._window_values(name, since, until)
         n = len(values)
         if not n:
             return {"count": 0.0, "sum": 0.0,

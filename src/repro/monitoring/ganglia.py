@@ -35,8 +35,8 @@ class GangliaPage(MetricStore):
     stamped with its last-collect time and tagged with its site.  Reads
     see the agents least recently collected first (ties in ``agents``
     order), so ``names``, ``latest`` and ``latest_per_series`` answer
-    what a plain store fed every collect answers; ``query``, ``series``
-    and ``window_stats`` see only the newest row of each agent.
+    what a plain store fed every collect answers; ``query`` and
+    ``window_stats`` see only the newest row of each agent.
     ``append``/``extend`` raise.
     """
 
@@ -122,8 +122,3 @@ class GangliaWeb:
     def __init__(self) -> None:
         #: The page over every agent registered with this server.
         self.store = GangliaPage()
-
-    def latest(self, site: str, metric: str) -> Optional[float]:
-        """Newest value of ``metric`` for ``site`` (None if never seen)."""
-        sample = self.store.latest(metric, site=site)
-        return sample.value if sample else None

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.units import HOUR, MINUTE
-from .core import MetricSample, PeriodicProducer, make_tags
+from .core import PeriodicProducer, make_tags
 from .ganglia import METRICS
 from .rrd import RoundRobinDatabase
 
@@ -50,34 +50,16 @@ class MonALISARepository:
             )
         return rrd
 
-    def ingest(self, samples: List[MetricSample]) -> None:
-        """Write samples into their per-series RRDs."""
-        for sample in samples:
-            self._rrd(sample.name, sample.tags).update(sample.time, sample.value)
-
     def series(self, name: str, **tags: str) -> List[Tuple[float, float]]:
         """The consolidated series for an exact (metric, tags) key."""
         key = (name, make_tags(**tags))
         rrd = self._rrds.get(key)
         return rrd.series() if rrd else []
 
-    def series_matching(self, name: str, **tag_filter: str) -> Dict[Tuple[Tuple[str, str], ...], List[Tuple[float, float]]]:
-        """All series of ``name`` whose tags include ``tag_filter``."""
-        wanted = set(make_tags(**tag_filter))
-        out = {}
-        for (metric, tags), rrd in self._rrds.items():
-            if metric == name and wanted <= set(tags):
-                out[tags] = rrd.series()
-        return out
-
-    def aggregate_latest(self, name: str, **tag_filter: str) -> float:
-        """Sum of the latest bin value across matching series (the
-        repository's grid-wide view, e.g. total CPUs in use)."""
-        total = 0.0
-        for series in self.series_matching(name, **tag_filter).values():
-            if series:
-                total += series[-1][1]
-        return total
+    def series_matching(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], List[Tuple[float, float]]]:
+        """Every series of ``name``, by tags, in first-write order."""
+        return {tags: rrd.series()
+                for (metric, tags), rrd in self._rrds.items() if metric == name}
 
     def __len__(self) -> int:
         return len(self._rrds)

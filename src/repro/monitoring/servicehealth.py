@@ -8,11 +8,13 @@ Status Catalog) and ledgers (here) observe the same outages through
 different paths and can be cross-checked.
 
 Nothing is sampled or stored.  :class:`ServiceHealthView` is a
-read-only :class:`~repro.monitoring.core.MetricStore` that derives
-every answer from the ledgers and live counters at query time, so the
-alert engine, ``grid_stores`` and the Prometheus exposition read it
-like any other store.  Published series, all tagged
-``site=<owner site>``, ``role=<role>``:
+read-only :class:`~repro.monitoring.core.MetricStore` that answers the
+store's two read hooks (``_retained`` for samples, ``_window_values``
+for ``window_stats``) from the ledgers and live counters at query
+time, so the alert engine, ``grid_stores`` and the Prometheus
+exposition read it like any other store.  ``latest_per_series``, the
+scrape path, reads only the newest instant.  Published series, all
+tagged ``site=<owner site>``, ``role=<role>``:
 
 * ``service.<role>.up`` — 1.0/0.0 liveness;
 * ``service.<role>.availability`` — ledger availability since t=0;
@@ -73,9 +75,9 @@ def _ledger_column(service: GridService, field: str,
 class ServiceHealthView(MetricStore):
     """A read-only MetricStore over a grid's service ledgers and counters.
 
-    Every query method of :class:`MetricStore` answers from the
-    services at call time; ``append``/``extend`` raise, and the view
-    holds no samples (``len`` is 0).
+    Every read of :class:`MetricStore` answers from the services at
+    call time; ``append``/``extend`` raise, and the view holds no
+    samples (``len`` is 0).
     """
 
     def __init__(self, agent: "ServiceHealthAgent") -> None:
@@ -96,9 +98,6 @@ class ServiceHealthView(MetricStore):
 
     def extend(self, samples: Iterable[MetricSample]) -> None:
         raise TypeError("the service-health view is read-only")
-
-    def __len__(self) -> int:
-        return 0
 
     # -- what is published, and when -------------------------------------
     def _services(self) -> Dict[str, List[Tuple[Tags, GridService]]]:
@@ -153,16 +152,12 @@ class ServiceHealthView(MetricStore):
         return self.agent.engine.now
 
     def _read(
-        self, name: str, since: float, until: float, tag_filter: Dict[str, str]
+        self, name: str, since: float, until: float
     ) -> Tuple[List[float], List[Tags], np.ndarray]:
         """``name`` over [since, until] as (times, member tags, values),
         where ``values[i, j]`` is member j's value at ``times[i]``."""
         role, field = _split(name)
         entries = self._services().get(role, [])
-        if tag_filter:
-            pairs = make_tags(**tag_filter)
-            entries = [entry for entry in entries
-                       if all(pair in entry[0] for pair in pairs)]
         if field in _LEDGER_FIELDS:
             grid = self._instants()
             lo = bisect_left(grid, since, 1)
@@ -203,59 +198,32 @@ class ServiceHealthView(MetricStore):
                              for counter in service.counters())
         return sorted(names)
 
-    def query(
-        self,
-        name: str,
-        since: float = -float("inf"),
-        until: float = float("inf"),
-        **tag_filter: str,
-    ) -> List[MetricSample]:
-        """Samples of ``name`` in [since, until] matching every tag,
-        time-major in publication order."""
-        times, members, values = self._read(name, since, until, tag_filter)
+    def _retained(self, name: str) -> List[MetricSample]:
+        """Every sample of ``name``, time-major in publication order."""
+        times, members, values = self._read(name, -float("inf"), float("inf"))
         return [
             MetricSample(t, name, value, tags)
             for t, row in zip(times, values.tolist())
             for tags, value in zip(members, row)
         ]
 
-    def latest(self, name: str, **tag_filter: str) -> Optional[MetricSample]:
-        """The newest matching sample, or None."""
-        newest = self._newest(name)
-        if newest is None:
-            return None
-        times, members, values = self._read(name, newest, newest, tag_filter)
-        if not times or not members:
-            return None
-        return MetricSample(times[-1], name, float(values[-1, -1]), members[-1])
+    def _window_values(self, name: str, since: float,
+                       until: float) -> np.ndarray:
+        return self._read(name, since, until)[2].ravel()
 
     def latest_per_series(self, name: str) -> Dict[Tags, MetricSample]:
-        """The newest sample for each distinct tag set under ``name``."""
+        """The newest sample for each distinct tag set under ``name``,
+        read from the newest instant alone."""
         newest = self._newest(name)
         if newest is None:
             return {}
-        times, members, values = self._read(name, newest, newest, {})
+        times, members, values = self._read(name, newest, newest)
         if not times:
             return {}
         return {
             tags: MetricSample(times[-1], name, value, tags)
             for tags, value in zip(members, values[-1].tolist())
         }
-
-    def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar (times, values) float64 arrays for ``name``."""
-        return self.series_window(name)
-
-    def series_window(
-        self,
-        name: str,
-        since: float = -float("inf"),
-        until: float = float("inf"),
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar (times, values) restricted to ``[since, until]``,
-        time-major in publication order."""
-        times, members, values = self._read(name, since, until, {})
-        return np.repeat(np.array(times, dtype=float), len(members)), values.ravel()
 
 
 class ServiceHealthAgent:

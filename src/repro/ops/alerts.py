@@ -122,41 +122,13 @@ class AlertRule(ReportRecord):
             )
         return cls(**payload).validate()  # type: ignore[arg-type]
 
-    def evaluate(self, store: MetricStore, now: float) -> Optional[bool]:
-        """Is this rule firing at ``now``?  None = no data in window."""
+    def observe(self, store: MetricStore, now: float) -> Optional[float]:
+        """The value this rule compares at ``now``, from one store read:
+        the window aggregate, the latest sample, or for a ``burn_rate``
+        rule the window's error rate over the SLO's error budget.
+        None = no data in window."""
         since = now - self.window
-        if self.kind == "burn_rate":
-            stats = store.window_stats(self.metric, since, now)
-            if not stats["count"]:
-                return None
-            error_rate = 1.0 - stats["mean"]
-            budget = 1.0 - self.slo_target
-            burn = error_rate / budget if budget > 0 else float("inf")
-            return burn >= self.threshold
-        if self.aggregate == "latest":
-            sample = store.latest(self.metric)
-            if sample is None or sample.time < since:
-                return None
-            value: float = sample.value
-        else:
-            stats = store.window_stats(self.metric, since, now)
-            if not stats["count"]:
-                return None
-            value = stats[self.aggregate]
-        return OPS[self.op](value, self.threshold)
-
-    def current_value(self, store: MetricStore, now: float) -> Optional[float]:
-        """The observed value the rule compared (for display)."""
-        since = now - self.window
-        if self.kind == "burn_rate":
-            stats = store.window_stats(self.metric, since, now)
-            if not stats["count"]:
-                return None
-            budget = 1.0 - self.slo_target
-            if budget <= 0:
-                return None
-            return (1.0 - stats["mean"]) / budget
-        if self.aggregate == "latest":
+        if self.kind != "burn_rate" and self.aggregate == "latest":
             sample = store.latest(self.metric)
             if sample is None or sample.time < since:
                 return None
@@ -164,7 +136,16 @@ class AlertRule(ReportRecord):
         stats = store.window_stats(self.metric, since, now)
         if not stats["count"]:
             return None
+        if self.kind == "burn_rate":
+            return (1.0 - stats["mean"]) / (1.0 - self.slo_target)
         return stats[self.aggregate]
+
+    def fires(self, value: float) -> bool:
+        """Does the observed ``value`` make this rule fire?  A burn rate
+        fires at or above its threshold whatever ``op`` says."""
+        if self.kind == "burn_rate":
+            return value >= self.threshold
+        return OPS[self.op](value, self.threshold)
 
 
 @dataclass
@@ -242,10 +223,11 @@ class AlertEngine:
             store = self.stores.get(rule.store)
             if store is None:
                 continue
-            verdict = rule.evaluate(store, now)
-            if verdict is None:
+            value = rule.observe(store, now)
+            if value is None:
                 continue
-            state.last_value = rule.current_value(store, now)
+            verdict = rule.fires(value)
+            state.last_value = value
             if verdict and not state.firing:
                 state.firing = True
                 state.since = now

@@ -154,8 +154,9 @@ class ServiceApp:
             admission=self.admission,
         )
         # Scrape history: every /metrics hit appends the service.*
-        # gauges as samples, so the estate's MetricStore query surface
-        # (series/window_stats) works on service telemetry too.
+        # gauges as samples, so the estate's MetricStore reads
+        # (latest/window_stats, which the alert rules use) work on
+        # service telemetry too.
         # Bounded (ring per metric): a long-lived server's own
         # telemetry must not leak.
         from ..monitoring.core import MetricStore

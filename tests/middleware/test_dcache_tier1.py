@@ -8,6 +8,7 @@ from repro import Grid3, Grid3Config
 from repro.analysis.export import export_database
 from repro.failures import FailureProfile
 from repro.middleware.dcache import DCachePoolManager
+from repro.monitoring.core import make_tags
 from repro.sim import GB, HOUR
 
 
@@ -52,8 +53,8 @@ def test_production_archives_into_pools(dcache_grid):
 
 def test_monitoring_and_probes_work_over_dcache(dcache_grid):
     # Ganglia sampled disk gauges off the pool manager without error.
-    ganglia = dcache_grid.monitors["ganglia"]
-    assert ganglia.latest("BNL_ATLAS", "disk.used") is not None
+    bnl = dcache_grid.monitors["ganglia"].store.latest_per_series("disk.used")
+    assert make_tags(site="BNL_ATLAS") in bnl
     # The status catalog probed the Tier1s fine.
     page = dict(
         (site, status)

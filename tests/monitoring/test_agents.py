@@ -27,15 +27,25 @@ def spec(name="j", vo="usatlas", runtime=HOUR):
 
 # --- Ganglia -----------------------------------------------------------------
 
+def site_row(page, site, metric):
+    """The newest ``metric`` sample of ``site`` on a Ganglia page, or None."""
+    rows = [s for s in page.query(metric) if s.tags == make_tags(site=site)]
+    return rows[-1] if rows else None
+
+
+def site_value(central, site, metric):
+    sample = site_row(central.store, site, metric)
+    return sample.value if sample else None
+
 def test_ganglia_agent_samples_cluster(eng, net):
     site = make_site(eng, net, "SiteA", cpus=4)
     central = GangliaWeb()
     GangliaAgent(eng, site, central, interval=5 * MINUTE)
     site.cluster.allocate("job-1")
     eng.run(until=6 * MINUTE)
-    assert central.latest("SiteA", "cpu.total") == 4.0
-    assert central.latest("SiteA", "cpu.busy") == 1.0
-    assert central.latest("SiteA", "cpu.load") == pytest.approx(0.25)
+    assert site_value(central, "SiteA", "cpu.total") == 4.0
+    assert site_value(central, "SiteA", "cpu.busy") == 1.0
+    assert site_value(central, "SiteA", "cpu.load") == pytest.approx(0.25)
     assert site.service("ganglia") is not None
 
 
@@ -46,9 +56,9 @@ def test_ganglia_net_bytes_are_deltas(eng, net):
     gftp = site.service("gridftp")
     gftp.bytes_sent = 100.0
     eng.run(until=6 * MINUTE)
-    assert central.latest("SiteA", "net.bytes") == 100.0
+    assert site_value(central, "SiteA", "net.bytes") == 100.0
     eng.run(until=11 * MINUTE)
-    assert central.latest("SiteA", "net.bytes") == 0.0  # no new traffic
+    assert site_value(central, "SiteA", "net.bytes") == 0.0  # no new traffic
 
 
 def test_ganglia_stores_keep_latest_values_only(eng, net):
@@ -59,7 +69,8 @@ def test_ganglia_stores_keep_latest_values_only(eng, net):
     assert all(agent.producer.collections == 100 for agent in agents)
     assert [len(agent.local_store) for agent in agents] == [6, 6, 6]
     assert len(central.store) == 3 * 6
-    assert central.store.latest("cpu.total", site="S2").time == 100 * MINUTE
+    assert site_row(central.store, "S2", "cpu.total").time == 100 * MINUTE
+    assert site_value(central, "Ghost", "cpu.total") is None
 
 
 def test_ganglia_collect_overwrites_the_row_and_delivers_nothing(eng, net, monkeypatch):
@@ -79,7 +90,7 @@ def test_ganglia_collect_overwrites_the_row_and_delivers_nothing(eng, net, monke
     assert agent.collected_at == 3 * MINUTE
     assert agent.readings[:3] == (4.0, 1.0, 0.25)
     # Reading a page builds its samples; collecting never did.
-    assert agent.central.latest("SiteA", "cpu.busy") == 1.0
+    assert site_value(agent.central, "SiteA", "cpu.busy") == 1.0
     assert built
 
 
@@ -117,21 +128,35 @@ def test_monalisa_gram_log_sensor_counts_new_entries(eng, net):
 
 
 def test_monalisa_repository_aggregate(eng):
+    """``series_matching`` returns every series of a name in first-write
+    order, so its latest bins sum to the grid-wide total."""
     repo = MonALISARepository(bin_width=MINUTE)
-    repo.ingest([
-        MetricSample(30.0, "vo.cpus_in_use", 5.0, make_tags(site="A", vo="usatlas")),
-        MetricSample(30.0, "vo.cpus_in_use", 3.0, make_tags(site="B", vo="usatlas")),
-        MetricSample(30.0, "vo.cpus_in_use", 2.0, make_tags(site="A", vo="uscms")),
-    ])
-    assert repo.aggregate_latest("vo.cpus_in_use", vo="usatlas") == 8.0
-    assert repo.aggregate_latest("vo.cpus_in_use") == 10.0
-    assert len(repo) == 3
+    writes = [(make_tags(site="B", vo="usatlas"), 3.0),
+              (make_tags(site="A", vo="usatlas"), 5.0),
+              (make_tags(site="A", vo="uscms"), 2.0)]
+    for tags, value in writes:
+        repo._rrd("vo.cpus_in_use", tags).update(30.0, value)
+    repo._rrd("queue.idle", make_tags(site="A")).update(30.0, 7.0)
+    matching = repo.series_matching("vo.cpus_in_use")
+    assert list(matching) == [tags for tags, _value in writes]
+    assert sum(series[-1][1] for series in matching.values()) == 10.0
+    assert sum(series[-1][1] for tags, series in matching.items()
+               if ("vo", "usatlas") in tags) == 8.0
+    assert repo.series_matching("absent") == {}
+    assert len(repo) == 4
+
+
+def write_samples(repository, samples):
+    """What ``MonALISARepository.ingest`` did: write each sample into
+    its per-series RRD."""
+    for sample in samples:
+        repository._rrd(sample.name, sample.tags).update(sample.time, sample.value)
 
 
 class SampleEmittingAgent:
     """The agent's collection as it was when each pass built a
-    ``MetricSample`` per reading for ``MonALISARepository.ingest``:
-    the reference the direct-write agent must match."""
+    ``MetricSample`` per reading for the repository to ingest: the
+    reference the direct-write agent must match."""
 
     def __init__(self, site, vos):
         self.site = site
@@ -188,7 +213,7 @@ class SampleEmittingAgent:
         samples.extend(self._vo_activity_sensor(now))
         ganglia = self.site.services.get("ganglia")
         if ganglia is not None:
-            latest = ganglia.local_store.latest("cpu.busy", site=self.site.name)
+            latest = ganglia.local_store.latest("cpu.busy")
             if latest is not None:
                 samples.append(
                     MetricSample(now, "ganglia.cpu_busy", latest.value, tags)
@@ -212,7 +237,7 @@ def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
         shadow = SampleEmittingAgent(site, vos)
 
         def collect(agent=agent, shadow=shadow):
-            reference.ingest(shadow.collect(eng.now))
+            write_samples(reference, shadow.collect(eng.now))
             return agent._collect()
 
         agent.producer.collect = collect
@@ -252,7 +277,8 @@ def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
     assert ("ganglia.cpu_busy", make_tags(site="SiteA")) in repo._rrds
     assert ("ganglia.cpu_busy", b_tags) not in repo._rrds
     assert sum(v for _t, v in repo.series("gram.failures", site="SiteA")) > 0
-    assert len(repo.series_matching("vo.cpus_in_use", site="SiteA")) == 3
+    assert len([tags for tags in repo.series_matching("vo.cpus_in_use")
+                if ("site", "SiteA") in tags]) == 3
 
 
 @pytest.mark.parametrize("broken", ["gatekeeper.load", "lrm.running_jobs"])
@@ -279,22 +305,16 @@ def test_monalisa_collect_with_failing_sensor_writes_nothing(eng, net, monkeypat
 
 
 def test_grid_run_builds_no_samples_for_monalisa(monkeypatch):
-    counts = {"ingest": 0, "samples": 0}
-    ingest = MonALISARepository.ingest
-
-    def counting_ingest(self, samples):
-        counts["ingest"] += 1
-        return ingest(self, samples)
+    counts = {"samples": 0}
 
     def counting_sample(*args, **kwargs):
         counts["samples"] += 1
         return MetricSample(*args, **kwargs)
 
-    monkeypatch.setattr(MonALISARepository, "ingest", counting_ingest)
     monkeypatch.setattr(monalisa, "MetricSample", counting_sample, raising=False)
     grid = Grid3(Grid3Config(seed=11, scale=2000.0, duration_days=0.5))
     grid.run_full()
-    assert counts == {"ingest": 0, "samples": 0}
+    assert counts == {"samples": 0}
     assert len(grid.monitors["monalisa"]) > 0
 
 

@@ -13,12 +13,6 @@ def test_make_tags_canonical_order():
     assert make_tags(vo="x", site="a") == (("site", "a"), ("vo", "x"))
 
 
-def test_sample_tag_lookup():
-    s = MetricSample(0.0, "m", 1.0, make_tags(site="BNL"))
-    assert s.tag("site") == "BNL"
-    assert s.tag("vo") is None
-
-
 def test_store_query_by_name_time_tags():
     store = MetricStore()
     for t in range(5):
@@ -26,11 +20,14 @@ def test_store_query_by_name_time_tags():
         store.append(MetricSample(float(t), "cpu", t * 2.0, make_tags(site="B")))
     assert len(store) == 10
     assert store.names() == ["cpu"]
-    a_mid = store.query("cpu", since=1.0, until=3.0, site="A")
-    assert [s.value for s in a_mid] == [1.0, 2.0, 3.0]
-    assert store.latest("cpu", site="B").value == 8.0
+    site_a, site_b = make_tags(site="A"), make_tags(site="B")
+    mid = store.query("cpu", since=1.0, until=3.0)
+    assert [s.value for s in mid if s.tags == site_a] == [1.0, 2.0, 3.0]
+    assert [(s.tags, s.time) for s in mid] == [
+        (tags, t) for t in (1.0, 2.0, 3.0) for tags in (site_a, site_b)]
+    assert store.latest("cpu") == MetricSample(4.0, "cpu", 8.0, site_b)
     assert store.latest("nope") is None
-    assert store.query("cpu", site="C") == []
+    assert [s for s in store.query("cpu") if s.tags == make_tags(site="C")] == []
 
 
 def test_periodic_producer_collects(eng):

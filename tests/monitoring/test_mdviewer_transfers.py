@@ -127,14 +127,12 @@ def test_peak_concurrent_jobs(viewer):
 
 
 def test_utilisation_series():
-    from repro.monitoring.core import MetricSample, make_tags
+    from repro.monitoring.core import make_tags
     from repro.monitoring.monalisa import MonALISARepository
 
     repo = MonALISARepository(bin_width=HOUR)
-    repo.ingest([
-        MetricSample(HOUR / 2, "vo.cpus_in_use", 30.0, make_tags(site="A", vo="usatlas")),
-        MetricSample(HOUR / 2, "vo.cpus_in_use", 20.0, make_tags(site="B", vo="uscms")),
-    ])
+    repo._rrd("vo.cpus_in_use", make_tags(site="A", vo="usatlas")).update(HOUR / 2, 30.0)
+    repo._rrd("vo.cpus_in_use", make_tags(site="B", vo="uscms")).update(HOUR / 2, 20.0)
     mdv = MDViewer(ACDCDatabase(), repository=repo)
     series = mdv.utilisation_series(total_cpus=100)
     assert series == [(0.0, pytest.approx(0.5))]

@@ -1,10 +1,13 @@
 """Property tests: MetricStore must be behaviorally identical to the
 linear-scan reference implementation.
 
-The reference model below is a verbatim transcription of the seed
-``MetricStore`` (deque ring + full scan per query); hypothesis drives
-both through random append/query interleavings — including ring
-eviction and out-of-order appends — and every observable must agree.
+The reference model below is a transcription of the seed
+``MetricStore`` (deque ring + full scan per query) narrowed to the
+untagged reads the store keeps; hypothesis drives both through random
+append/query interleavings — including ring eviction and out-of-order
+appends — and every observable must agree.  The read-only views (the
+Ganglia pages, the service-health view) are checked against their own
+sample hook on a finished grid.
 """
 
 from collections import deque
@@ -15,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.grid3 import Grid3, Grid3Config
 from repro.monitoring.core import MetricSample, MetricStore, make_tags
 from repro.monitoring.ganglia import METRICS, GangliaAgent, GangliaWeb
-from repro.monitoring.prometheus import render_store
+from repro.monitoring.prometheus import grid_stores, render_store
 from repro.sim import Engine
+from repro.failures import FailureProfile
 
 
 class LinearScanStore:
@@ -38,19 +43,13 @@ class LinearScanStore:
     def names(self):
         return sorted(self._samples)
 
-    def query(self, name, since=-float("inf"), until=float("inf"), **tag_filter):
-        out = []
-        for sample in self._samples.get(name, ()):
-            if not since <= sample.time <= until:
-                continue
-            if all(sample.tag(k) == str(v) for k, v in tag_filter.items()):
-                out.append(sample)
-        return out
+    def query(self, name, since=-float("inf"), until=float("inf")):
+        return [sample for sample in self._samples.get(name, ())
+                if since <= sample.time <= until]
 
-    def latest(self, name, **tag_filter):
+    def latest(self, name):
         for sample in reversed(self._samples.get(name, ())):
-            if all(sample.tag(k) == str(v) for k, v in tag_filter.items()):
-                return sample
+            return sample
         return None
 
     def __len__(self):
@@ -86,20 +85,29 @@ def _fill(samples, max_samples, monotone):
     return store, oracle
 
 
+def _stats(values):
+    """``window_stats`` computed from a list of sample values."""
+    if not values:
+        nan = float("nan")
+        return {"count": 0.0, "sum": 0.0, "mean": nan, "min": nan, "max": nan}
+    column = np.array(values, dtype=float)
+    total = float(column.sum())
+    return {"count": float(len(values)), "sum": total,
+            "mean": total / len(values), "min": float(column.min()),
+            "max": float(column.max())}
+
+
 def _check_agreement(store, oracle, windows):
     assert len(store) == len(oracle)
     assert store.names() == oracle.names()
-    filters = [{}, {"site": "A"}, {"site": "B", "vo": "atlas"}, {"vo": "cms"},
-               {"site": "nope"}]
     for name in NAMES + ["absent"]:
-        for tf in filters:
-            assert store.latest(name, **tf) == oracle.latest(name, **tf), (
-                name, tf)
+        assert store.latest(name) == oracle.latest(name), name
         for since, until in windows:
-            for tf in filters:
-                assert store.query(name, since, until, **tf) == oracle.query(
-                    name, since, until, **tf
-                ), (name, since, until, tf)
+            expected = oracle.query(name, since, until)
+            assert store.query(name, since, until) == expected, (
+                name, since, until)
+            assert repr(store.window_stats(name, since, until)) == repr(
+                _stats([s.value for s in expected])), (name, since, until)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +125,7 @@ def _check_agreement(store, oracle, windows):
     ),
 )
 def test_indexed_store_matches_linear_scan(samples, max_samples, monotone, windows):
-    """Random streams, random windows/filters, ring eviction, and both
+    """Random streams, random windows, ring eviction, and both
     time-ordered and out-of-order arrival orders."""
     store, oracle = _fill(samples, max_samples, monotone)
     _check_agreement(store, oracle, windows)
@@ -137,12 +145,10 @@ def test_queries_interleaved_with_appends(samples, max_samples):
     for s in samples[:mid]:
         store.append(s)
         oracle.append(s)
-    # Touch every series with a windowed, tagged query while the back
-    # half streams in.
+    # Touch every series with a windowed query while the back half
+    # streams in.
     for name in NAMES:
-        assert store.query(name, 0.0, 500.0, site="A") == oracle.query(
-            name, 0.0, 500.0, site="A"
-        )
+        assert store.query(name, 0.0, 500.0) == oracle.query(name, 0.0, 500.0)
     for s in samples[mid:]:
         store.append(s)
         oracle.append(s)
@@ -160,20 +166,8 @@ def test_heavy_eviction_keeps_index_consistent():
         store.append(s)
         oracle.append(s)
         if i % 97 == 0:  # query throughout the evictions
-            store.query("cpu", since=i - 50, until=i, site="A")
+            store.query("cpu", since=i - 50, until=i)
     _check_agreement(store, oracle, [(2980, 3000), (0, 3000), (2990, 2991)])
-
-
-def test_series_columnar_accessor():
-    store = MetricStore()
-    for i in range(10):
-        store.append(MetricSample(float(i), "cpu", float(i * 2)))
-    times, values = store.series("cpu")
-    assert isinstance(times, np.ndarray) and isinstance(values, np.ndarray)
-    np.testing.assert_allclose(times, np.arange(10.0))
-    np.testing.assert_allclose(values, np.arange(10.0) * 2)
-    empty_t, empty_v = store.series("absent")
-    assert empty_t.size == 0 and empty_v.size == 0
 
 
 def test_len_is_constant_time_counter():
@@ -211,22 +205,20 @@ def test_out_of_order_append_falls_back():
         store.append(s)
         oracle.append(s)
     assert store.query("cpu", 2.0, 8.0) == oracle.query("cpu", 2.0, 8.0)
-    assert store.query("cpu", site="A") == oracle.query("cpu", site="A")
-    assert store.latest("cpu", site="A") == oracle.latest("cpu", site="A")
+    assert store.query("cpu") == oracle.query("cpu")
+    assert store.latest("cpu") == oracle.latest("cpu")
 
 
 def _assert_columns(store, name, expected):
-    """``series``, ``series_window`` and ``window_stats`` of ``name``
+    """``query`` and ``window_stats`` of ``name``, whole and windowed,
     reflect exactly the ``expected`` samples."""
-    times = [s.time for s in expected]
     values = [s.value for s in expected]
-    got_t, got_v = store.series(name)
-    assert got_t.tolist() == times and got_v.tolist() == values
-    since, until = times[len(times) // 2], times[-1]
-    win_t, win_v = store.series_window(name, since, until)
+    assert store.query(name) == expected
+    since, until = expected[len(expected) // 2].time, expected[-1].time
     inside = [s for s in expected if since <= s.time <= until]
-    assert win_t.tolist() == [s.time for s in inside]
-    assert win_v.tolist() == [s.value for s in inside]
+    assert store.query(name, since, until) == inside
+    assert repr(store.window_stats(name, since, until)) == repr(
+        _stats([s.value for s in inside]))
     stats = store.window_stats(name)
     assert stats["count"] == len(values) and stats["sum"] == sum(values)
     assert stats["min"] == min(values) and stats["max"] == max(values)
@@ -234,7 +226,7 @@ def _assert_columns(store, name, expected):
 
 def test_column_cache_follows_a_saturated_ring():
     """Once a ring is full its length stops moving; every further
-    append must still show in the columns."""
+    append must still show in the window reads."""
     k = 5
     store = MetricStore(max_samples=k)
     stream = [MetricSample(float(i), "cpu", float(i * i % 11))
@@ -247,7 +239,7 @@ def test_column_cache_follows_a_saturated_ring():
 
 def test_column_cache_follows_a_latest_value_overwrite():
     """A later collect overwrites a Ganglia row and leaves ``len`` alone,
-    but ``series`` must return the new values."""
+    but ``query`` and ``window_stats`` must return the new values."""
     grid = ScriptedGanglia(2)
     store = grid.web.store
     expected = {}
@@ -347,19 +339,17 @@ def _assert_page_answers_like(page, fed):
     for name in METRICS:
         keep = set(fed.latest_per_series(name).values())
         newest.extend(s for s in fed.query(name) if s in keep)
-    filters = [{}, {"site": "S0"}, {"site": "S2"}, {"site": "S1", "vo": "x"},
-               {"site": "nope"}]
+    tag_sets = [make_tags(site=site) for site in ("S0", "S1", "S2", "nope")]
     for name in METRICS + ("absent",):
         assert page.latest_per_series(name) == fed.latest_per_series(name)
-        for tf in filters:
-            assert page.latest(name, **tf) == fed.latest(name, **tf), (name, tf)
-            assert page.query(name, **tf) == newest.query(name, **tf)
-            assert (page.query(name, 1.0, 3600.0, **tf)
-                    == newest.query(name, 1.0, 3600.0, **tf))
-        got_t, got_v = page.series(name)
-        want_t, want_v = newest.series(name)
-        assert got_t.tolist() == want_t.tolist()
-        assert got_v.tolist() == want_v.tolist()
+        assert page.latest(name) == fed.latest(name), name
+        assert page.query(name) == newest.query(name)
+        assert page.query(name, 1.0, 3600.0) == newest.query(name, 1.0, 3600.0)
+        for tags in tag_sets:
+            # A tagged read is the whole read filtered by tags.
+            mine = [s for s in page.query(name) if s.tags == tags]
+            fed_mine = [s for s in fed.query(name) if s.tags == tags]
+            assert mine == fed_mine[-1:], (name, tags)
         for window in ((), (1.0, 3600.0), (1e9,)):
             assert (repr(page.window_stats(name, *window))
                     == repr(newest.window_stats(name, *window)))
@@ -405,19 +395,49 @@ def test_latest_value_store_reads_in_write_order():
     grid.collect(0, None)
     grid.collect(1, (8, 5, 0.5, 1.0, 2.0, 0))
     assert store.names() == sorted(METRICS)
-    assert [(s.tag("site"), s.value) for s in store.query("cpu.busy")] == [
-        ("S0", 1.0), ("S2", 3.0), ("S1", 5.0)]
+    rows = store.query("cpu.busy")
+    assert [(dict(s.tags)["site"], s.time, s.value) for s in rows] == [
+        ("S0", 60.0, 1.0), ("S2", 60.0, 3.0), ("S1", 120.0, 5.0)]
     assert [s.value for s in store.query("cpu.busy", since=90.0)] == [5.0]
+    assert store.window_stats("cpu.busy", since=90.0)["sum"] == 5.0
     assert store.latest("cpu.busy").value == 5.0
-    assert store.latest("cpu.busy", site="S0").time == 60.0
-    assert grid.web.latest("S0", "cpu.busy") == 1.0
-    assert grid.web.latest("Ghost", "cpu.busy") is None
-    times, values = store.series("cpu.busy")
-    assert times.tolist() == [60.0, 60.0, 120.0]
-    assert values.tolist() == [1.0, 3.0, 5.0]
-    times, values = store.series_window("cpu.busy", since=90.0)
-    assert times.tolist() == [120.0] and values.tolist() == [5.0]
-    assert store.series("absent")[0].size == 0
+    assert store.query("absent") == [] and store.latest("absent") is None
     assert len(store) == 3 * len(METRICS)
     assert len(grid.agents[1].local_store) == len(METRICS)
     assert grid.agents[1].local_store.latest("cpu.busy").value == 5.0
+
+
+# -- the views' shortcuts -------------------------------------------------
+
+def test_view_shortcuts_agree_with_their_sample_hook():
+    """On a finished grid with every optional store on, each store and
+    each site's Ganglia page answers ``latest``, ``latest_per_series``
+    and ``window_stats`` exactly as its ``query`` samples imply, so a
+    view's shortcut can never drift from what its hook serves."""
+    grid = Grid3(Grid3Config(
+        seed=5, scale=400.0, duration_days=1.0, failures=FailureProfile.early(),
+        apps=["exerciser", "usatlas"], alerts=True, fair_share=True,
+        tracing=True, data_management=True,
+    ))
+    grid.run_full()
+    stores = dict(grid_stores(grid))
+    assert {"data", "ganglia", "sched", "service-health", "trace"} <= set(stores)
+    for site in grid.sites.values():
+        stores[f"ganglia@{site.name}"] = site.services["ganglia"].local_store
+    end = grid.engine.now
+    windows = [(-float("inf"), float("inf")), (0.0, end / 2),
+               (end - 6 * 3600.0, end), (end / 3, end / 3)]
+    read = 0
+    for label, store in stores.items():
+        for name in store.names():
+            samples = store.query(name)
+            read += len(samples)
+            where = (label, name)
+            assert store.latest(name) == (samples or [None])[-1], where
+            assert store.latest_per_series(name) == {
+                s.tags: s for s in samples}, where
+            for since, until in windows:
+                inside = [s.value for s in store.query(name, since, until)]
+                assert repr(store.window_stats(name, since, until)) == repr(
+                    _stats(inside)), (where, since, until)
+    assert read

@@ -1,5 +1,7 @@
 """The alerting/SLO engine: rules, evaluation, the iGOC ticket loop."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -23,6 +25,28 @@ def up_series(store, values, step=HOUR, name="service.gatekeeper.up"):
         store.append(MetricSample(t, name, value))
         t += step
     return t
+
+
+def verdict(rule, store, now):
+    """None without data in window, else whether ``rule`` fires."""
+    value = rule.observe(store, now)
+    return None if value is None else rule.fires(value)
+
+
+class CountingStore:
+    """Forwards the reads an alert rule makes to ``store``, counting each."""
+
+    def __init__(self, store):
+        self.store = store
+        self.calls = Counter()
+
+    def window_stats(self, *args):
+        self.calls["window_stats"] += 1
+        return self.store.window_stats(*args)
+
+    def latest(self, name):
+        self.calls["latest"] += 1
+        return self.store.latest(name)
 
 
 # -- rule validation --------------------------------------------------------
@@ -61,12 +85,12 @@ def test_threshold_rule_windowed_mean():
     rule = AlertRule(name="down", metric="service.gatekeeper.up",
                      threshold=0.9, op="<", aggregate="mean",
                      window=6 * HOUR)
-    assert rule.evaluate(store, 0.0) is None  # no data yet
+    assert verdict(rule, store, 0.0) is None  # no data yet
     now = up_series(store, [1, 1, 1, 1, 1, 1])
-    assert rule.evaluate(store, now) is False
+    assert verdict(rule, store, now) is False
     now = up_series(store, [0, 0, 0, 0])  # fleet sags
-    assert rule.evaluate(store, now + 10 * HOUR) is True or \
-        rule.evaluate(store, now) is True
+    assert verdict(rule, store, now + 10 * HOUR) is True or \
+        verdict(rule, store, now) is True
 
 
 def test_latest_aggregate_goes_stale_outside_window():
@@ -75,8 +99,9 @@ def test_latest_aggregate_goes_stale_outside_window():
     rule = AlertRule(name="backlog", metric="depth", threshold=5.0,
                      op=">=", aggregate="latest", window=100.0,
                      store="s")
-    assert rule.evaluate(store, 50.0) is True
-    assert rule.evaluate(store, 500.0) is None  # sample aged out
+    assert verdict(rule, store, 50.0) is True
+    assert rule.observe(store, 50.0) == 10.0
+    assert verdict(rule, store, 500.0) is None  # sample aged out
 
 
 def test_burn_rate_rule():
@@ -86,12 +111,45 @@ def test_burn_rate_rule():
     rule = AlertRule(name="burn", metric="service.gatekeeper.up",
                      kind="burn_rate", slo_target=0.95, threshold=2.0,
                      window=24 * HOUR)
-    assert rule.evaluate(store, now) is True
-    assert rule.current_value(store, now) == pytest.approx(4.0)
+    assert verdict(rule, store, now) is True
+    assert rule.observe(store, now) == pytest.approx(4.0)
     # 100% up burns nothing.
     clean = MetricStore()
     now = up_series(clean, [1, 1, 1, 1, 1])
-    assert rule.evaluate(clean, now) is False
+    assert verdict(rule, clean, now) is False
+    assert rule.observe(clean, now) == 0.0
+
+
+def test_each_rule_reads_its_store_once_per_poll():
+    """One evaluation reads each rule's window (or latest sample) once,
+    and the value it keeps is the value it compared."""
+    store = MetricStore()
+    now = up_series(store, [1, 0, 1, 1, 0, 1, 1, 0])
+    up_series(store, [1, 1, 1, 1, 1, 1, 1, 1], name="service.gridftp.up")
+    spy = CountingStore(store)
+    engine = AlertEngine(default_rules(), {"service-health": spy})
+    edges = engine.evaluate(now)
+    assert spy.calls == {"window_stats": 3}
+    for rule in engine.rules:
+        state = engine.states[rule.name]
+        assert state.last_value == rule.observe(store, now)
+        assert state.firing == rule.fires(state.last_value)
+    burn = engine.states["gatekeeper-slo-burn"]
+    mean = store.window_stats("service.gatekeeper.up", now - 12 * HOUR, now)["mean"]
+    assert burn.last_value == (1.0 - mean) / (1.0 - 0.95)
+    assert [e.rule for e in edges] == ["gatekeeper-fleet-down",
+                                       "gatekeeper-slo-burn"]
+    assert [e.value for e in edges] == [engine.states[e.rule].last_value
+                                        for e in edges]
+
+    latest = AlertRule(name="backlog", metric="depth", threshold=5.0,
+                       op=">=", aggregate="latest", window=100.0, store="s")
+    store.append(MetricSample(now, "depth", 7.0))
+    spy = CountingStore(store)
+    engine = AlertEngine([latest], {"s": spy})
+    assert [e.event for e in engine.evaluate(now + 1.0)] == ["fired"]
+    assert spy.calls == {"latest": 1}
+    assert engine.states["backlog"].last_value == 7.0
 
 
 def test_engine_emits_edges_and_holds_state_on_missing_data():

@@ -13,6 +13,7 @@ from repro.scheduling import (
     open_policies,
     paper_policies,
 )
+from repro.monitoring.core import make_tags
 from repro.scheduling.policy import RUNTIME_CLASSES, runtime_class_for
 from repro.sim import Engine
 from repro.sim.units import DAY, HOUR
@@ -93,8 +94,10 @@ def test_ledger_rejects_bad_parameters():
 def test_fairshare_metrics_published():
     ledger = FairShareLedger(["a", "b"])
     ledger.charge("a", 100.0, now=10.0)
-    usage = ledger.store.query("sched.fairshare.usage", vo="a")
-    priority = ledger.store.query("sched.fairshare.priority", vo="a")
+    usage = [s for s in ledger.store.query("sched.fairshare.usage")
+             if s.tags == make_tags(vo="a")]
+    priority = [s for s in ledger.store.query("sched.fairshare.priority")
+                if s.tags == make_tags(vo="a")]
     assert len(usage) == 1 and usage[0].value == 100.0
     assert len(priority) == 1
 
@@ -169,7 +172,8 @@ def test_engine_counts_rejections_and_publishes_metric():
     assert (rows[0].site, rows[0].vo, rows[0].reason, rows[0].count) == (
         "X", "sdss", "vo-not-allowed", 2,
     )
-    samples = pe.store.query("sched.policy.rejects", site="X", vo="sdss")
+    samples = [s for s in pe.store.query("sched.policy.rejects")
+               if {("site", "X"), ("vo", "sdss")} <= set(s.tags)]
     assert samples and samples[-1].value == 2.0
 
 

@@ -199,8 +199,8 @@ def test_metrics_scrape_feeds_metric_store(app):
     assert gauges["service.cache.entries"] == 1
     # Scrapes append history into the estate's MetricStore surface.
     call(app, "GET", "/v1/metrics", query={"format": "json"})
-    _times, values = app.metrics_store.series("service.queue.executed")
-    assert list(values) == [1.0, 1.0]
+    history = app.metrics_store.query("service.queue.executed")
+    assert [s.value for s in history] == [1.0, 1.0]
 
 
 def test_metrics_default_is_prometheus_text(app):

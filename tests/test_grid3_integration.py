@@ -12,6 +12,7 @@ from repro.failures import FailureProfile
 from repro.fabric import GRID3_VOS
 from repro.middleware.gram import Gatekeeper
 from repro.middleware.gridftp import GridFTPServer
+from repro.monitoring.core import make_tags
 from repro.scheduling.batch import BatchScheduler
 from repro.sim import DAY, HOUR, TB, bytes_to_tb
 
@@ -93,8 +94,8 @@ def test_monitoring_stack_collected(small_grid):
     grid = small_grid
     repo = grid.monitors["monalisa"]
     assert len(repo) > 0
-    ganglia = grid.monitors["ganglia"]
-    assert ganglia.latest("BNL_ATLAS", "cpu.total") is not None
+    ganglia = grid.monitors["ganglia"].store.latest_per_series("cpu.total")
+    assert make_tags(site="BNL_ATLAS") in ganglia
     status = grid.monitors["status"]
     assert len(status.status_page()) == 27
 

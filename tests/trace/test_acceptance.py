@@ -79,7 +79,7 @@ def test_trace_metrics_published_per_vo():
     metrics = grid.monitors["trace"]
     samples = metrics.query("trace.makespan")
     assert samples
-    assert all(s.tag("vo") for s in samples)
+    assert all(dict(s.tags).get("vo") for s in samples)
 
 
 def test_disabled_tracer_records_nothing():

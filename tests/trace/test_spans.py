@@ -123,7 +123,7 @@ def test_finalize_closes_open_spans_and_publishes_metrics():
     assert all(not s.open for s in root.walk())
     makespans = tracer.metrics.query("trace.makespan")
     assert len(makespans) == 1 and makespans[0].value == 60.0
-    assert makespans[0].tag("vo") == "usatlas"
+    assert dict(makespans[0].tags)["vo"] == "usatlas"
     # queue phase published too
     assert tracer.metrics.query("trace.phase.queue")
 
