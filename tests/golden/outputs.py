@@ -18,8 +18,10 @@ from repro.analysis.table1 import compute_table1, render_table1
 from repro.failures import FailureProfile
 from repro.monitoring import grid_exposition
 from repro.monitoring.prometheus import grid_stores
+from repro.ops.autovalidate import AutoValidator
 from repro.scenarios import SCENARIOS
 from repro.service import collect_reports
+from repro.sim import MINUTE
 
 
 def early_profile_grid() -> Grid3:
@@ -158,6 +160,33 @@ def reports(grid: Grid3) -> str:
     return _sha256(json.dumps(collect_reports(grid), sort_keys=True))
 
 
+def validator_reports() -> List[tuple]:
+    """Every report of an AutoValidator on one rough install day (half
+    the installs misconfigured, early failures, no iGOC team), so that
+    both misconfiguration fixes and service restarts occur."""
+    grid = Grid3(Grid3Config(seed=3, scale=400.0, duration_days=1.0,
+                             failures=FailureProfile.early(),
+                             misconfig_probability=0.5, ops_team=False))
+    grid.deploy()
+    validator = AutoValidator(grid.engine, list(grid.sites.values()),
+                              interval=30 * MINUTE)
+    grid.start_applications()
+    grid.run()
+    return [(r.time, r.site, r.problems_found, r.auto_fixed, r.escalated)
+            for r in validator.reports]
+
+
+def ops_texts(grid: Grid3) -> str:
+    """sha256 over the operations texts: the grid's iGOC tickets
+    (description, severity, notes, in ticket order), its Site Status
+    Catalog page at the end of the run, and the auto-validator's
+    reports."""
+    tickets = [(t.description, t.severity, t.notes)
+               for t in grid.igoc.tickets.all_tickets()]
+    page = grid.monitors["status"].status_page()
+    return _sha256(repr((tickets, page, validator_reports())))
+
+
 def compute() -> Dict[str, object]:
     """Every pinned output, by pin name."""
     grid = early_profile_grid()
@@ -170,6 +199,7 @@ def compute() -> Dict[str, object]:
         "early_profile_alert_history": alert_history(grid),
         "early_profile_service_health_lines": exposition_lines(
             grid, "repro_service_health_"),
+        "ops_texts": ops_texts(grid),
         "paper_catalog_exposition": exposition(paper),
         "paper_catalog_figures": figures(paper),
         "paper_catalog_score": score(paper),
