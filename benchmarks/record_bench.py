@@ -793,7 +793,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH.json",
                         help="history file to update (default: BENCH.json)")
     args = parser.parse_args(argv)
-    perfetto_out = os.path.join(os.path.dirname(args.out), "trace_sample.json")
+    # The trace sample is written beside the history file, mid-run: make
+    # the directory before the first section, not after ten seconds.
+    out_dir = os.path.dirname(args.out)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    perfetto_out = os.path.join(out_dir, "trace_sample.json")
 
     sections: Dict[str, Dict] = {}
     for name, fn in (

@@ -46,3 +46,25 @@ def test_committed_history_starts_at_the_seed_baseline():
     assert "measured_at" in entries[0]
     for one in entries:
         assert {"commit", "mode", "python", "sections", "gates"} <= set(one)
+
+
+def test_main_creates_a_missing_out_directory(tmp_path, monkeypatch):
+    """``--out`` into a directory that does not exist yet: the trace
+    sample and the history file both land there."""
+    for name in ("bench_kernel", "bench_grid", "bench_store",
+                 "bench_worker_sweep", "bench_scale", "bench_transfers",
+                 "bench_progress", "bench_service", "bench_admission",
+                 "bench_fairshare"):
+        monkeypatch.setattr(record_bench, name, lambda smoke: {})
+
+    def bench_trace(smoke, perfetto_out):
+        pathlib.Path(perfetto_out).write_text("{}")
+        return {}
+
+    monkeypatch.setattr(record_bench, "bench_trace", bench_trace)
+    monkeypatch.setattr(record_bench, "gate_table", lambda sections: [])
+    monkeypatch.setattr(record_bench, "head_commit", lambda: "ccccccc")
+    out = tmp_path / "new" / "BENCH.json"
+    assert record_bench.main(["--smoke", "--out", str(out)]) == 0
+    assert (tmp_path / "new" / "trace_sample.json").read_text() == "{}"
+    assert [e["commit"] for e in history(out)] == ["ccccccc"]
