@@ -23,7 +23,7 @@ def main() -> None:
     )
     grid = Grid3(config)
 
-    print("Deploying Grid3 (27 sites, VDT install, certification)...")
+    print("Deploying Grid3 (27 sites, VDT install)...")
     grid.deploy()
     print(f"  sites online: {sum(s.online for s in grid.sites.values())}/27")
     print(f"  CPU slots (scaled): {grid.total_cpus()}")

@@ -78,7 +78,8 @@ class ATLASApplication(ApplicationDemonstrator):
         for name in site_names:
             site = self.ctx.sites.get(name)
             if site is not None:
-                site.installed_packages.add("gce-server")
+                # Installed by hand, outside the Pacman cache: no version.
+                site.installed_packages["gce-server"] = "?"
                 self.deployed_sites.append(name)
 
     def _production_dax(self, index: int):

@@ -14,7 +14,7 @@ Typical use::
     from repro import Grid3, Grid3Config
 
     grid = Grid3(Grid3Config(scale=50, duration_days=30))
-    grid.deploy()              # §5.1: install + certify all sites
+    grid.deploy()              # §5.1: install and configure all sites
     grid.start_applications()  # §4: the seven demonstrator classes
     grid.run()                 # simulate the observation window
     print(grid.milestones().render())
@@ -56,14 +56,12 @@ from ..fabric import (
 )
 from ..middleware import (
     GRID3_SITE_PACKAGE,
-    REQUIRED_PACKAGES,
     CertificateAuthority,
     PacmanCache,
     ReplicaLocationIndex,
     VOMSServer,
     attach_srm,
     build_mds_hierarchy,
-    certify_site,
     install,
     refresh_site_gridmaps,
     vdt_package_set,
@@ -552,7 +550,7 @@ class Grid3:
 
     # -- deployment (§5.1) ------------------------------------------------
     def deploy(self) -> None:
-        """Install, configure, certify, and start central services."""
+        """Install and configure every site, and start central services."""
         if self._deployed:
             return
         cfg = self.config
@@ -600,12 +598,6 @@ class Grid3:
         if cfg.use_srm:
             for site in sites:
                 attach_srm(self.engine, site)
-
-        # Certification (§5.1) — misconfigured sites still come online
-        # (their problem is latent, caught later by probes/failures).
-        for site in sites:
-            certify_site(site, [p for p in REQUIRED_PACKAGES])
-            site.status = "online"
 
         # Monitoring stack (Fig. 1).  Hourly cadence: long windows (183
         # days x 27 sites) make the real 5-minute cadence pointlessly

@@ -101,7 +101,7 @@ class Grid3Runner:
                     f"{site.name}: worker nodes have no outbound connectivity"
                 ),
             )
-        if site.services.get("misconfigured") and self.rng.bernoulli(
+        if site.misconfigured and self.rng.bernoulli(
             f"runner.misconfig.{site.name}", self.misconfigured_failure_probability
         ):
             raise self._fail(

@@ -11,7 +11,7 @@ servers, information providers and monitors onto it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..sim.engine import Engine
 from ..sim.units import GB, HOUR, MBPS, TB
@@ -88,15 +88,21 @@ class Site:
         #: VO -> unix group account name (§5.3: "group accounts at sites,
         #: with a naming convention for each VO").
         self.accounts: Dict[str, str] = {}
-        #: Pacman-installed package names (middleware + applications).
-        self.installed_packages: Set[str] = set()
+        #: Installed packages (middleware + applications): name ->
+        #: version, so re-publishing a package at a new version makes
+        #: Pacman upgrade it.
+        self.installed_packages: Dict[str, str] = {}
+        #: Left set by an install that succeeded but misconfigured the
+        #: site (§6.2); cleared by an operator or the auto-validator.
+        self.misconfigured = False
         #: Attached services, keyed by role ("gatekeeper", "gridftp",
         #: "gris", "ganglia", ...); populated by the grid builder.
         self.services: Dict[str, object] = {}
         #: Calls of :meth:`attach_service` so far: a reader that caches
         #: what ``services`` holds rebuilds when this moves.
         self.attachments = 0
-        #: Operational status: "online" | "offline" | "degraded".
+        #: Operational status: "online" unless an operator sets another
+        #: value (e.g. "offline"); no run path changes it.
         self.status = "online"
         #: Published usage policy (§5): which VOs may run here and at
         #: what share.  Set by the grid builder from the policy set;

@@ -21,8 +21,6 @@ from .mds import GIIS, GRIS, build_mds_hierarchy, glue_record, renew_registratio
 from .pacman import (
     Package,
     PacmanCache,
-    certify_site,
-    fix_misconfiguration,
     install,
     resolve,
     validate_site,
@@ -61,8 +59,6 @@ __all__ = [
     "attach_gridftp",
     "attach_srm",
     "build_mds_hierarchy",
-    "certify_site",
-    "fix_misconfiguration",
     "generate_gridmap",
     "glue_record",
     "install",

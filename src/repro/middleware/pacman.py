@@ -12,16 +12,19 @@ package repository hosted at the iGOC.  :func:`install` is a simulation
 process: dependency resolution is topological, each package costs
 install time, and a per-site misconfiguration probability reproduces the
 §6.2 failure class ("jobs often failed due to site configuration
-problems") — a misconfigured install *succeeds* but leaves the site
-flagged until post-install validation catches it.
+problems") — a misconfigured install *succeeds* but leaves
+``site.misconfigured`` set until post-install validation, the iGOC team
+or the auto-validator clears it.  Installed packages live in one place,
+``site.installed_packages`` (name -> version).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import PackagingError
+from ..services import CORE_ROLES
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
 from ..sim.units import MINUTE
@@ -91,26 +94,9 @@ def resolve(cache: PacmanCache, name: str) -> List[Package]:
     return order
 
 
-def _version_map(site) -> Dict[str, str]:
-    """The site's installed-version registry (created on first use).
-
-    ``site.installed_packages`` (a name set) stays the compatibility
-    surface; versions ride alongside so re-publishing a package at a new
-    version makes :func:`install` upgrade it — the §9 "currently
-    undergoing upgrades" operation.
-    """
-    versions = site.services.get("package-versions")
-    if versions is None:
-        versions = {name: "?" for name in site.installed_packages}
-        site.attach_service("package-versions", versions)
-    return versions
-
-
 def installed_version(site, name: str) -> Optional[str]:
     """The installed version of a package at a site (None if absent)."""
-    if name not in site.installed_packages:
-        return None
-    return _version_map(site).get(name)
+    return site.installed_packages.get(name)
 
 
 def install(
@@ -126,24 +112,48 @@ def install(
     Yields install-time timeouts per package; returns the list of
     package names newly installed.  With probability
     ``misconfig_probability`` the site ends up silently misconfigured
-    (``site.services["misconfigured"]`` is set) — post-install validation
+    (``site.misconfigured`` is set) — post-install validation
     (:func:`validate_site`) or the Site Status Catalog discovers it later.
     """
     installed: List[str] = []
-    versions = _version_map(site)
     for pkg in resolve(cache, name):
-        if versions.get(pkg.name) == pkg.version:
+        if site.installed_packages.get(pkg.name) == pkg.version:
             continue  # already at this version
         yield engine.timeout(pkg.install_time)
         if pkg.configure is not None:
             pkg.configure(site)
-        site.installed_packages.add(pkg.name)
-        versions[pkg.name] = pkg.version
+        site.installed_packages[pkg.name] = pkg.version
         installed.append(pkg.name)
     if rng is not None and misconfig_probability > 0:
         if rng.bernoulli(f"pacman.misconfig.{site.name}", misconfig_probability):
-            site.attach_service("misconfigured", True)
+            site.misconfigured = True
     return installed
+
+
+def site_checks(
+    site, required_packages: Iterable[str]
+) -> List[Tuple[str, Optional[Callable[[], None]]]]:
+    """The §5.1 post-installation checks that fail at ``site``, in order:
+    missing packages, misconfiguration, missing core services.
+
+    Each is ``(problem, fix)``: ``fix`` clears the problem in place, or
+    is None when only a human can (a package or service is missing).
+    """
+    def reconfigure() -> None:
+        site.misconfigured = False
+
+    checks: List[Tuple[str, Optional[Callable[[], None]]]] = [
+        (f"missing package {pkg}", None) for pkg in required_packages
+        if pkg not in site.installed_packages
+    ]
+    if site.misconfigured:
+        checks.append(("site misconfigured (bad paths/environment)",
+                       reconfigure))
+    checks.extend(
+        (f"missing service {role}", None) for role in CORE_ROLES
+        if role not in site.services
+    )
+    return checks
 
 
 def validate_site(site, required_packages: Iterable[str]) -> List[str]:
@@ -151,28 +161,4 @@ def validate_site(site, required_packages: Iterable[str]) -> List[str]:
 
     Empty list means the site passes certification.
     """
-    problems = []
-    for pkg in required_packages:
-        if pkg not in site.installed_packages:
-            problems.append(f"missing package {pkg}")
-    if site.services.get("misconfigured"):
-        problems.append("site misconfigured (bad paths/environment)")
-    for role in ("gatekeeper", "gridftp", "gris"):
-        if role not in site.services:
-            problems.append(f"missing service {role}")
-    return problems
-
-
-def certify_site(site, required_packages: Iterable[str]) -> bool:
-    """Certification: validation passes and the site is marked online."""
-    problems = validate_site(site, required_packages)
-    if problems:
-        site.status = "degraded"
-        return False
-    site.status = "online"
-    return True
-
-
-def fix_misconfiguration(site) -> None:
-    """Operator remediation: clear the misconfiguration flag."""
-    site.services.pop("misconfigured", None)
+    return [problem for problem, _fix in site_checks(site, required_packages)]

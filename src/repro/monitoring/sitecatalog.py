@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..services import service_is_up
+from ..services import CORE_ROLES, down_roles
 from ..sim.engine import Engine
 from ..sim.units import HOUR
 
@@ -35,14 +35,12 @@ def probe_site(now: float, site) -> ProbeResult:
     problems: List[str] = []
     if not site.online:
         problems.append(f"site status is {site.status}")
-    # Uniform liveness checks: every role goes through the same
-    # health-snapshot probe, rather than a mix of hard attribute reads
-    # and permissive getattr defaults.
-    for role in ("gatekeeper", "gridftp", "gris"):
-        service = site.services.get(role)
-        if service is None or not service_is_up(service):
-            problems.append(f"{role} unreachable")
-    if site.services.get("misconfigured"):
+    down = down_roles(site)
+    problems.extend(
+        f"{role} unreachable" for role in CORE_ROLES
+        if role in down or role not in site.services
+    )
+    if site.misconfigured:
         problems.append("configuration check failed")
     if site.storage.free <= 0:
         problems.append("storage element full")

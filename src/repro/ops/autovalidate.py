@@ -16,12 +16,13 @@ and jobs saved from misconfiguration failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..middleware.pacman import fix_misconfiguration, validate_site
+from ..middleware.pacman import site_checks
 from ..middleware.vdt import REQUIRED_PACKAGES
-from ..services import service_is_up
+from ..services import down_roles
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
 
@@ -70,32 +71,30 @@ class AutoValidator:
     def validate_one(self, site):
         """Generator: validate a site, auto-fixing what scripts can.
 
-        Auto-fixable: misconfiguration flags, dead services (restart).
-        Escalated: missing packages/services, full storage.
+        Problems are listed in the §5.1 battery's order (missing
+        packages, misconfiguration, missing core services), then the dead
+        core services.  Auto-fixable: the misconfiguration flag and dead
+        services (restart).  Escalated: missing packages and services.
         """
-        problems = tuple(validate_site(site, self.required_packages))
+        down = down_roles(site)
+        # (problem, fix) pairs; a fix of None escalates.  Restarts go
+        # through the lifecycle so the repair closes the service's ledger
+        # outage instead of hiding it.
+        checks = site_checks(site, self.required_packages)
+        checks.extend(
+            (f"{role} not responding",
+             partial(site.services[role].restore, note="auto-validator restart"))
+            for role in down
+        )
         fixed: List[str] = []
         escalated: List[str] = []
-        # Dead-service restarts aren't in validate_site's list (it checks
-        # presence); probe availability here.
-        for role in ("gatekeeper", "gridftp", "gris"):
-            service = site.services.get(role)
-            if service is not None and not service_is_up(service):
-                problems = problems + (f"{role} not responding",)
-        for problem in problems:
-            if "misconfigured" in problem:
-                yield self.engine.timeout(self.fix_time)
-                fix_misconfiguration(site)
-                fixed.append(problem)
-            elif "not responding" in problem:
-                role = problem.split()[0]
-                yield self.engine.timeout(self.fix_time)
-                # Restart via the lifecycle so the repair closes the
-                # service's ledger outage instead of hiding it.
-                site.services[role].restore(note="auto-validator restart")
-                fixed.append(problem)
-            else:
+        for problem, fix in checks:
+            if fix is None:
                 escalated.append(problem)
+                continue
+            yield self.engine.timeout(self.fix_time)
+            fix()
+            fixed.append(problem)
         if escalated and self.escalate is not None:
             self.escalate(site.name, escalated)
         self.fixes_applied += len(fixed)
@@ -103,7 +102,7 @@ class AutoValidator:
         report = ValidationReport(
             time=self.engine.now,
             site=site.name,
-            problems_found=problems,
+            problems_found=tuple(problem for problem, _fix in checks),
             auto_fixed=tuple(fixed),
             escalated=tuple(escalated),
         )

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..middleware.pacman import fix_misconfiguration
-from ..services import service_is_up
+from ..services import down_roles
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
 from ..sim.units import HOUR
@@ -72,12 +71,8 @@ class OperationsTeam:
         self.process = engine.process(self._run(), name="operations-team")
 
     def _problems(self, site) -> List[str]:
-        problems = []
-        for role in ("gatekeeper", "gridftp", "gris"):
-            service = site.services.get(role)
-            if service is not None and not service_is_up(service):
-                problems.append(f"{role} down")
-        if site.services.get("misconfigured"):
+        problems = [f"{role} down" for role in down_roles(site)]
+        if site.misconfigured:
             problems.append("misconfigured")
         if site.storage.capacity and site.storage.used / site.storage.capacity >= self.purge_threshold:
             problems.append("disk nearly full")
@@ -109,20 +104,16 @@ class OperationsTeam:
         # Apply the fixes.  Restarts route through the service lifecycle
         # so the repair lands in the downtime ledger and the ticket
         # history, rather than silently flipping a flag.
-        for role in ("gatekeeper", "gridftp", "gris"):
-            service = site.services.get(role)
-            if service is None or service_is_up(service):
-                continue
-            outage = service.restore(note=f"igoc ticket {ticket.ticket_id}")
-            if outage is not None:
-                self.igoc.tickets.add_note(
-                    ticket.ticket_id,
-                    f"restarted {role} after "
-                    f"{outage.duration(self.engine.now) / HOUR:.1f} h "
-                    f"({outage.cause or 'unknown cause'})",
-                )
-        if site.services.get("misconfigured"):
-            fix_misconfiguration(site)
+        for role in down_roles(site):
+            outage = site.services[role].restore(
+                note=f"igoc ticket {ticket.ticket_id}")
+            self.igoc.tickets.add_note(
+                ticket.ticket_id,
+                f"restarted {role} after "
+                f"{outage.duration(self.engine.now) / HOUR:.1f} h "
+                f"({outage.cause or 'unknown cause'})",
+            )
+        site.misconfigured = False
         if site.storage.capacity and site.storage.used / site.storage.capacity >= self.purge_threshold:
             # Operators clean scratch space (§7: disks replaced/cleaned
             # without perturbing operations).

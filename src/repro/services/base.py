@@ -1,4 +1,4 @@
-"""The GridService lifecycle base: state machine + downtime ledger.
+"""The GridService lifecycle base: liveness kept in a downtime ledger.
 
 The paper's operational story (§5.2 Site Status Catalog, §6.1–6.2
 failure classes, §7 "once a site becomes stable, it usually remains
@@ -6,18 +6,19 @@ so") is about *service* health over time.  Every Grid3 service model —
 gatekeeper, GridFTP, GRIS/GIIS, RLS, VOMS, SRM, dCache pools — derives
 from :class:`GridService`, which provides:
 
-* an UP / DEGRADED / DOWN state machine (:meth:`fail`, :meth:`degrade`,
-  :meth:`restore`, :meth:`require_available`);
 * a per-service **downtime ledger** (:class:`DowntimeLedger`): every
   outage interval is recorded with its cause, so availability %, MTTR,
   and MTBF are computable per site and per role afterwards — the
   accounting deployed Grid3 could only approximate by probing;
+* liveness as one fact of that ledger: a service is up exactly while
+  no outage is open (:meth:`fail` opens one, :meth:`restore` closes it,
+  :meth:`require_available` guards requests);
 * a declarative counters registry (``_counter_names``) that the
   monitoring layer auto-publishes into a ``MetricStore`` under
   ``service.<role>.*`` metric names.
 
 ``service.available = False`` still works (tests and ad-hoc scripts use
-it) but routes through :meth:`fail`/:meth:`restore`, so *every* state
+it) but routes through :meth:`fail`/:meth:`restore`, so *every* up/down
 flip — however it is expressed — lands in the ledger.  Direct attribute
 writes that bypass the ledger are impossible by construction and a
 repo-consistency test greps the source tree to keep it that way.
@@ -26,18 +27,9 @@ repo-consistency test greps the source tree to keep it that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ServiceUnavailableError
-
-
-class ServiceState(Enum):
-    """The three lifecycle states of a Grid3 service."""
-
-    UP = "up"
-    DEGRADED = "degraded"
-    DOWN = "down"
 
 
 @dataclass
@@ -83,32 +75,28 @@ class DowntimeLedger:
 
     def __init__(self) -> None:
         self._outages: List[Outage] = []
-        self._open: Optional[Outage] = None
+        #: The open outage, or None while the service is up.
+        self.current: Optional[Outage] = None
 
     def __len__(self) -> int:
         return len(self._outages)
 
-    @property
-    def current(self) -> Optional[Outage]:
-        """The open outage, or None while the service is up."""
-        return self._open
-
     def open(self, time: float, cause: str = "") -> Outage:
         """Start an outage (idempotent: a second open is the first one)."""
-        if self._open is not None:
-            return self._open
+        if self.current is not None:
+            return self.current
         outage = Outage(start=time, end=None, cause=cause)
         self._outages.append(outage)
-        self._open = outage
+        self.current = outage
         return outage
 
     def close(self, time: float) -> Optional[Outage]:
         """End the open outage; returns it (None if nothing was open)."""
-        outage = self._open
+        outage = self.current
         if outage is None:
             return None
         outage.end = max(time, outage.start)
-        self._open = None
+        self.current = None
         return outage
 
     def outages(self) -> List[Outage]:
@@ -183,16 +171,14 @@ class GridService:
             self.role = role
         self.owner = owner
         self.engine = engine
-        self._state = ServiceState.UP
-        self._state_since = self.now
-        self._degraded_cause = ""
+        self._created = self.now
         self.ledger = DowntimeLedger()
-        #: Observers called as ``fn(service, old_state, new_state)`` on
-        #: every actual state change (no call when a transition is a
-        #: no-op, e.g. restoring an UP service).  Index layers (the GIIS
-        #: sweep cache) subscribe here to invalidate on availability
-        #: flips without polling every service per event.
-        self.on_transition: List[Callable[["GridService", ServiceState, ServiceState], None]] = []
+        #: Observers called as ``fn(service)`` on every actual up/down
+        #: flip (no call when a transition is a no-op, e.g. restoring an
+        #: up service).  Index layers (the GIIS sweep cache) subscribe
+        #: here to invalidate on availability flips without polling
+        #: every service per event.
+        self.on_transition: List[Callable[["GridService"], None]] = []
 
     # -- clock ------------------------------------------------------------
     @property
@@ -205,15 +191,11 @@ class GridService:
         if self.engine is None and engine is not None:
             self.engine = engine
 
-    # -- state machine ----------------------------------------------------
-    @property
-    def state(self) -> ServiceState:
-        return self._state
-
+    # -- liveness ---------------------------------------------------------
     @property
     def available(self) -> bool:
-        """Whether the service answers requests (UP or DEGRADED)."""
-        return self._state is not ServiceState.DOWN
+        """Whether the service answers requests: no outage is open."""
+        return self.ledger.current is None
 
     @available.setter
     def available(self, value: bool) -> None:
@@ -224,65 +206,41 @@ class GridService:
         else:
             self.fail("available flag cleared")
 
-    def fail(self, cause: str = "") -> Optional[Outage]:
-        """Take the service DOWN, opening a ledger outage.
+    def fail(self, cause: str = "") -> Outage:
+        """Take the service down, opening a ledger outage.
 
-        Idempotent: failing an already-DOWN service keeps the original
-        outage (and its cause) and returns it.
+        Idempotent: failing a service that is already down keeps the
+        original outage (and its cause) and returns it.
         """
-        if self._state is ServiceState.DOWN:
+        if self.ledger.current is not None:
             return self.ledger.current
-        old = self._state
-        self._state = ServiceState.DOWN
-        self._state_since = self.now
         outage = self.ledger.open(self.now, cause)
         for observer in self.on_transition:
-            observer(self, old, ServiceState.DOWN)
+            observer(self)
         return outage
 
-    def degrade(self, cause: str = "") -> None:
-        """Mark the service DEGRADED (still answering, but unhealthy).
-
-        No ledger outage opens — degraded time is not downtime — but the
-        state shows up in :meth:`health` so probes and operators see it.
-        """
-        if self._state is ServiceState.DOWN:
-            return
-        old = self._state
-        self._state = ServiceState.DEGRADED
-        self._state_since = self.now
-        self._degraded_cause = cause
-        if old is not ServiceState.DEGRADED:
-            for observer in self.on_transition:
-                observer(self, old, ServiceState.DEGRADED)
-
     def restore(self, note: str = "") -> Optional[Outage]:
-        """Bring the service back UP, closing the open outage (if any).
+        """Bring the service back up, closing the open outage (if any).
 
         Returns the closed :class:`Outage` so repair paths (iGOC
         tickets, the auto-validator) can attribute and time the fix;
-        None when the service was not DOWN.
+        None when the service was already up.
         """
-        old = self._state
-        self._state = ServiceState.UP
-        self._state_since = self.now
-        self._degraded_cause = ""
-        if old is not ServiceState.UP:
+        outage = self.ledger.close(self.now)
+        if outage is not None:
             for observer in self.on_transition:
-                observer(self, old, ServiceState.UP)
-        if old is not ServiceState.DOWN:
-            return None
-        return self.ledger.close(self.now)
+                observer(self)
+        return outage
 
     def require_available(self, action: str = "") -> None:
         """Raise :class:`ServiceUnavailableError` unless the service is
         answering — the one uniform precondition check every request
         path uses."""
-        if self._state is ServiceState.DOWN:
+        if self.ledger.current is not None:
             raise ServiceUnavailableError(self.unavailable_message(action))
 
     def unavailable_message(self, action: str = "") -> str:
-        """The error text for a request against a DOWN service."""
+        """The error text for a request against a service that is down."""
         where = f" at {self.owner}" if self.owner else ""
         doing = f" (during {action})" if action else ""
         return f"{self.role}{where} is down{doing}"
@@ -291,25 +249,28 @@ class GridService:
     def health(self) -> Dict[str, object]:
         """One uniform health snapshot — what probes and catalogs read.
 
-        Keys: ``role``, ``owner``, ``state``, ``available``, ``since``
-        (when the current state was entered), ``cause`` (of the open
-        outage, if any), ``outages`` (lifetime count), ``downtime``
-        (lifetime seconds, open outage clamped to now).
+        Keys: ``role``, ``owner``, ``state`` (``"up"``/``"down"``),
+        ``available``, ``since`` (the open outage's start, else the last
+        outage's end, else construction), ``cause`` (of the open outage,
+        if any), ``outages`` (lifetime count), ``downtime`` (lifetime
+        seconds, open outage clamped to now).  Everything but ``role``
+        and ``owner`` is read from the ledger.
         """
         current = self.ledger.current
+        outages = self.ledger.outages()
         if current is not None:
-            cause = current.cause
-        elif self._state is ServiceState.DEGRADED:
-            cause = self._degraded_cause
+            since = current.start
+        elif outages:
+            since = outages[-1].end
         else:
-            cause = ""
+            since = self._created
         return {
             "role": self.role,
             "owner": self.owner,
-            "state": self._state.value,
-            "available": self.available,
-            "since": self._state_since,
-            "cause": cause,
+            "state": "up" if current is None else "down",
+            "available": current is None,
+            "since": since,
+            "cause": current.cause if current is not None else "",
             "outages": len(self.ledger),
             "downtime": self.ledger.downtime(0.0, self.now),
         }

@@ -1,13 +1,12 @@
-"""Queries over a grid's service population: health probes and the
+"""Queries over a grid's service population: the site probe and the
 per-site, per-role availability report.
 
-The Site Status Catalog (§5.2) and the iGOC operations loop both need
-one answer to "is this service up?" — :func:`service_is_up` reads it
-from the ``available`` flag of any
-:class:`~repro.services.base.GridService` or stand-in.
-:func:`availability_rows` turns the downtime ledgers into the
-per-site, per-role availability table the paper's operations sections
-describe but deployed Grid3 could only sample with probes.
+Post-install validation, the Site Status Catalog (§5.2), the iGOC
+operations loop (§5.4) and the auto-validator (§8) all check the same
+core services, :data:`CORE_ROLES`; :func:`down_roles` is their one
+liveness probe.  :func:`availability_rows` turns the downtime ledgers
+into the per-site, per-role availability table the paper's operations
+sections describe but deployed Grid3 could only sample with probes.
 """
 
 from __future__ import annotations
@@ -19,15 +18,18 @@ from ..core.results import ReportRecord
 from .base import GridService
 
 
-def service_is_up(service) -> bool:
-    """Whether a service answers requests: its ``available`` flag.
+#: The services every Grid3 site must run (§5.1): job submission, data
+#: movement and the site's information provider, in probe order.
+CORE_ROLES: Tuple[str, ...] = ("gatekeeper", "gridftp", "gris")
 
-    This is the ``available`` key of
-    :meth:`~repro.services.base.GridService.health` without building
-    the rest of the snapshot.  Objects without the flag (plain test
-    doubles) count as up, so no probe path can AttributeError.
-    """
-    return bool(getattr(service, "available", True))
+
+def down_roles(site) -> Tuple[str, ...]:
+    """The core roles attached to ``site`` that are down, in
+    :data:`CORE_ROLES` order (a missing role is not listed)."""
+    return tuple(
+        role for role in CORE_ROLES
+        if role in site.services and not site.services[role].available
+    )
 
 
 def grid_services(site) -> Dict[str, GridService]:

@@ -150,7 +150,7 @@ def test_outbound_requirement_enforced(eng, net, rng):
 
 def test_misconfigured_site_fails_jobs(eng, rng, grid):
     sites, rls = grid
-    sites["ExecSite"].attach_service("misconfigured", True)
+    sites["ExecSite"].misconfigured = True
     job, _runner = run_job(eng, sites, rls, rng, spec())
     assert job.failed
     assert isinstance(job.error, SiteMisconfigurationError)

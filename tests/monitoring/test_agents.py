@@ -395,7 +395,7 @@ def test_probe_detects_problems(eng, net):
     site.attach_service("gris", GRIS(eng, site))
     site.service("gatekeeper").available = False
     site.storage.store("/fill", 1 * GB)
-    site.attach_service("misconfigured", True)
+    site.misconfigured = True
     result = probe_site(eng.now, site)
     assert not result.ok
     joined = " ".join(result.problems)

@@ -97,13 +97,13 @@ def test_ops_team_repairs_dead_service(eng, net, rng):
 def test_ops_team_fixes_misconfiguration_and_purges_disk(eng, net, rng):
     site = make_site(eng, net, "SiteA", disk=10 * GB)
     wire_site(eng, site, [])
-    site.attach_service("misconfigured", True)
+    site.misconfigured = True
     site.storage.store("/residue", 9.8 * GB)
     igoc = IGOC(eng)
     OperationsTeam(eng, igoc, [site], rng, check_interval=1 * HOUR,
                    mean_response_time=1 * HOUR)
     eng.run(until=2 * DAY)
-    assert "misconfigured" not in site.services
+    assert not site.misconfigured
     assert site.storage.used < 9.8 * GB
 
 

@@ -77,16 +77,16 @@ def prepare_site(eng, net, name="SiteA"):
     wire_site(eng, site, [])
     site.attach_service("gris", GRIS(eng, site))
     from repro.middleware.vdt import REQUIRED_PACKAGES
-    site.installed_packages.update(REQUIRED_PACKAGES)
+    site.installed_packages.update(dict.fromkeys(REQUIRED_PACKAGES, "1.0"))
     return site
 
 
 def test_autovalidator_fixes_misconfiguration(eng, net):
     site = prepare_site(eng, net)
-    site.attach_service("misconfigured", True)
+    site.misconfigured = True
     validator = AutoValidator(eng, [site], interval=30 * MINUTE)
     eng.run(until=1 * HOUR)
-    assert "misconfigured" not in site.services
+    assert not site.misconfigured
     assert validator.fixes_applied >= 1
     # Later passes are clean; the site shows as stable.
     eng.run(until=3 * HOUR)
@@ -104,7 +104,7 @@ def test_autovalidator_restarts_dead_services(eng, net):
 
 def test_autovalidator_escalates_missing_packages(eng, net):
     site = prepare_site(eng, net)
-    site.installed_packages.discard("vdt-base")
+    del site.installed_packages["vdt-base"]
     escalated = []
     validator = AutoValidator(
         eng, [site], interval=30 * MINUTE,
@@ -122,8 +122,8 @@ def test_autovalidator_immediate_feedback_is_fast(eng, net):
     """The §8 ask is 'immediate feedback': fixes land within minutes of
     a pass, far faster than the human ops loop's hours."""
     site = prepare_site(eng, net)
-    site.attach_service("misconfigured", True)
+    site.misconfigured = True
     validator = AutoValidator(eng, [site], interval=30 * MINUTE,
                               fix_time=5 * MINUTE)
     eng.run(until=10 * MINUTE)
-    assert "misconfigured" not in site.services
+    assert not site.misconfigured

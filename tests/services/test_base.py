@@ -1,9 +1,9 @@
-"""The GridService lifecycle state machine and downtime ledger."""
+"""GridService liveness and the downtime ledger it is kept in."""
 
 import pytest
 
 from repro.errors import ServiceUnavailableError
-from repro.services import DowntimeLedger, GridService, ServiceState
+from repro.services import DowntimeLedger, GridService
 from repro.sim import Engine
 
 
@@ -18,7 +18,7 @@ class Thing(GridService):
 
 def test_starts_up_and_available(eng):
     svc = Thing(eng)
-    assert svc.state is ServiceState.UP
+    assert svc.health()["state"] == "up"
     assert svc.available
     assert len(svc.ledger) == 0
 
@@ -79,25 +79,6 @@ def test_require_available_raises_uniform_error(eng):
     assert "the thing" in message
 
 
-def test_degrade_keeps_service_available_without_downtime(eng):
-    svc = Thing(eng)
-    svc.degrade("slow disk")
-    assert svc.state is ServiceState.DEGRADED
-    assert svc.available
-    assert len(svc.ledger) == 0
-    assert svc.health()["cause"] == "slow disk"
-    svc.restore()
-    assert svc.state is ServiceState.UP
-    assert svc.health()["cause"] == ""
-
-
-def test_degrade_does_not_mask_down(eng):
-    svc = Thing(eng)
-    svc.fail("dead")
-    svc.degrade("irrelevant")
-    assert svc.state is ServiceState.DOWN
-
-
 def test_health_snapshot(eng):
     svc = Thing(eng)
     eng.run(until=50.0)
@@ -112,6 +93,42 @@ def test_health_snapshot(eng):
     assert health["cause"] == "kaput"
     assert health["outages"] == 1
     assert health["downtime"] == 30.0  # open outage clamped to now
+    eng.run(until=90.0)
+    svc.restore()
+    health = svc.health()
+    assert (health["state"], health["available"]) == ("up", True)
+    assert (health["since"], health["cause"]) == (90.0, "")
+
+
+def test_health_since_is_read_from_the_ledger(eng):
+    """``since`` is the open outage's start, else the last outage's
+    end, else construction; restoring an up service leaves it alone."""
+    eng.run(until=5.0)
+    svc = Thing(eng)
+    eng.run(until=20.0)
+    svc.restore()
+    assert svc.health()["since"] == 5.0
+    svc.fail("a")
+    eng.run(until=30.0)
+    svc.fail("again")
+    assert svc.health()["since"] == 20.0
+    svc.restore()
+    eng.run(until=45.0)
+    svc.restore()
+    assert svc.health()["since"] == 30.0
+
+
+def test_observers_see_actual_flips_only(eng):
+    svc = Thing(eng)
+    seen = []
+    svc.on_transition.append(lambda service: seen.append(service.available))
+    svc.restore()
+    svc.fail("a")
+    svc.fail("b")
+    svc.restore()
+    svc.restore()
+    svc.available = False
+    assert seen == [False, True, False]
 
 
 def test_counters_read_declared_names(eng):

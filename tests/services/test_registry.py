@@ -1,62 +1,164 @@
-"""Registry queries: uniform liveness and the availability report."""
+"""Registry queries: the one site probe and the availability report."""
 
 import pytest
 
+from repro.middleware.mds import GRIS
+from repro.middleware.vdt import REQUIRED_PACKAGES
+from repro.monitoring.sitecatalog import probe_site
+from repro.ops.autovalidate import AutoValidator
+from repro.ops.igoc import IGOC, OperationsTeam
 from repro.services import (
+    CORE_ROLES,
     availability_rows,
+    down_roles,
     grid_services,
     render_availability,
-    service_is_up,
     total_downtime,
 )
+from repro.sim import HOUR, RngRegistry
 from tests.conftest import make_site, wire_site
 
 
-def test_service_is_up_for_grid_services(eng, net):
-    site = wire_site(eng, make_site(eng, net, "SiteA"))
-    gatekeeper = site.services["gatekeeper"]
-    assert service_is_up(gatekeeper)
-    gatekeeper.fail("boom")
-    assert not service_is_up(gatekeeper)
-
-
-def test_service_is_up_matches_health_snapshot(eng, net):
-    """Differential: the flag read agrees with the full ``health()``
-    snapshot for every role, through UP, DEGRADED, DOWN and back."""
+def test_available_is_the_ledger_open_outage(eng, net):
+    """The flag, the health snapshot and the ledger give one answer
+    through fail, fail again, restore and restore again, for every role
+    of a wired site."""
     site = wire_site(eng, make_site(eng, net, "SiteA"))
     services = grid_services(site)
     assert services
-
-    def agree(expected_up):
-        for role, service in services.items():
-            assert service_is_up(service) is service.health()["available"], role
-            assert service_is_up(service) is expected_up, role
-
     transitions = [
         (lambda s: None, True),
-        (lambda s: s.degrade("slow disk"), True),
         (lambda s: s.fail("crashed"), False),
-        (lambda s: s.degrade("ignored while down"), False),
+        (lambda s: s.fail("again"), False),
+        (lambda s: s.restore(), True),
         (lambda s: s.restore(), True),
         (lambda s: setattr(s, "available", False), False),
         (lambda s: setattr(s, "available", True), True),
     ]
     for step, (transition, expected_up) in enumerate(transitions):
         eng.run(until=10.0 * (step + 1))
-        for service in services.values():
+        for role, service in services.items():
             transition(service)
-        agree(expected_up)
+            assert service.available is expected_up, role
+            assert service.health()["available"] is expected_up, role
+            assert (service.ledger.current is None) is expected_up, role
 
 
-def test_service_is_up_duck_types_legacy_objects():
-    class Legacy:
-        available = False
+def _fill(fraction):
+    def fill(site):
+        site.storage.store("/fill", site.storage.capacity * fraction)
+    return fill
 
-    class NoFlag:
-        pass
 
-    assert not service_is_up(Legacy())
-    assert service_is_up(NoFlag())  # defaults to up, same for every role
+def _fail(role):
+    return lambda site: site.services[role].fail("case")
+
+
+def _drop_package(site):
+    del site.installed_packages["vdt-base"]
+
+
+def _misconfigure(site):
+    site.misconfigured = True
+
+
+def _drop_gris(site):
+    site.services.pop("gris")
+
+
+MISCONFIGURED = "site misconfigured (bad paths/environment)"
+
+#: case -> (site changes, probe_site problems, OperationsTeam._problems,
+#: the first AutoValidator report as (time, problems_found, auto_fixed,
+#: escalated)).  Each checker keeps its own wording: status pages,
+#: ticket summaries and validator reports show these texts.
+CASES = {
+    "healthy": ([], (), (), (0.0, (), (), ())),
+    "gatekeeper down": (
+        [_fail("gatekeeper")],
+        ("gatekeeper unreachable",),
+        ("gatekeeper down",),
+        (300.0, ("gatekeeper not responding",),
+         ("gatekeeper not responding",), ())),
+    "gridftp down": (
+        [_fail("gridftp")],
+        ("gridftp unreachable",),
+        ("gridftp down",),
+        (300.0, ("gridftp not responding",),
+         ("gridftp not responding",), ())),
+    "gris down": (
+        [_fail("gris")],
+        ("gris unreachable",),
+        ("gris down",),
+        (300.0, ("gris not responding",), ("gris not responding",), ())),
+    "gris missing": (
+        [_drop_gris],
+        ("gris unreachable",),
+        (),
+        (0.0, ("missing service gris",), (), ("missing service gris",))),
+    "misconfigured": (
+        [_misconfigure],
+        ("configuration check failed",),
+        ("misconfigured",),
+        (300.0, (MISCONFIGURED,), (MISCONFIGURED,), ())),
+    "storage full": (
+        [_fill(1.0)],
+        ("storage element full",),
+        ("disk nearly full",),
+        (0.0, (), (), ())),
+    "storage 96% full": (
+        [_fill(0.96)], (), ("disk nearly full",), (0.0, (), (), ())),
+    "package missing": (
+        [_drop_package],
+        (),
+        (),
+        (0.0, ("missing package vdt-base",), (),
+         ("missing package vdt-base",))),
+    "everything": (
+        [_drop_package, _misconfigure, _drop_gris, _fail("gridftp"),
+         _fail("gatekeeper"), _fill(1.0)],
+        ("gatekeeper unreachable", "gridftp unreachable", "gris unreachable",
+         "configuration check failed", "storage element full"),
+        ("gatekeeper down", "gridftp down", "misconfigured",
+         "disk nearly full"),
+        (900.0,
+         ("missing package vdt-base", MISCONFIGURED, "missing service gris",
+          "gatekeeper not responding", "gridftp not responding"),
+         (MISCONFIGURED, "gatekeeper not responding",
+          "gridftp not responding"),
+         ("missing package vdt-base", "missing service gris"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_checker_reads_the_same_site_facts(eng, net, case):
+    changes, probed, ops, validated = CASES[case]
+    site = wire_site(eng, make_site(eng, net, "SiteA"))
+    site.attach_service("gris", GRIS(eng, site))
+    site.installed_packages.update(dict.fromkeys(REQUIRED_PACKAGES, "1.0"))
+    for change in changes:
+        change(site)
+
+    assert probe_site(eng.now, site).problems == probed
+    team = OperationsTeam(eng, IGOC(eng), [site], RngRegistry(1))
+    assert tuple(team._problems(site)) == ops
+    validator = AutoValidator(eng, [site], interval=10 * HOUR)
+    eng.run(until=HOUR)
+    report = validator.reports[0]
+    assert (report.time, report.problems_found, report.auto_fixed,
+            report.escalated) == validated
+    # What the validator fixed stays fixed.
+    assert not site.misconfigured
+    assert down_roles(site) == ()
+
+
+def test_down_roles_lists_attached_core_roles_in_order(eng, net):
+    site = wire_site(eng, make_site(eng, net, "SiteA"))
+    assert "gris" not in site.services
+    assert down_roles(site) == ()
+    for role in reversed(CORE_ROLES[:2]):
+        site.services[role].fail("case")
+    assert down_roles(site) == ("gatekeeper", "gridftp")
 
 
 def test_grid_services_keyed_by_role(eng, net):

@@ -4,7 +4,7 @@
 view replaced: a :class:`PeriodicProducer` that copied every service's
 liveness, ledger availability and counters into a :class:`MetricStore`
 every ``interval``.  A hypothesis property runs it beside the view on
-random fail/degrade/restore schedules and, at every sweep instant,
+random fail/restore schedules and, at every sweep instant,
 asserts bit-identical ``query``, ``window_stats`` and ``latest``
 answers for the ``up``/``availability`` series, the same
 ``names()`` and per-series label sets (the exposition's lines), and
@@ -90,7 +90,7 @@ _action = st.tuples(
     # exactly on sweep instants, some at t=0.
     st.integers(min_value=0, max_value=48),
     st.integers(min_value=0, max_value=20),
-    st.sampled_from(["fail", "fail", "restore", "restore", "degrade"]),
+    st.sampled_from(["fail", "restore"]),
 )
 
 
@@ -116,14 +116,15 @@ def _stats_repr(stats: Dict[str, float]) -> str:
 # A t=0 failure repaired between sweeps, and one still open at the end.
 @example(start_quarters=0, interval=HOUR,
          actions=[(0, 0, "fail"), (6, 0, "restore"), (0, 5, "fail")], sweeps=4)
-# A repair and a failure exactly on sweep instants of a late-started grid.
+# A repair and a failure exactly on sweep instants of a late-started
+# grid, and a restore of a service that is up.
 @example(start_quarters=3, interval=HOUR,
          actions=[(1, 3, "fail"), (7, 3, "restore"), (11, 4, "fail"),
-                  (11, 1, "degrade"), (15, 1, "fail")], sweeps=5)
-# Zero-length outages and a degrade of a DOWN service.
+                  (11, 1, "restore"), (15, 1, "fail")], sweeps=5)
+# Zero-length outages and a second fail of a service that is down.
 @example(start_quarters=1, interval=1800.0,
          actions=[(5, 2, "fail"), (5, 2, "restore"), (6, 2, "fail"),
-                  (6, 2, "degrade"), (9, 2, "restore")], sweeps=6)
+                  (6, 2, "fail"), (9, 2, "restore")], sweeps=6)
 def test_view_answers_what_the_sweep_stored(start_quarters, interval, actions,
                                             sweeps):
     eng = Engine()
@@ -243,10 +244,10 @@ def test_roster_is_rebuilt_on_attach_not_on_dispatch(eng, net):
     assert eng.dispatched > dispatched
     assert store._services() is roster
     # A non-service attachment moves the count; the rebuilt roster is
-    # the same, and a removal of it (Pacman's fix) changes nothing.
-    site.attach_service("misconfigured", True)
+    # the same, and a removal of it changes nothing.
+    site.attach_service("note", True)
     assert store._services() == roster
-    site.services.pop("misconfigured")
+    site.services.pop("note")
     assert "service.rls.up" not in store.names()
     site.attach_service("rls", ReplicaLocationIndex(eng))
     assert "service.rls.up" in store.names()
