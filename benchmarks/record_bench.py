@@ -9,7 +9,8 @@ A run replaces the entry with the same commit and mode; otherwise it
 appends one, so the file keeps a per-commit trajectory.  The sections:
 
 * ``kernel``: timeout-chain event throughput;
-* ``grid_7day``: full-mix Grid3 wall time at scales 400 and 100;
+* ``grid_7day``: full-mix Grid3 wall time, ACDC records and dispatched
+  events at scales 400 and 100;
 * ``store``: MetricStore query, latest and batch-append latency;
 * ``sweep``: sequential vs parallel experiment sweep;
 * ``scale``: the 27/200/500-site ladder against a metrics memory bound;
@@ -98,7 +99,8 @@ def bench_kernel(smoke: bool) -> Dict[str, float]:
 
 
 def bench_grid(smoke: bool) -> Dict[str, float]:
-    """Full-mix Grid3 wall time at the two bench scales."""
+    """Full-mix Grid3 wall time at the two bench scales, with the record
+    and dispatched-event counts that show the trajectory did not move."""
     days = 2 if smoke else 7
     out: Dict[str, float] = {"duration_days": days}
     for scale in (400, 100):
@@ -110,6 +112,7 @@ def bench_grid(smoke: bool) -> Dict[str, float]:
         grid.run_full()
         out[f"scale{scale}_s"] = round(time.perf_counter() - t0, 3)
         out[f"scale{scale}_records"] = len(grid.acdc_db)
+        out[f"scale{scale}_events"] = grid.engine.dispatched
     return out
 
 

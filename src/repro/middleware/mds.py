@@ -2,10 +2,11 @@
 GLUE-style schema (§5.1–5.2).
 
 Each site runs a :class:`GRIS` that publishes its configuration and
-dynamic state.  GRISes register upward into VO-level :class:`GIIS` index
-servers, which in turn register into the top-level GIIS at the iGOC —
-"registration to a VO-level set of services such as index servers"
-followed by "top-layer services at the iVDGL Grid Operations Center".
+dynamic state.  Each GRIS registers into its VO's :class:`GIIS` index
+server and into the top-level GIIS at the iGOC — "registration to a
+VO-level set of services such as index servers" and to "top-layer
+services at the iVDGL Grid Operations Center".  The matchmaker reads
+the top GIIS.
 
 The schema follows GLUE with the Grid3 extensions the paper calls out:
 application installation areas, temporary working directories, storage
@@ -14,7 +15,7 @@ element locations, and VDT software locations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ServiceUnavailableError
 from ..services import GridService
@@ -84,20 +85,30 @@ class GRIS(GridService):
         self.provider = provider or glue_record
         self._cache: Optional[Dict[str, object]] = None
         self._cached_at = -float("inf")
+        #: Queries this GRIS answered: direct :meth:`query` calls plus
+        #: the index rebuilds that read it.
         self.queries_served = 0
         #: Called (no args) whenever the cache is dropped by hand —
-        #: index layers holding sweep snapshots subscribe here.
+        #: index layers holding a record list subscribe here.
         self.on_invalidate: List[Callable[[], None]] = []
 
-    def query(self) -> Dict[str, object]:
-        """The site's current record (cached within the TTL)."""
+    def record(self) -> Dict[str, object]:
+        """The cached record itself, refreshed when the TTL has run out.
+
+        Each refresh builds a new dict, so a caller may key on the
+        object's identity; the dict is shared and must not be mutated.
+        """
         self.require_available("GLUE query")
         now = self.engine.now
         if self._cache is None or now - self._cached_at >= self.ttl:
             self._cache = self.provider(self.site)
             self._cached_at = now
         self.queries_served += 1
-        return dict(self._cache)
+        return self._cache
+
+    def query(self) -> Dict[str, object]:
+        """A copy of the site's current record (cached within the TTL)."""
+        return dict(self.record())
 
     @property
     def cache_valid_until(self) -> float:
@@ -114,56 +125,56 @@ class GRIS(GridService):
 
 
 class GIIS(GridService):
-    """An index server aggregating GRIS (or lower GIIS) registrations.
+    """An index server aggregating GRIS registrations.
 
     Registrations are soft-state: they expire unless renewed, so a dead
     site ages out of the index rather than poisoning it forever.
+
+    The index keeps one entry per registrant (its GRIS and registration
+    time) and a list of the reachable records, rebuilt on a read once
+    the earliest GRIS cache or registration in it has expired.  Renewing
+    a live registration of the same GRIS keeps the list; a new or
+    replaced GRIS, a returning expired registration, an availability
+    flip or a :meth:`GRIS.invalidate` drops it.  A rebuild reads every
+    registrant, so a GRIS re-runs its provider exactly when its own TTL
+    has run out, as a full sweep on every read would.
     """
 
     def __init__(self, engine: Engine, name: str, registration_ttl: float = 30 * MINUTE) -> None:
         super().__init__(role="giis", owner=name, engine=engine)
         self.name = name
         self.registration_ttl = registration_ttl
-        #: site name -> (GRIS-or-GIIS, last renewal time)
-        self._registry: Dict[str, tuple] = {}
-        # Sweep cache: ``query_all`` is the matchmaker's per-selection
-        # hot path, but its result only changes when a GRIS cache
-        # expires, a registration churns, or a source flips
-        # availability.  Caching the sweep (and its online subset)
-        # between those events turns per-selection cost from
-        # O(total sites) GRIS round-trips into an O(1) snapshot reuse.
-        # Every record-changing event below invalidates the snapshot,
-        # so cached and uncached sweeps are byte-identical.
-        self._sweep: Optional[List[Dict[str, object]]] = None
-        self._sweep_online: List[Dict[str, object]] = []
-        self._sweep_until = -float("inf")
-        #: Only direct GRIS registrants have knowable cache lifetimes;
-        #: a nested-GIIS registrant disables caching entirely.
-        self._cacheable = True
+        #: site name -> (GRIS, last renewal time)
+        self._registry: Dict[str, Tuple[GRIS, float]] = {}
+        #: Reachable records in name order (None: rebuild on next read),
+        #: their online subset, and when the list goes stale.
+        self._records: Optional[List[Dict[str, object]]] = None
+        self._online: List[Dict[str, object]] = []
+        self._valid_until = -float("inf")
         self._watched: set = set()
 
-    def _invalidate_sweep(self, *_args) -> None:
-        self._sweep = None
+    def _drop(self, *_args) -> None:
+        self._records = None
 
-    def register(self, name: str, source) -> None:
-        """Register (or renew) a source under ``name``."""
-        self._registry[name] = (source, self.engine.now)
-        self._sweep = None
-        if isinstance(source, GRIS):
-            key = id(source)
-            if key not in self._watched:
-                self._watched.add(key)
-                source.on_transition.append(self._invalidate_sweep)
-                source.on_invalidate.append(self._invalidate_sweep)
-        else:
-            self._cacheable = False
+    def register(self, name: str, gris: GRIS) -> None:
+        """Register (or renew) ``gris`` under ``name``."""
+        now = self.engine.now
+        entry = self._registry.get(name)
+        if (entry is None or entry[0] is not gris
+                or now - entry[1] > self.registration_ttl):
+            self._records = None
+        self._registry[name] = (gris, now)
+        if id(gris) not in self._watched:
+            self._watched.add(id(gris))
+            gris.on_transition.append(self._drop)
+            gris.on_invalidate.append(self._drop)
 
     def registered_names(self) -> List[str]:
         """Names with live (unexpired) registrations."""
         now = self.engine.now
         return sorted(
             name
-            for name, (_src, at) in self._registry.items()
+            for name, (_gris, at) in self._registry.items()
             if now - at <= self.registration_ttl
         )
 
@@ -173,10 +184,10 @@ class GIIS(GridService):
         entry = self._registry.get(name)
         if entry is None:
             raise KeyError(name)
-        source, at = entry
+        gris, at = entry
         if self.engine.now - at > self.registration_ttl:
             raise KeyError(f"{name} registration expired")
-        return source.query() if isinstance(source, GRIS) else source.query(name)
+        return gris.query()
 
     def query_all(self) -> List[Dict[str, object]]:
         """Records from every live registrant, skipping unreachable ones.
@@ -184,49 +195,36 @@ class GIIS(GridService):
         Skipping (rather than failing) mirrors real MDS behaviour: one
         dead site must not take the whole index down.
 
-        The sweep is cached until the earliest GRIS-cache or
-        registration expiry (and invalidated by registry churn, source
-        availability transitions, and explicit GRIS invalidation), so
-        repeated sweeps inside that window reuse the snapshot.  The
-        returned list is fresh per call; the record dicts are shared —
-        treat them as read-only, as every in-tree consumer does.
+        Rebuilds the index when it is stale.  The returned list is fresh
+        per call; the record dicts are the GRISes' own — treat them as
+        read-only, as every in-tree consumer does.
         """
         self.require_available("index sweep")
-        if self._sweep is not None and self.engine.now < self._sweep_until:
-            return list(self._sweep)
+        if self._records is not None and self.engine.now < self._valid_until:
+            return list(self._records)
         records = []
         valid_until = float("inf")
         ttl = self.registration_ttl
         for name in self.registered_names():
+            gris, at = self._registry[name]
             try:
-                records.append(self.query(name))
-            except (ServiceUnavailableError, KeyError):
+                records.append(gris.record())
+            except ServiceUnavailableError:
                 continue
-            if self._cacheable:
-                source, at = self._registry[name]
-                valid_until = min(
-                    valid_until, source.cache_valid_until, at + ttl
-                )
-        if self._cacheable:
-            self._sweep = records
-            self._sweep_online = [
-                rec for rec in records if rec.get("status") == "online"
-            ]
-            self._sweep_until = valid_until
-            return list(records)
-        return records
+            valid_until = min(valid_until, gris.cache_valid_until, at + ttl)
+        self._records = records
+        self._online = [rec for rec in records if rec.get("status") == "online"]
+        self._valid_until = valid_until
+        return list(records)
 
     def active_records(self) -> List[Dict[str, object]]:
-        """The cached sweep restricted to records with online status —
-        what the matchmaker actually ranks, so its filters need not check
-        status.  Pre-splitting the snapshot makes per-selection cost
-        O(active sites)."""
+        """The index restricted to records with online status — what the
+        matchmaker actually ranks, so its filters need not check status.
+        Rebuilt (through :meth:`query_all`) only when stale."""
         self.require_available("index sweep")
-        if self._sweep is None or self.engine.now >= self._sweep_until:
-            records = self.query_all()
-            if not self._cacheable:
-                return [r for r in records if r.get("status") == "online"]
-        return list(self._sweep_online)
+        if self._records is None or self.engine.now >= self._valid_until:
+            self.query_all()
+        return list(self._online)
 
     def search(self, predicate: Callable[[Dict[str, object]], bool]) -> List[Dict[str, object]]:
         """All live records satisfying ``predicate`` — the discovery
@@ -235,7 +233,8 @@ class GIIS(GridService):
 
 
 def build_mds_hierarchy(engine: Engine, sites, vos: List[str]) -> Dict[str, object]:
-    """Wire the full Grid3 MDS tree: per-site GRIS → VO GIIS → top GIIS.
+    """Wire the Grid3 MDS tree: each site's GRIS registers into its VO
+    GIIS and into the top GIIS.
 
     Returns ``{"gris": {site: GRIS}, "vo_giis": {vo: GIIS}, "top": GIIS}``.
     Each site's GRIS is also attached as its ``"gris"`` service.

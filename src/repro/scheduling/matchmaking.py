@@ -18,7 +18,8 @@ stickiness terms.
 One selection is one pass over the admissible sites: the per-job terms
 (data intensity, favourites, fair-share factor) are computed once, the
 per-site jitter is one vector draw, and :meth:`SiteSelector.select`
-takes the argmax, sorting only when it explores.
+takes the argmax, sorting only when it explores.  Each GIIS record's
+own terms are derived once per record object, not once per job.
 """
 
 from __future__ import annotations
@@ -72,6 +73,36 @@ class SiteSelector:
         self.exploration = exploration
         #: (vo, user) -> {site: submissions so far}; drives stickiness.
         self._favorites: Dict[Tuple[str, str], Dict[str, int]] = {}
+        #: site -> the last record read and its terms; see :meth:`_derive`.
+        self._held: Dict[object, tuple] = {}
+
+    def _derive(self, rec: Dict[str, object]) -> tuple:
+        """Derive and hold the selection terms of one GIIS record:
+        ``(rec, outbound, se_free, max_walltime, bw_term, free_frac,
+        wait_term, owner_vo, site)``.
+
+        A GRIS refresh or invalidation always publishes a new dict, so
+        the terms held for a site are current while ``held[0] is rec``.
+        """
+        total = max(1, int(rec.get("total_cpus", 1)))
+        # Criterion 4: prefer high-bandwidth gatekeepers, log-scaled
+        # (100 Mbit vs 1 Gbit matters; 1 Gbit vs 1.1 Gbit doesn't).
+        bandwidth = max(1.0, float(rec.get("access_bandwidth", 1.0)))
+        held = (
+            rec,
+            rec.get("outbound_connectivity"),
+            float(rec.get("se_free", 0.0)),
+            float(rec.get("max_walltime", 0.0)),
+            math.log10(bandwidth) / 9.0,  # ~[0.7, 1] over real links
+            int(rec.get("free_cpus", 0)) / total,
+            # §8 "Job Resource Requirements": a published wait estimate
+            # costs a point per hour of expected queueing.
+            min(2.0, float(rec.get("estimated_wait", 0.0)) / 3600.0),
+            rec.get("owner_vo"),
+            str(rec["site"]),
+        )
+        self._held[rec["site"]] = held
+        return held
 
     def candidates(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[Dict[str, object]]:
         """Online site records that pass the §6.4 requirement filters,
@@ -81,17 +112,22 @@ class SiteSelector:
         outbound = spec.requires_outbound
         footprint = spec.local_disk_footprint
         walltime = spec.walltime_request
-        return [
-            rec
-            for rec in self.giis.active_records()
-            if rec["site"] not in excluded
-            # Criterion 1: outbound connectivity.
-            and (not outbound or rec.get("outbound_connectivity"))
-            # Criterion 2: disk space for the job's footprint.
-            and float(rec.get("se_free", 0.0)) >= footprint
-            # Criterion 3: the walltime request must fit the site limit.
-            and walltime <= float(rec.get("max_walltime", 0.0))
-        ]
+        held = self._held
+        admitted = []
+        for rec in self.giis.active_records():
+            name = rec["site"]
+            terms = held.get(name)
+            if terms is None or terms[0] is not rec:
+                terms = self._derive(rec)
+            if (name not in excluded
+                    # Criterion 1: outbound connectivity.
+                    and (not outbound or terms[1])
+                    # Criterion 2: disk space for the job's footprint.
+                    and terms[2] >= footprint
+                    # Criterion 3: the walltime request must fit the site limit.
+                    and walltime <= terms[3]):
+                admitted.append(rec)
+        return admitted
 
     def _scored(self, spec: JobSpec, exclude: Sequence[str]) -> List[Tuple[float, str]]:
         """``(score, site)`` for every candidate, in candidate order."""
@@ -110,24 +146,22 @@ class SiteSelector:
         favs = self._favorites.get((vo, spec.user), {})
         fav_total = sum(favs.values())
         jitter = self.rng.uniforms("matchmaker.jitter", 0.0, self.jitter, len(records))
+        held = self._held
         scored = []
         for rec, noise in zip(records, jitter):
-            total = max(1, int(rec.get("total_cpus", 1)))
-            # Criterion 4: prefer high-bandwidth gatekeepers, log-scaled
-            # (100 Mbit vs 1 Gbit matters; 1 Gbit vs 1.1 Gbit doesn't).
-            bandwidth = max(1.0, float(rec.get("access_bandwidth", 1.0)))
-            bw_term = math.log10(bandwidth) / 9.0  # ~[0.7, 1] over real links
+            terms = held.get(rec["site"])
+            if terms is None or terms[0] is not rec:
+                terms = self._derive(rec)
+            _rec, _out, _se, _wall, bw_term, free_frac, wait_term, owner_vo, site = terms
             score = self.bandwidth_weight * bw_term * data_intensity
-            score += free_weight * (int(rec.get("free_cpus", 0)) / total)
-            # §8 "Job Resource Requirements": a published wait estimate
-            # costs a point per hour of expected queueing.
-            score -= min(2.0, float(rec.get("estimated_wait", 0.0)) / 3600.0)
-            if rec.get("owner_vo") == vo:
+            score += free_weight * free_frac
+            score -= wait_term
+            if owner_vo == vo:
                 score += self.vo_affinity_weight
-            count = favs.get(rec["site"], 0)
+            count = favs.get(site, 0)
             if count:
                 score += self.favorite_weight * (count / fav_total)
-            scored.append((score + noise, str(rec["site"])))
+            scored.append((score + noise, site))
         return scored
 
     def rank(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[str]:

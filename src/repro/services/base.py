@@ -175,7 +175,7 @@ class GridService:
         self.ledger = DowntimeLedger()
         #: Observers called as ``fn(service)`` on every actual up/down
         #: flip (no call when a transition is a no-op, e.g. restoring an
-        #: up service).  Index layers (the GIIS sweep cache) subscribe
+        #: up service).  Index layers (the GIIS record list) subscribe
         #: here to invalidate on availability flips without polling
         #: every service per event.
         self.on_transition: List[Callable[["GridService"], None]] = []

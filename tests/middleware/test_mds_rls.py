@@ -1,6 +1,8 @@
 """Tests for the MDS GRIS/GIIS hierarchy and the RLS replica service."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReplicaNotFoundError, ServiceUnavailableError
 from repro.fabric import Network
@@ -117,6 +119,100 @@ def test_renew_registrations_keeps_live_sites(eng, net):
     assert mds["top"].registered_names() == []
     renew_registrations(mds)
     assert mds["top"].registered_names() == ["S0"]  # offline site aged out
+
+
+def test_renewal_keeps_the_index_and_a_new_source_drops_it(eng, net):
+    site = make_site(eng, net, "A")
+    calls = []
+    provider = lambda s: calls.append(eng.now) or glue_record(s)  # noqa: E731
+    gris = GRIS(eng, site, ttl=5 * MINUTE, provider=provider)
+    giis = GIIS(eng, "g")
+    giis.register("A", gris)
+    first = giis.active_records()[0]
+    eng.run(until=1 * MINUTE)
+    giis.register("A", gris)  # renewal of the same, live source
+    assert giis.active_records()[0] is first
+    assert gris.queries_served == 1
+    twin = GRIS(eng, site, ttl=5 * MINUTE, provider=provider)
+    giis.register("A", twin)  # a different source: the list is rebuilt
+    assert giis.active_records()[0] is not first
+    assert calls == [0.0, 1 * MINUTE]
+    assert gris.query() == first and gris.query() is not first  # query copies
+
+
+# --- the index against a brute-force sweep ---------------------------------
+
+NAMES = ["A", "B", "C"]
+REGISTRATION_TTL = 20 * MINUTE
+
+_index_step = st.one_of(
+    st.tuples(st.sampled_from(["register", "replace", "fail", "restore",
+                               "invalidate", "offline", "online"]),
+              st.sampled_from(NAMES)),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 1 * MINUTE, 5 * MINUTE + 1, REGISTRATION_TTL + 1])),
+    # One CPU taken at every site, so any stale record shows.
+    st.tuples(st.just("allocate"), st.none()),
+)
+
+
+def _sweep(registry, now):
+    """A full sweep, as on every read before the index: sorted live
+    names, query each available GRIS, then the online filter."""
+    records = [
+        registry[name][0].query()
+        for name in sorted(n for n, (_g, at) in registry.items()
+                           if now - at <= REGISTRATION_TTL)
+        if registry[name][0].available
+    ]
+    return records, [r for r in records if r.get("status") == "online"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ttls=st.lists(st.sampled_from([0.0, 1 * MINUTE, 5 * MINUTE, 30 * MINUTE]),
+                     min_size=len(NAMES), max_size=len(NAMES)),
+       steps=st.lists(_index_step, min_size=1, max_size=40))
+def test_property_index_matches_a_full_sweep(ttls, steps):
+    """After every step the incremental index answers exactly what a
+    full sweep on every read answers, in values and order, and no
+    provider runs more often than under that sweep.  GRIS TTLs both
+    shorter and longer than the registration TTL are drawn."""
+    eng = Engine()
+    net = Network(eng)
+    sites = {name: make_site(eng, net, name, cpus=64) for name in NAMES}
+    ttl = dict(zip(NAMES, ttls))
+    calls = {"index": dict.fromkeys(NAMES, 0), "sweep": dict.fromkeys(NAMES, 0)}
+
+    def gris(side, name):
+        def provider(site):
+            calls[side][name] += 1
+            return glue_record(site)
+        return GRIS(eng, sites[name], ttl=ttl[name], provider=provider)
+
+    giis = GIIS(eng, "g", registration_ttl=REGISTRATION_TTL)
+    current = {name: (gris("index", name), gris("sweep", name)) for name in NAMES}
+    registry = {}  # the sweep's own registrations: name -> (GRIS, time)
+    for kind, arg in [("register", name) for name in NAMES] + steps:
+        if kind == "advance":
+            eng.run(until=eng.now + arg)
+        elif kind in ("register", "replace"):
+            if kind == "replace":
+                current[arg] = (gris("index", arg), gris("sweep", arg))
+            giis.register(arg, current[arg][0])
+            registry[arg] = (current[arg][1], eng.now)
+        elif kind in ("fail", "restore", "invalidate"):
+            for source in current[arg]:
+                getattr(source, kind)()
+        elif kind == "allocate":
+            for site in sites.values():
+                site.cluster.allocate(object())
+        else:
+            sites[arg].status = kind
+        records, online = _sweep(registry, eng.now)
+        assert giis.query_all() == records
+        assert giis.active_records() == _sweep(registry, eng.now)[1] == online
+        for name in NAMES:
+            assert calls["index"][name] <= calls["sweep"][name]
 
 
 # --- RLS -----------------------------------------------------------------

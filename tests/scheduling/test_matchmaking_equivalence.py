@@ -171,6 +171,9 @@ _step = st.tuples(
                   st.floats(min_value=0.0, max_value=1e6)),
         st.tuples(st.just("tick"), st.floats(min_value=0.0, max_value=48 * HOUR)),
         st.tuples(st.just("snapshot"), st.integers(min_value=0, max_value=3)),
+        # A GRIS refresh: one site of the current snapshot reappears as
+        # a new dict with other static and dynamic fields.
+        st.tuples(st.just("refresh"), st.integers(min_value=0, max_value=6), _record),
     ),
     st.sampled_from(["select", "rank", "scores"]),
     _spec,
@@ -215,6 +218,10 @@ def test_one_pass_selector_matches_reference(snapshots, steps, seed, fair_share,
             ref_clock.now += change[1]
         elif kind == "snapshot":
             giis.current = change[1] % len(snapshots)
+        elif kind == "refresh":
+            records = snapshots[giis.current]
+            slot = change[1] % len(records)
+            records[slot] = dict(change[2], site=records[slot]["site"])
         if call == "scores":
             # Bit-identical scores, in candidate order, not just the same winner.
             got = [(score.hex(), site) for score, site in new._scored(spec, exclude)]
@@ -229,6 +236,40 @@ def test_one_pass_selector_matches_reference(snapshots, steps, seed, fair_share,
     if fair_share:
         assert new_ledger._usage == ref_ledger._usage
         assert new_ledger._last_update == ref_ledger._last_update
+
+
+def test_a_reissued_record_is_never_scored_from_held_terms():
+    """The same site comes back as a new dict whose static and dynamic
+    fields differ; the selector must rescore it from the new dict, bit
+    for bit as the reference does.  The last round lists two records
+    for one site, as two registrations of it would."""
+    first = {"site": "S0", "status": "online", "se_free": 2e12,
+             "max_walltime": 200 * HOUR, "outbound_connectivity": True,
+             "total_cpus": 64, "free_cpus": 64, "access_bandwidth": 1.25e9,
+             "estimated_wait": 0.0, "owner_vo": "uscms"}
+    busy = dict(first, total_cpus=8, free_cpus=1, access_bandwidth=5.6e6,
+                estimated_wait=3 * HOUR, owner_vo="usatlas")
+    small = dict(first, se_free=10 * GB, max_walltime=12 * HOUR,
+                 outbound_connectivity=False)
+    other = dict(first, site="S1", owner_vo="ivdgl", free_cpus=32)
+    rounds = [[first, other], [busy, other], [small, other], [first, other],
+              [first, other, busy]]
+    giis = SnapshotGIIS([[]])
+    new, _ledger, _clock = _build(SiteSelector, giis, 7, False, 0.25, 0.0)
+    ref, _ledger, _clock = _build(ReferenceSelector, giis, 7, False, 0.25, 0.0)
+    specs = [
+        JobSpec(name="j", vo="uscms", user="alice", runtime=HOUR),
+        JobSpec(name="j", vo="usatlas", user="bob", runtime=HOUR,
+                walltime_request=24 * HOUR, requires_outbound=True,
+                inputs=(("/in", 2 * GB),), disk_needed=50 * GB),
+    ]
+    for records in rounds:
+        giis.snapshots[0] = [dict(rec) for rec in records]
+        for spec in specs:
+            got = [(score.hex(), site) for score, site in new._scored(spec, ())]
+            want = [(ref._score(rec, spec).hex(), str(rec["site"]))
+                    for rec in ref.candidates(spec)]
+            assert got == want
 
 
 def test_one_selection_is_one_pass():

@@ -1,4 +1,5 @@
-"""The snapshot harness's history file and exit status (no section runs)."""
+"""The snapshot harness's history file, exit status and recorded keys
+(no simulation runs)."""
 
 import json
 import pathlib
@@ -68,3 +69,24 @@ def test_main_creates_a_missing_out_directory(tmp_path, monkeypatch):
     assert record_bench.main(["--smoke", "--out", str(out)]) == 0
     assert (tmp_path / "new" / "trace_sample.json").read_text() == "{}"
     assert [e["commit"] for e in history(out)] == ["ccccccc"]
+
+
+def test_grid_section_records_records_and_events_per_scale(monkeypatch):
+    """``grid_7day`` records the ACDC record count and the dispatched
+    event count beside each scale's wall time."""
+    class StubGrid:
+        def __init__(self, config):
+            self.acdc_db = [None] * int(config.scale)
+            self.engine = type("StubEngine", (), {"dispatched": 0})()
+
+        def run_full(self):
+            self.engine.dispatched = 7 * len(self.acdc_db)
+
+    monkeypatch.setattr(record_bench, "Grid3", StubGrid)
+    out = record_bench.bench_grid(smoke=True)
+    for scale in (400, 100):
+        assert out[f"scale{scale}_records"] == scale
+        assert out[f"scale{scale}_events"] == 7 * scale
+    assert set(out) == {"duration_days"} | {
+        f"scale{scale}_{key}" for scale in (400, 100)
+        for key in ("s", "records", "events")}
