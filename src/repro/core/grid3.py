@@ -579,7 +579,7 @@ class Grid3:
             site.service("authenticator").gridmap = site.service("gridmap")
 
         # Information services (§5.1/5.2).
-        self.mds = build_mds_hierarchy(self.engine, sites, GRID3_VOS)
+        self.mds = build_mds_hierarchy(self.engine, sites)
         self.igoc.host("top-giis", self.mds["top"])
         # MDS registrations are soft-state; the real sites re-register on
         # a cron.  Without renewal the GIIS drains after one TTL and the

@@ -2,11 +2,10 @@
 GLUE-style schema (§5.1–5.2).
 
 Each site runs a :class:`GRIS` that publishes its configuration and
-dynamic state.  Each GRIS registers into its VO's :class:`GIIS` index
-server and into the top-level GIIS at the iGOC — "registration to a
-VO-level set of services such as index servers" and to "top-layer
-services at the iVDGL Grid Operations Center".  The matchmaker reads
-the top GIIS.
+dynamic state, and registers into the top-level :class:`GIIS` at the
+iGOC — the "top-layer services at the iVDGL Grid Operations Center".
+The matchmaker reads the top GIIS.  The paper's VO-level index servers
+are not modelled: nothing in a run reads them.
 
 The schema follows GLUE with the Grid3 extensions the paper calls out:
 application installation areas, temporary working directories, storage
@@ -23,49 +22,59 @@ from ..sim.engine import Engine
 from ..sim.units import MINUTE
 
 
-def glue_record(site) -> Dict[str, object]:
-    """Build the GLUE(+Grid3 extensions) record for a live Site.
+#: GLUE(+Grid3 extensions) attribute names, in record order.
+_GLUE_KEYS = (
+    # GLUE CE attributes
+    "site", "institution", "owner_vo", "total_cpus", "free_cpus",
+    "busy_cpus", "queue_length", "estimated_wait", "batch_system",
+    "max_walltime", "status",
+    # GLUE SE attributes
+    "se_name", "se_capacity", "se_free",
+    # §6.4 selection criteria
+    "outbound_connectivity", "access_bandwidth",
+    # Grid3 schema extensions (§5.1)
+    "grid3_app_dir", "grid3_tmp_dir", "grid3_data_dir",
+    "grid3_vdt_location", "grid3_installed_packages",
+)
 
-    This is the information-provider function a site's GRIS runs.
-    """
+
+def _glue_inputs(site) -> tuple:
+    """The values of a live Site's GLUE record, in ``_GLUE_KEYS`` order
+    and with the package names unsorted: equal tuples publish equal
+    records (:func:`_glue_from`)."""
     lrm = site.services.get("lrm")
     queue_length = getattr(lrm, "queue_length", 0) if lrm is not None else 0
-    free = site.cluster.free_cpus
+    cluster, storage, config = site.cluster, site.storage, site.config
+    free = cluster.free_cpus
     # §8 lesson ("Job Resource Requirements"): publish scheduling-useful
     # load information.  The estimate is the classic queue-theory rough
     # cut: waiting work divided by drain capacity.
     if free > 0:
         estimated_wait = 0.0
     else:
-        total = max(1, site.cluster.total_cpus)
-        estimated_wait = (queue_length + 1) / total * 3600.0
-    return {
-        # GLUE CE attributes
-        "site": site.name,
-        "institution": site.institution,
-        "owner_vo": site.owner_vo,
-        "total_cpus": site.cluster.total_cpus,
-        "free_cpus": site.cluster.free_cpus,
-        "busy_cpus": site.cluster.busy_cpus,
-        "queue_length": queue_length,
-        "estimated_wait": estimated_wait,
-        "batch_system": site.config.batch_system,
-        "max_walltime": site.config.max_walltime,
-        "status": site.status,
-        # GLUE SE attributes
-        "se_name": site.storage.name,
-        "se_capacity": site.storage.capacity,
-        "se_free": site.storage.free,
-        # §6.4 selection criteria
-        "outbound_connectivity": site.config.outbound_connectivity,
-        "access_bandwidth": site.access_bandwidth,
-        # Grid3 schema extensions (§5.1)
-        "grid3_app_dir": site.config.app_dir,
-        "grid3_tmp_dir": site.config.tmp_dir,
-        "grid3_data_dir": site.config.data_dir,
-        "grid3_vdt_location": site.config.vdt_location,
-        "grid3_installed_packages": sorted(site.installed_packages),
-    }
+        estimated_wait = (queue_length + 1) / max(1, cluster.total_cpus) * 3600.0
+    return (
+        site.name, site.institution, site.owner_vo, cluster.total_cpus,
+        free, cluster.busy_cpus, queue_length, estimated_wait,
+        config.batch_system, config.max_walltime, site.status,
+        storage.name, storage.capacity, storage.free,
+        config.outbound_connectivity, site.access_bandwidth,
+        config.app_dir, config.tmp_dir, config.data_dir, config.vdt_location,
+        tuple(site.installed_packages),
+    )
+
+
+def _glue_from(inputs: tuple) -> Dict[str, object]:
+    """The GLUE record published for ``inputs``."""
+    record = dict(zip(_GLUE_KEYS, inputs))
+    record["grid3_installed_packages"] = sorted(inputs[-1])
+    return record
+
+
+def glue_record(site) -> Dict[str, object]:
+    """The GLUE(+Grid3 extensions) record a GRIS refresh of a live Site
+    publishes."""
+    return _glue_from(_glue_inputs(site))
 
 
 class GRIS(GridService):
@@ -77,31 +86,32 @@ class GRIS(GridService):
 
     _counter_names = ("queries_served",)
 
-    def __init__(self, engine: Engine, site, ttl: float = 5 * MINUTE,
-                 provider: Optional[Callable] = None) -> None:
+    def __init__(self, engine: Engine, site, ttl: float = 5 * MINUTE) -> None:
         super().__init__(role="gris", owner=site.name, engine=engine)
         self.site = site
         self.ttl = ttl
-        self.provider = provider or glue_record
+        #: The published record and the inputs it was built from.
         self._cache: Optional[Dict[str, object]] = None
+        self._inputs: Optional[tuple] = None
         self._cached_at = -float("inf")
         #: Queries this GRIS answered: direct :meth:`query` calls plus
         #: the index rebuilds that read it.
         self.queries_served = 0
-        #: Called (no args) whenever the cache is dropped by hand —
-        #: index layers holding a record list subscribe here.
-        self.on_invalidate: List[Callable[[], None]] = []
 
     def record(self) -> Dict[str, object]:
         """The cached record itself, refreshed when the TTL has run out.
 
-        Each refresh builds a new dict, so a caller may key on the
-        object's identity; the dict is shared and must not be mutated.
+        A refresh reads the site's inputs and builds a new dict only
+        when some value moved, so a caller may key on the object's
+        identity; the dict is shared and must not be mutated.
         """
         self.require_available("GLUE query")
         now = self.engine.now
-        if self._cache is None or now - self._cached_at >= self.ttl:
-            self._cache = self.provider(self.site)
+        if now - self._cached_at >= self.ttl:
+            inputs = _glue_inputs(self.site)
+            if inputs != self._inputs:
+                self._cache = _glue_from(inputs)
+                self._inputs = inputs
             self._cached_at = now
         self.queries_served += 1
         return self._cache
@@ -113,15 +123,7 @@ class GRIS(GridService):
     @property
     def cache_valid_until(self) -> float:
         """Sim-time at which the current cached record expires."""
-        if self._cache is None:
-            return -float("inf")
         return self._cached_at + self.ttl
-
-    def invalidate(self) -> None:
-        """Drop the cache (e.g. after a Pacman install changes config)."""
-        self._cache = None
-        for observer in self.on_invalidate:
-            observer()
 
 
 class GIIS(GridService):
@@ -134,10 +136,10 @@ class GIIS(GridService):
     time) and a list of the reachable records, rebuilt on a read once
     the earliest GRIS cache or registration in it has expired.  Renewing
     a live registration of the same GRIS keeps the list; a new or
-    replaced GRIS, a returning expired registration, an availability
-    flip or a :meth:`GRIS.invalidate` drops it.  A rebuild reads every
-    registrant, so a GRIS re-runs its provider exactly when its own TTL
-    has run out, as a full sweep on every read would.
+    replaced GRIS, a returning expired registration or an availability
+    flip drops it.  A rebuild reads every registrant, so a GRIS
+    refreshes exactly when its own TTL has run out, as a full sweep on
+    every read would.
     """
 
     def __init__(self, engine: Engine, name: str, registration_ttl: float = 30 * MINUTE) -> None:
@@ -167,7 +169,6 @@ class GIIS(GridService):
         if id(gris) not in self._watched:
             self._watched.add(id(gris))
             gris.on_transition.append(self._drop)
-            gris.on_invalidate.append(self._drop)
 
     def registered_names(self) -> List[str]:
         """Names with live (unexpired) registrations."""
@@ -232,15 +233,14 @@ class GIIS(GridService):
         return [rec for rec in self.query_all() if predicate(rec)]
 
 
-def build_mds_hierarchy(engine: Engine, sites, vos: List[str]) -> Dict[str, object]:
-    """Wire the Grid3 MDS tree: each site's GRIS registers into its VO
-    GIIS and into the top GIIS.
+def build_mds_hierarchy(engine: Engine, sites) -> Dict[str, object]:
+    """Wire the Grid3 MDS tree: each site's GRIS registers into the top
+    GIIS.
 
-    Returns ``{"gris": {site: GRIS}, "vo_giis": {vo: GIIS}, "top": GIIS}``.
-    Each site's GRIS is also attached as its ``"gris"`` service.
+    Returns ``{"gris": {site: GRIS}, "top": GIIS}``.  Each site's GRIS
+    is also attached as its ``"gris"`` service.
     """
     grises: Dict[str, GRIS] = {}
-    vo_giis: Dict[str, GIIS] = {vo: GIIS(engine, f"giis-{vo}") for vo in vos}
     top = GIIS(engine, "giis-igoc")
     for site in sites:
         # Reuse a GRIS installed by the VDT Pacman package, if any.
@@ -249,9 +249,8 @@ def build_mds_hierarchy(engine: Engine, sites, vos: List[str]) -> Dict[str, obje
             gris = GRIS(engine, site)
         grises[site.name] = gris
         site.attach_service("gris", gris)
-        vo_giis[site.owner_vo].register(site.name, gris)
         top.register(site.name, gris)
-    return {"gris": grises, "vo_giis": vo_giis, "top": top}
+    return {"gris": grises, "top": top}
 
 
 def renew_registrations(mds: Dict[str, object]) -> None:
@@ -260,4 +259,3 @@ def renew_registrations(mds: Dict[str, object]) -> None:
     for name, gris in mds["gris"].items():  # type: ignore[union-attr]
         if gris.site.online:
             top.register(name, gris)
-            mds["vo_giis"][gris.site.owner_vo].register(name, gris)  # type: ignore[index]

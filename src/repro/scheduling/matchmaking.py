@@ -81,7 +81,7 @@ class SiteSelector:
         ``(rec, outbound, se_free, max_walltime, bw_term, free_frac,
         wait_term, owner_vo, site)``.
 
-        A GRIS refresh or invalidation always publishes a new dict, so
+        A GRIS refresh publishes a new dict only when a value moved, so
         the terms held for a site are current while ``held[0] is rec``.
         """
         total = max(1, int(rec.get("total_cpus", 1)))

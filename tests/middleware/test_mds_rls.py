@@ -1,12 +1,18 @@
 """Tests for the MDS GRIS/GIIS hierarchy and the RLS replica service."""
 
+import dataclasses
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReplicaNotFoundError, ServiceUnavailableError
-from repro.fabric import Network
+from repro.fabric import Network, SiteConfig
+from repro.middleware import mds
 from repro.middleware.mds import GIIS, GRIS, build_mds_hierarchy, glue_record, renew_registrations
+from repro.middleware.pacman import Package, PacmanCache, install
 from repro.middleware.rls import LocalReplicaCatalog, ReplicaLocationIndex
 from repro.sim import Engine, GB, MINUTE
 
@@ -39,13 +45,85 @@ def test_gris_caches_within_ttl(eng, net):
     assert gris.queries_served == 3
 
 
-def test_gris_invalidate_forces_refresh(eng, net):
-    site = make_site(eng, net, "SiteA")
-    gris = GRIS(eng, site)
-    gris.query()
-    site.cluster.allocate("job")
-    gris.invalidate()
-    assert gris.query()["free_cpus"] == 3
+def _counting_builds(calls, what):
+    """Patch the module's record builder to append ``what(inputs)`` to
+    ``calls`` on every build."""
+    build = mds._glue_from
+
+    def counting(inputs):
+        calls.append(what(inputs))
+        return build(inputs)
+    return mock.patch.object(mds, "_glue_from", counting)
+
+
+def _config_change(field):
+    def change(site, _node, _eng):
+        value = getattr(site.config, field)
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, str):
+            value += "-2"
+        else:
+            value *= 2
+        setattr(site.config, field, value)
+    return change
+
+
+def _pacman_install(site, _node, eng):
+    cache = PacmanCache()
+    cache.publish(Package("vdt-extra", install_time=1 * MINUTE))
+    eng.process(install(eng, cache, site, "vdt-extra"))
+
+
+def _grow_storage(site, _node, _eng):
+    # The capacity moves while the free space does not.
+    site.storage.capacity += 1 * GB
+    site.storage.store("/f", 1 * GB)
+
+
+#: One change per input of the GLUE record, each applied alone.
+GLUE_INPUT_CHANGES = {
+    "site name": lambda site, node, eng: setattr(site, "name", "A2"),
+    "institution": lambda site, node, eng: setattr(site, "institution", "Other U."),
+    "owner vo": lambda site, node, eng: setattr(site, "owner_vo", "uscms"),
+    "queue length": lambda site, node, eng: setattr(site.service("lrm"), "queue_length", 3),
+    "cpu allocate": lambda site, node, eng: site.cluster.allocate("job"),
+    "cpu release": lambda site, node, eng: site.cluster.release(node, "held"),
+    # Each of free, busy and total CPUs moved alone:
+    "idle node offline": lambda site, node, eng: site.cluster.fail_node(site.cluster.nodes[-1]),
+    "busy node offline": lambda site, node, eng: site.cluster.fail_node(node),
+    "offline node removed": lambda site, node, eng: site.cluster.resize(3),
+    "site status": lambda site, node, eng: setattr(site, "status", "offline"),
+    "se name": lambda site, node, eng: setattr(site.storage, "name", "A-se2"),
+    "storage use": lambda site, node, eng: site.storage.store("/f", 1 * GB),
+    "storage capacity": _grow_storage,
+    "uplink bandwidth": lambda site, node, eng: setattr(site.uplink, "nominal_bandwidth", 1e9),
+    **{f"config {f.name}": _config_change(f.name) for f in dataclasses.fields(SiteConfig)},
+    "pacman install": _pacman_install,
+    "atlas install": lambda site, node, eng: site.installed_packages.__setitem__("gce-server", "?"),
+}
+
+
+@pytest.mark.parametrize("change", GLUE_INPUT_CHANGES)
+def test_gris_republishes_exactly_when_an_input_moves(eng, net, change):
+    """A refresh with nothing changed keeps the record object; a change
+    of any one input publishes a new one, equal to a fresh build."""
+    site = make_site(eng, net, "A")
+    site.attach_service("lrm", SimpleNamespace(queue_length=0))
+    node = site.cluster.allocate("held")  # on nodes[0]
+    site.cluster.fail_node(site.cluster.nodes[1])
+    gris = GRIS(eng, site, ttl=5 * MINUTE)
+    first = gris.record()
+    eng.run(until=eng.now + 5 * MINUTE)
+    assert gris.record() is first
+    GLUE_INPUT_CHANGES[change](site, node, eng)
+    eng.run(until=eng.now + 5 * MINUTE)
+    second = gris.record()
+    assert second is not first
+    assert second == glue_record(site) != first
+    eng.run(until=eng.now + 5 * MINUTE)
+    assert gris.record() is second
+    assert gris.cache_valid_until == eng.now + 5 * MINUTE
 
 
 def test_gris_down_raises(eng, net):
@@ -104,16 +182,16 @@ def test_giis_search_predicate(eng, net):
 
 def test_build_mds_hierarchy(eng, net):
     sites = [make_site(eng, net, f"S{i}", vo="usatlas" if i < 2 else "uscms") for i in range(4)]
-    mds = build_mds_hierarchy(eng, sites, ["usatlas", "uscms"])
-    assert len(mds["top"].registered_names()) == 4
-    assert mds["vo_giis"]["usatlas"].registered_names() == ["S0", "S1"]
+    mds = build_mds_hierarchy(eng, sites)
+    assert sorted(mds) == ["gris", "top"]
+    assert mds["top"].registered_names() == ["S0", "S1", "S2", "S3"]
     # Every site got a gris service attached.
     assert all(isinstance(s.service("gris"), GRIS) for s in sites)
 
 
 def test_renew_registrations_keeps_live_sites(eng, net):
     sites = [make_site(eng, net, f"S{i}") for i in range(2)]
-    mds = build_mds_hierarchy(eng, sites, ["usatlas"])
+    mds = build_mds_hierarchy(eng, sites)
     sites[1].status = "offline"
     eng.run(until=31 * MINUTE)  # past the default TTL
     assert mds["top"].registered_names() == []
@@ -124,18 +202,18 @@ def test_renew_registrations_keeps_live_sites(eng, net):
 def test_renewal_keeps_the_index_and_a_new_source_drops_it(eng, net):
     site = make_site(eng, net, "A")
     calls = []
-    provider = lambda s: calls.append(eng.now) or glue_record(s)  # noqa: E731
-    gris = GRIS(eng, site, ttl=5 * MINUTE, provider=provider)
+    gris = GRIS(eng, site, ttl=5 * MINUTE)
     giis = GIIS(eng, "g")
     giis.register("A", gris)
-    first = giis.active_records()[0]
-    eng.run(until=1 * MINUTE)
-    giis.register("A", gris)  # renewal of the same, live source
-    assert giis.active_records()[0] is first
-    assert gris.queries_served == 1
-    twin = GRIS(eng, site, ttl=5 * MINUTE, provider=provider)
-    giis.register("A", twin)  # a different source: the list is rebuilt
-    assert giis.active_records()[0] is not first
+    with _counting_builds(calls, lambda _inputs: eng.now):
+        first = giis.active_records()[0]
+        eng.run(until=1 * MINUTE)
+        giis.register("A", gris)  # renewal of the same, live source
+        assert giis.active_records()[0] is first
+        assert gris.queries_served == 1
+        twin = GRIS(eng, site, ttl=5 * MINUTE)
+        giis.register("A", twin)  # a different source: the list is rebuilt
+        assert giis.active_records()[0] is not first
     assert calls == [0.0, 1 * MINUTE]
     assert gris.query() == first and gris.query() is not first  # query copies
 
@@ -147,7 +225,7 @@ REGISTRATION_TTL = 20 * MINUTE
 
 _index_step = st.one_of(
     st.tuples(st.sampled_from(["register", "replace", "fail", "restore",
-                               "invalidate", "offline", "online"]),
+                               "install", "offline", "online"]),
               st.sampled_from(NAMES)),
     st.tuples(st.just("advance"),
               st.sampled_from([0.0, 1 * MINUTE, 5 * MINUTE + 1, REGISTRATION_TTL + 1])),
@@ -175,44 +253,51 @@ def _sweep(registry, now):
 def test_property_index_matches_a_full_sweep(ttls, steps):
     """After every step the incremental index answers exactly what a
     full sweep on every read answers, in values and order, and no
-    provider runs more often than under that sweep.  GRIS TTLs both
-    shorter and longer than the registration TTL are drawn."""
+    site's record is built more often than under that sweep.  GRIS TTLs
+    both shorter and longer than the registration TTL are drawn."""
     eng = Engine()
     net = Network(eng)
     sites = {name: make_site(eng, net, name, cpus=64) for name in NAMES}
     ttl = dict(zip(NAMES, ttls))
-    calls = {"index": dict.fromkeys(NAMES, 0), "sweep": dict.fromkeys(NAMES, 0)}
+    builds = []  # (reader, site) per record build
+    reader = ["index"]
 
-    def gris(side, name):
-        def provider(site):
-            calls[side][name] += 1
-            return glue_record(site)
-        return GRIS(eng, sites[name], ttl=ttl[name], provider=provider)
+    def gris(name):
+        return GRIS(eng, sites[name], ttl=ttl[name])
+
+    def read(side, fn, *args):
+        reader[0] = side
+        return fn(*args)
 
     giis = GIIS(eng, "g", registration_ttl=REGISTRATION_TTL)
-    current = {name: (gris("index", name), gris("sweep", name)) for name in NAMES}
+    current = {name: (gris(name), gris(name)) for name in NAMES}
     registry = {}  # the sweep's own registrations: name -> (GRIS, time)
-    for kind, arg in [("register", name) for name in NAMES] + steps:
-        if kind == "advance":
-            eng.run(until=eng.now + arg)
-        elif kind in ("register", "replace"):
-            if kind == "replace":
-                current[arg] = (gris("index", arg), gris("sweep", arg))
-            giis.register(arg, current[arg][0])
-            registry[arg] = (current[arg][1], eng.now)
-        elif kind in ("fail", "restore", "invalidate"):
-            for source in current[arg]:
-                getattr(source, kind)()
-        elif kind == "allocate":
-            for site in sites.values():
-                site.cluster.allocate(object())
-        else:
-            sites[arg].status = kind
-        records, online = _sweep(registry, eng.now)
-        assert giis.query_all() == records
-        assert giis.active_records() == _sweep(registry, eng.now)[1] == online
-        for name in NAMES:
-            assert calls["index"][name] <= calls["sweep"][name]
+    with _counting_builds(builds, lambda inputs: (reader[0], inputs[0])):
+        for kind, arg in [("register", name) for name in NAMES] + steps:
+            if kind == "advance":
+                eng.run(until=eng.now + arg)
+            elif kind in ("register", "replace"):
+                if kind == "replace":
+                    current[arg] = (gris(arg), gris(arg))
+                giis.register(arg, current[arg][0])
+                registry[arg] = (current[arg][1], eng.now)
+            elif kind in ("fail", "restore"):
+                for source in current[arg]:
+                    getattr(source, kind)()
+            elif kind == "install":
+                packages = sites[arg].installed_packages
+                packages[f"pkg-{len(packages)}"] = "1.0"
+            elif kind == "allocate":
+                for site in sites.values():
+                    site.cluster.allocate(object())
+            else:
+                sites[arg].status = kind
+            records, online = read("sweep", _sweep, registry, eng.now)
+            assert read("index", giis.query_all) == records
+            assert read("index", giis.active_records) == online
+            assert read("sweep", _sweep, registry, eng.now)[1] == online
+            for name in NAMES:
+                assert builds.count(("index", name)) <= builds.count(("sweep", name))
 
 
 # --- RLS -----------------------------------------------------------------
