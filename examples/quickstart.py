@@ -25,7 +25,7 @@ def main() -> None:
 
     print("Deploying Grid3 (27 sites, VDT install)...")
     grid.deploy()
-    print(f"  sites online: {sum(s.online for s in grid.sites.values())}/27")
+    print(f"  sites in the MDS index: {len(grid.mds['top'].query_all())}/27")
     print(f"  CPU slots (scaled): {grid.total_cpus()}")
     print(f"  registered users: {grid.registered_users()}")
 

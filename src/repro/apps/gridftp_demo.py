@@ -55,9 +55,7 @@ class GridFTPDemoApplication(ApplicationDemonstrator):
 
     def _site_pairs(self, count: int) -> List[tuple]:
         """The next ``count`` (src, dst) pairs of the site matrix."""
-        names = sorted(
-            name for name, site in self.ctx.sites.items() if site.online
-        )
+        names = sorted(self.ctx.sites)
         if len(names) < 2:
             return []
         pairs = []

@@ -501,7 +501,6 @@ class Grid3:
         self.pacman_cache = PacmanCache()
         for pkg in vdt_package_set(self.engine, ["doegrids"]):
             self.pacman_cache.publish(pkg)
-        self.igoc.host("pacman-cache", self.pacman_cache)
 
         # Managed data subsystem (§8 lesson; opt-in).  Built before the
         # runner so stage-in goes through the replica selector.
@@ -580,11 +579,6 @@ class Grid3:
 
         # Information services (§5.1/5.2).
         self.mds = build_mds_hierarchy(self.engine, sites)
-        self.igoc.host("top-giis", self.mds["top"])
-        # MDS registrations are soft-state; the real sites re-register on
-        # a cron.  Without renewal the GIIS drains after one TTL and the
-        # matchmaker goes blind.
-        self.engine.process(self._mds_renewal_loop(), name="mds-renewal")
 
         # Batch systems running the Grid3 wrapper.
         for site in sites:
@@ -629,8 +623,6 @@ class Grid3:
             # trace.* per-VO phase/makespan series, same query surface
             # as every other MetricStore in the estate.
             self.monitors["trace"] = self.tracer.metrics
-        for name, service in self.monitors.items():
-            self.igoc.host(name, service)
 
         # Background local load at shared facilities (§7).
         if cfg.local_load:
@@ -677,7 +669,6 @@ class Grid3:
                 slots_per_site=throttle, store=sched_store,
             )
             self.monitors["sched"] = sched_store
-            self.igoc.host("sched", sched_store)
         if cfg.matchmaking == "random":
             self.selector = RandomSelector(self.mds["top"], self.rng)
         else:
@@ -699,13 +690,6 @@ class Grid3:
             self.condorg[vo] = condorg
             self.dagman[vo] = DAGMan(self.engine, condorg, tracer=self.tracer)
         self._deployed = True
-
-    def _mds_renewal_loop(self):
-        from ..middleware import renew_registrations
-        from ..sim.units import MINUTE
-        while True:
-            renew_registrations(self.mds)
-            yield self.engine.timeout(15 * MINUTE)
 
     def _register_users(self) -> None:
         """Populate the VOMS servers (§7: 102 authorised users)."""
@@ -832,7 +816,6 @@ class Grid3:
         return TroubleshootingAPI(
             self.sites, self.acdc_db, data=self.data,
             trace=self.tracer.store,
-            fairshare=self.fairshare, policy=self.policy_engine,
         )
 
     def viewer(self) -> MDViewer:

@@ -209,8 +209,6 @@ class StorageAgent:
             if name in exclude:
                 continue
             site = self.sites[name]
-            if not getattr(site, "online", True):
-                continue
             gridftp = site.services.get("gridftp")
             if gridftp is not None and not gridftp.available:
                 continue

@@ -44,7 +44,12 @@ class SiteConfig:
 
 
 class Site:
-    """One Grid3 execution/storage site."""
+    """One Grid3 execution/storage site.
+
+    A site has no operational status of its own: it is as healthy as
+    its services (see :func:`repro.services.down_roles`), its
+    configuration flag and its storage.
+    """
 
     def __init__(
         self,
@@ -101,9 +106,6 @@ class Site:
         #: Calls of :meth:`attach_service` so far: a reader that caches
         #: what ``services`` holds rebuilds when this moves.
         self.attachments = 0
-        #: Operational status: "online" unless an operator sets another
-        #: value (e.g. "offline"); no run path changes it.
-        self.status = "online"
         #: Published usage policy (§5): which VOs may run here and at
         #: what share.  Set by the grid builder from the policy set;
         #: publication alone is passive — enforcement happens in the
@@ -115,10 +117,6 @@ class Site:
     def cpus(self) -> int:
         """Total CPU count at the site."""
         return self.cluster.total_cpus
-
-    @property
-    def online(self) -> bool:
-        return self.status == "online"
 
     @property
     def access_bandwidth(self) -> float:
@@ -159,4 +157,4 @@ class Site:
         return [self.uplink.name, *middle, other.downlink.name]
 
     def __repr__(self) -> str:
-        return f"<Site {self.name} ({self.owner_vo}) {self.cpus} cpus {self.status}>"
+        return f"<Site {self.name} ({self.owner_vo}) {self.cpus} cpus>"

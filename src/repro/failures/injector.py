@@ -121,7 +121,7 @@ class FailureInjector:
             )
             yield self.engine.timeout(wait)
             p = self._profile()
-            if not p.service_failure_interval or not site.online:
+            if not p.service_failure_interval:
                 continue
             victim_role = self.rng.choice(
                 f"fail.service.pick.{site.name}",

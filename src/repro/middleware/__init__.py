@@ -17,7 +17,7 @@ from .gsi import (
     GridMapFile,
     Proxy,
 )
-from .mds import GIIS, GRIS, build_mds_hierarchy, glue_record, renew_registrations
+from .mds import GIIS, GRIS, build_mds_hierarchy, glue_record
 from .pacman import (
     Package,
     PacmanCache,
@@ -63,7 +63,6 @@ __all__ = [
     "glue_record",
     "install",
     "refresh_site_gridmaps",
-    "renew_registrations",
     "resolve",
     "transfer",
     "validate_site",

@@ -2,10 +2,10 @@
 GLUE-style schema (§5.1–5.2).
 
 Each site runs a :class:`GRIS` that publishes its configuration and
-dynamic state, and registers into the top-level :class:`GIIS` at the
-iGOC — the "top-layer services at the iVDGL Grid Operations Center".
-The matchmaker reads the top GIIS.  The paper's VO-level index servers
-are not modelled: nothing in a run reads them.
+dynamic state, and registers once, at deploy, into the top-level
+:class:`GIIS` at the iGOC — the "top-layer services at the iVDGL Grid
+Operations Center".  The matchmaker reads the top GIIS.  The paper's
+VO-level index servers are not modelled: nothing in a run reads them.
 
 The schema follows GLUE with the Grid3 extensions the paper calls out:
 application installation areas, temporary working directories, storage
@@ -14,7 +14,7 @@ element locations, and VDT software locations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ServiceUnavailableError
 from ..services import GridService
@@ -27,7 +27,7 @@ _GLUE_KEYS = (
     # GLUE CE attributes
     "site", "institution", "owner_vo", "total_cpus", "free_cpus",
     "busy_cpus", "queue_length", "estimated_wait", "batch_system",
-    "max_walltime", "status",
+    "max_walltime",
     # GLUE SE attributes
     "se_name", "se_capacity", "se_free",
     # §6.4 selection criteria
@@ -56,7 +56,7 @@ def _glue_inputs(site) -> tuple:
     return (
         site.name, site.institution, site.owner_vo, cluster.total_cpus,
         free, cluster.busy_cpus, queue_length, estimated_wait,
-        config.batch_system, config.max_walltime, site.status,
+        config.batch_system, config.max_walltime,
         storage.name, storage.capacity, storage.free,
         config.outbound_connectivity, site.access_bandwidth,
         config.app_dir, config.tmp_dir, config.data_dir, config.vdt_location,
@@ -129,29 +129,26 @@ class GRIS(GridService):
 class GIIS(GridService):
     """An index server aggregating GRIS registrations.
 
-    Registrations are soft-state: they expire unless renewed, so a dead
-    site ages out of the index rather than poisoning it forever.
+    The index keeps one GRIS per registrant and a list of the reachable
+    records, rebuilt on a read once the earliest GRIS cache in it has
+    expired.  Registering the same GRIS again keeps the list; a new or
+    replaced GRIS or an availability flip drops it.  A rebuild reads
+    every registrant, so a GRIS refreshes exactly when its own TTL has
+    run out, as a full sweep on every read would.
 
-    The index keeps one entry per registrant (its GRIS and registration
-    time) and a list of the reachable records, rebuilt on a read once
-    the earliest GRIS cache or registration in it has expired.  Renewing
-    a live registration of the same GRIS keeps the list; a new or
-    replaced GRIS, a returning expired registration or an availability
-    flip drops it.  A rebuild reads every registrant, so a GRIS
-    refreshes exactly when its own TTL has run out, as a full sweep on
-    every read would.
+    Real MDS registrations are soft-state and age out unless renewed;
+    here no site ever leaves the grid, so a registration is permanent
+    and a vanished site shows only as a GRIS that does not answer.
     """
 
-    def __init__(self, engine: Engine, name: str, registration_ttl: float = 30 * MINUTE) -> None:
+    def __init__(self, engine: Engine, name: str) -> None:
         super().__init__(role="giis", owner=name, engine=engine)
         self.name = name
-        self.registration_ttl = registration_ttl
-        #: site name -> (GRIS, last renewal time)
-        self._registry: Dict[str, Tuple[GRIS, float]] = {}
-        #: Reachable records in name order (None: rebuild on next read),
-        #: their online subset, and when the list goes stale.
+        #: site name -> GRIS
+        self._registry: Dict[str, GRIS] = {}
+        #: Reachable records in name order (None: rebuild on next read)
+        #: and when the list goes stale.
         self._records: Optional[List[Dict[str, object]]] = None
-        self._online: List[Dict[str, object]] = []
         self._valid_until = -float("inf")
         self._watched: set = set()
 
@@ -159,39 +156,25 @@ class GIIS(GridService):
         self._records = None
 
     def register(self, name: str, gris: GRIS) -> None:
-        """Register (or renew) ``gris`` under ``name``."""
-        now = self.engine.now
-        entry = self._registry.get(name)
-        if (entry is None or entry[0] is not gris
-                or now - entry[1] > self.registration_ttl):
+        """Register ``gris`` under ``name``."""
+        if self._registry.get(name) is not gris:
             self._records = None
-        self._registry[name] = (gris, now)
+        self._registry[name] = gris
         if id(gris) not in self._watched:
             self._watched.add(id(gris))
             gris.on_transition.append(self._drop)
 
     def registered_names(self) -> List[str]:
-        """Names with live (unexpired) registrations."""
-        now = self.engine.now
-        return sorted(
-            name
-            for name, (_gris, at) in self._registry.items()
-            if now - at <= self.registration_ttl
-        )
+        """Registrant names, sorted."""
+        return sorted(self._registry)
 
     def query(self, name: str) -> Dict[str, object]:
-        """Fetch one registrant's record (raises if expired/unknown/down)."""
+        """Fetch one registrant's record (raises if unknown or down)."""
         self.require_available(f"query of {name}")
-        entry = self._registry.get(name)
-        if entry is None:
-            raise KeyError(name)
-        gris, at = entry
-        if self.engine.now - at > self.registration_ttl:
-            raise KeyError(f"{name} registration expired")
-        return gris.query()
+        return self._registry[name].query()
 
     def query_all(self) -> List[Dict[str, object]]:
-        """Records from every live registrant, skipping unreachable ones.
+        """Records from every registrant, skipping unreachable ones.
 
         Skipping (rather than failing) mirrors real MDS behaviour: one
         dead site must not take the whole index down.
@@ -205,32 +188,24 @@ class GIIS(GridService):
             return list(self._records)
         records = []
         valid_until = float("inf")
-        ttl = self.registration_ttl
         for name in self.registered_names():
-            gris, at = self._registry[name]
+            gris = self._registry[name]
             try:
                 records.append(gris.record())
             except ServiceUnavailableError:
                 continue
-            valid_until = min(valid_until, gris.cache_valid_until, at + ttl)
+            valid_until = min(valid_until, gris.cache_valid_until)
         self._records = records
-        self._online = [rec for rec in records if rec.get("status") == "online"]
         self._valid_until = valid_until
         return list(records)
 
     def active_records(self) -> List[Dict[str, object]]:
-        """The index restricted to records with online status — what the
-        matchmaker actually ranks, so its filters need not check status.
-        Rebuilt (through :meth:`query_all`) only when stale."""
+        """The held index — what the matchmaker ranks.  Rebuilt (through
+        :meth:`query_all`) only when stale."""
         self.require_available("index sweep")
         if self._records is None or self.engine.now >= self._valid_until:
-            self.query_all()
-        return list(self._online)
-
-    def search(self, predicate: Callable[[Dict[str, object]], bool]) -> List[Dict[str, object]]:
-        """All live records satisfying ``predicate`` — the discovery
-        query the matchmaker (§6.4) runs."""
-        return [rec for rec in self.query_all() if predicate(rec)]
+            return self.query_all()
+        return list(self._records)
 
 
 def build_mds_hierarchy(engine: Engine, sites) -> Dict[str, object]:
@@ -252,10 +227,3 @@ def build_mds_hierarchy(engine: Engine, sites) -> Dict[str, object]:
         top.register(site.name, gris)
     return {"gris": grises, "top": top}
 
-
-def renew_registrations(mds: Dict[str, object]) -> None:
-    """Renew every live site's registration (the periodic MDS cron)."""
-    top: GIIS = mds["top"]  # type: ignore[assignment]
-    for name, gris in mds["gris"].items():  # type: ignore[union-attr]
-        if gris.site.online:
-            top.register(name, gris)

@@ -33,8 +33,6 @@ class ProbeResult:
 def probe_site(now: float, site) -> ProbeResult:
     """The verification test battery for one site."""
     problems: List[str] = []
-    if not site.online:
-        problems.append(f"site status is {site.status}")
     down = down_roles(site)
     problems.extend(
         f"{role} unreachable" for role in CORE_ROLES

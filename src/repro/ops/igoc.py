@@ -5,7 +5,8 @@ services at the iVDGL Grid Operations Center (iGOC), which provided
 monitoring applications, display clients, and verification tasks and an
 aggregate view of the collective Grid3 resource and performance."
 
-:class:`IGOC` is the registry of those central services.
+:class:`IGOC` holds the trouble-ticket system those services report
+into; the grid itself holds each hosted service.
 :class:`OperationsTeam` is the human loop: it watches the Site Status
 Catalog, opens trouble tickets for failing sites, spends (simulated)
 effort, and repairs them — restarting dead services, clearing
@@ -26,24 +27,11 @@ from .tickets import TroubleTicketSystem
 
 
 class IGOC:
-    """The central-services registry."""
+    """The operations center: its trouble-ticket system."""
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._services: Dict[str, object] = {}
         self.tickets = TroubleTicketSystem(engine)
-
-    def host(self, name: str, service: object) -> None:
-        """Register a centrally hosted service (pacman cache, top GIIS,
-        MonALISA repository, Ganglia web, site catalog, ...)."""
-        self._services[name] = service
-
-    def service(self, name: str):
-        """Look up a hosted service (KeyError if absent)."""
-        return self._services[name]
-
-    def services(self) -> List[str]:
-        return sorted(self._services)
 
 
 class OperationsTeam:

@@ -10,10 +10,11 @@ The paper asks for exactly these, which deployed Grid3 lacked:
   the submit (VO) side."
 * "tools for analyzing and querying log files."
 
-:class:`TroubleshootingAPI` answers the trace-backed job queries (the
-submit-side ↔ execution-side join is ``trace_for_job``), error
-aggregation, and gatekeeper/GridFTP/storage accounting directly from the
-live services — no log parsing.
+:class:`TroubleshootingAPI` answers the trace-backed job queries (each
+slow-job row joins the submit-side trace to its execution-side job
+ids), error aggregation, and gatekeeper/GridFTP/storage accounting
+directly from the live services — no log parsing.  Grid-wide reports
+(availability, fair share, policy) are :class:`~repro.Grid3` methods.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from ..services import AvailabilityRow, availability_rows, grid_services
+from ..services import grid_services
 from .results import (
     GramAccounting,
     GridFTPAccounting,
@@ -35,28 +36,16 @@ class TroubleshootingAPI:
 
     def __init__(
         self, sites: Dict[str, object], acdc_db, data=None, trace=None,
-        fairshare=None, policy=None,
     ) -> None:
         self.sites = sites
         self.acdc_db = acdc_db
         #: Optional DataManager: storage/data queries answer from it.
         self.data = data
         #: Optional SpanStore: trace-backed queries (slowest_jobs,
-        #: phase_breakdown, trace_for_job) answer from it.
+        #: phase_breakdown) answer from it.
         self.trace = trace
-        #: Optional FairShareLedger / PolicyEngine: the fair-share and
-        #: share-cap queries answer from them.
-        self.fairshare = fairshare
-        self.policy = policy
 
     # -- trace-backed queries (the tracing pipeline's ops surface) ------------
-    def trace_for_job(self, job_id: int):
-        """Root span of the trace owning an execution-side job id
-        (None without tracing, or for an unknown/evicted id)."""
-        if self.trace is None:
-            return None
-        return self.trace.trace_for_job(job_id)
-
     def slowest_jobs(self, n: int = 10) -> List[SlowJobRow]:
         """The ``n`` longest-makespan job traces, slowest first.
 
@@ -148,31 +137,6 @@ class TroubleshootingAPI:
             write_failures=storage.write_failures,
         )
 
-    # -- fair-share / policy queries ------------------------------------------
-    def fairshare_report(self) -> List:
-        """Per-VO fair-share rows
-        (:class:`~repro.scheduling.fairshare.FairShareStatus`); empty
-        when fair-share scheduling is off."""
-        if self.fairshare is None:
-            return []
-        return self.fairshare.report(self._engine_now())
-
-    def share_caps(self) -> List:
-        """Peak-vs-cap rows per (site, VO) share slot
-        (:class:`~repro.scheduling.policy.ShareCapRow`); empty when
-        fair-share scheduling is off."""
-        if self.policy is None:
-            return []
-        return self.policy.share_rows()
-
-    def _engine_now(self) -> float:
-        """The simulation clock, recovered from any attached site."""
-        for site in self.sites.values():
-            engine = getattr(site, "engine", None)
-            if engine is not None:
-                return engine.now
-        return 0.0
-
     # -- service health (downtime-ledger queries) ---------------------------
     def service_health(self, site_name: str) -> Dict[str, Dict]:
         """Lifecycle snapshot for every GridService at one site:
@@ -183,15 +147,6 @@ class TroubleshootingAPI:
             role: service.health()
             for role, service in grid_services(site).items()
         }
-
-    def availability_report(
-        self,
-        since: float = 0.0,
-        until: Optional[float] = None,
-    ) -> List[AvailabilityRow]:
-        """Per-(site, role) availability/MTTR/MTBF rows over a window —
-        the grid-wide ledger view the iGOC status page needs."""
-        return availability_rows(self.sites.values(), since=since, until=until)
 
     # -- error analytics ----------------------------------------------------------
     def error_summary(

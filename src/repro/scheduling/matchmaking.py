@@ -105,9 +105,9 @@ class SiteSelector:
         return held
 
     def candidates(self, spec: JobSpec, exclude: Sequence[str] = ()) -> List[Dict[str, object]]:
-        """Online site records that pass the §6.4 requirement filters,
-        minus the ``exclude`` sites, in the GIIS's cached *active*
-        snapshot order: O(active sites) per selection."""
+        """Indexed site records that pass the §6.4 requirement filters,
+        minus the ``exclude`` sites, in the GIIS's held index order:
+        O(indexed sites) per selection."""
         excluded = set(exclude)
         outbound = spec.requires_outbound
         footprint = spec.local_disk_footprint
@@ -190,7 +190,7 @@ class SiteSelector:
 
 
 class RandomSelector:
-    """Baseline for the matchmaking ablation: any online site, uniformly,
+    """Baseline for the matchmaking ablation: any indexed site, uniformly,
     ignoring all §6.4 requirements."""
 
     def __init__(self, giis: GIIS, rng: RngRegistry) -> None:

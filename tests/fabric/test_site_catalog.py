@@ -129,7 +129,6 @@ def test_site_basic_behaviour():
     net = Network(eng)
     sites = build_sites(eng, net, scaled_catalog(50.0))
     site = sites["UC_ATLAS"]
-    assert site.online
     acct = site.add_account("usatlas")
     assert acct == "grid-usatlas"
     assert site.add_account("usatlas") == acct  # idempotent

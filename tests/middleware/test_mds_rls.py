@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ReplicaNotFoundError, ServiceUnavailableError
 from repro.fabric import Network, SiteConfig
 from repro.middleware import mds
-from repro.middleware.mds import GIIS, GRIS, build_mds_hierarchy, glue_record, renew_registrations
+from repro.middleware.mds import GIIS, GRIS, build_mds_hierarchy, glue_record
 from repro.middleware.pacman import Package, PacmanCache, install
 from repro.middleware.rls import LocalReplicaCatalog, ReplicaLocationIndex
 from repro.sim import Engine, GB, MINUTE
@@ -93,7 +93,6 @@ GLUE_INPUT_CHANGES = {
     "idle node offline": lambda site, node, eng: site.cluster.fail_node(site.cluster.nodes[-1]),
     "busy node offline": lambda site, node, eng: site.cluster.fail_node(node),
     "offline node removed": lambda site, node, eng: site.cluster.resize(3),
-    "site status": lambda site, node, eng: setattr(site, "status", "offline"),
     "se name": lambda site, node, eng: setattr(site.storage, "name", "A-se2"),
     "storage use": lambda site, node, eng: site.storage.store("/f", 1 * GB),
     "storage capacity": _grow_storage,
@@ -145,20 +144,6 @@ def test_giis_registration_and_query(eng, net):
         giis.query("Unknown")
 
 
-def test_giis_registrations_expire(eng, net):
-    site = make_site(eng, net, "SiteA")
-    gris = GRIS(eng, site)
-    giis = GIIS(eng, "giis-test", registration_ttl=10 * MINUTE)
-    giis.register("SiteA", gris)
-    eng.run(until=11 * MINUTE)
-    assert giis.registered_names() == []
-    with pytest.raises(KeyError):
-        giis.query("SiteA")
-    # Renewal brings it back.
-    giis.register("SiteA", gris)
-    assert giis.registered_names() == ["SiteA"]
-
-
 def test_giis_query_all_skips_dead_gris(eng, net):
     a, b = make_site(eng, net, "A"), make_site(eng, net, "B")
     gris_a, gris_b = GRIS(eng, a), GRIS(eng, b)
@@ -170,16 +155,6 @@ def test_giis_query_all_skips_dead_gris(eng, net):
     assert [r["site"] for r in records] == ["A"]
 
 
-def test_giis_search_predicate(eng, net):
-    a = make_site(eng, net, "A", cpus=8)
-    b = make_site(eng, net, "B", cpus=2)
-    giis = GIIS(eng, "g")
-    giis.register("A", GRIS(eng, a))
-    giis.register("B", GRIS(eng, b))
-    big = giis.search(lambda r: r["total_cpus"] >= 8)
-    assert [r["site"] for r in big] == ["A"]
-
-
 def test_build_mds_hierarchy(eng, net):
     sites = [make_site(eng, net, f"S{i}", vo="usatlas" if i < 2 else "uscms") for i in range(4)]
     mds = build_mds_hierarchy(eng, sites)
@@ -189,14 +164,17 @@ def test_build_mds_hierarchy(eng, net):
     assert all(isinstance(s.service("gris"), GRIS) for s in sites)
 
 
-def test_renew_registrations_keeps_live_sites(eng, net):
-    sites = [make_site(eng, net, f"S{i}") for i in range(2)]
+def test_registrations_do_not_expire(eng, net):
+    """A registration is permanent: with no renewal at all, the index
+    answers every site ten times as long after deploy as a 30-minute
+    soft-state registration would have lived."""
+    sites = [make_site(eng, net, f"S{i}") for i in range(3)]
     mds = build_mds_hierarchy(eng, sites)
-    sites[1].status = "offline"
-    eng.run(until=31 * MINUTE)  # past the default TTL
-    assert mds["top"].registered_names() == []
-    renew_registrations(mds)
-    assert mds["top"].registered_names() == ["S0"]  # offline site aged out
+    eng.run(until=10 * 30 * MINUTE)
+    top = mds["top"]
+    assert [r["site"] for r in top.query_all()] == ["S0", "S1", "S2"]
+    assert [r["site"] for r in top.active_records()] == ["S0", "S1", "S2"]
+    assert top.query("S1")["site"] == "S1"
 
 
 def test_renewal_keeps_the_index_and_a_new_source_drops_it(eng, net):
@@ -208,7 +186,7 @@ def test_renewal_keeps_the_index_and_a_new_source_drops_it(eng, net):
     with _counting_builds(calls, lambda _inputs: eng.now):
         first = giis.active_records()[0]
         eng.run(until=1 * MINUTE)
-        giis.register("A", gris)  # renewal of the same, live source
+        giis.register("A", gris)  # the same source registered again
         assert giis.active_records()[0] is first
         assert gris.queries_served == 1
         twin = GRIS(eng, site, ttl=5 * MINUTE)
@@ -221,29 +199,22 @@ def test_renewal_keeps_the_index_and_a_new_source_drops_it(eng, net):
 # --- the index against a brute-force sweep ---------------------------------
 
 NAMES = ["A", "B", "C"]
-REGISTRATION_TTL = 20 * MINUTE
 
 _index_step = st.one_of(
-    st.tuples(st.sampled_from(["register", "replace", "fail", "restore",
-                               "install", "offline", "online"]),
+    st.tuples(st.sampled_from(["register", "replace", "fail", "restore", "install"]),
               st.sampled_from(NAMES)),
     st.tuples(st.just("advance"),
-              st.sampled_from([0.0, 1 * MINUTE, 5 * MINUTE + 1, REGISTRATION_TTL + 1])),
+              st.sampled_from([0.0, 1 * MINUTE, 5 * MINUTE + 1, 30 * MINUTE + 1])),
     # One CPU taken at every site, so any stale record shows.
     st.tuples(st.just("allocate"), st.none()),
 )
 
 
-def _sweep(registry, now):
-    """A full sweep, as on every read before the index: sorted live
-    names, query each available GRIS, then the online filter."""
-    records = [
-        registry[name][0].query()
-        for name in sorted(n for n, (_g, at) in registry.items()
-                           if now - at <= REGISTRATION_TTL)
-        if registry[name][0].available
-    ]
-    return records, [r for r in records if r.get("status") == "online"]
+def _sweep(registry):
+    """A full sweep, as on every read before the index: sorted names,
+    query each available GRIS."""
+    return [registry[name].query() for name in sorted(registry)
+            if registry[name].available]
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,8 +224,7 @@ def _sweep(registry, now):
 def test_property_index_matches_a_full_sweep(ttls, steps):
     """After every step the incremental index answers exactly what a
     full sweep on every read answers, in values and order, and no
-    site's record is built more often than under that sweep.  GRIS TTLs
-    both shorter and longer than the registration TTL are drawn."""
+    site's record is built more often than under that sweep."""
     eng = Engine()
     net = Network(eng)
     sites = {name: make_site(eng, net, name, cpus=64) for name in NAMES}
@@ -269,9 +239,9 @@ def test_property_index_matches_a_full_sweep(ttls, steps):
         reader[0] = side
         return fn(*args)
 
-    giis = GIIS(eng, "g", registration_ttl=REGISTRATION_TTL)
+    giis = GIIS(eng, "g")
     current = {name: (gris(name), gris(name)) for name in NAMES}
-    registry = {}  # the sweep's own registrations: name -> (GRIS, time)
+    registry = {}  # the sweep's own registrations: name -> GRIS
     with _counting_builds(builds, lambda inputs: (reader[0], inputs[0])):
         for kind, arg in [("register", name) for name in NAMES] + steps:
             if kind == "advance":
@@ -280,22 +250,19 @@ def test_property_index_matches_a_full_sweep(ttls, steps):
                 if kind == "replace":
                     current[arg] = (gris(arg), gris(arg))
                 giis.register(arg, current[arg][0])
-                registry[arg] = (current[arg][1], eng.now)
+                registry[arg] = current[arg][1]
             elif kind in ("fail", "restore"):
                 for source in current[arg]:
                     getattr(source, kind)()
             elif kind == "install":
                 packages = sites[arg].installed_packages
                 packages[f"pkg-{len(packages)}"] = "1.0"
-            elif kind == "allocate":
+            else:
                 for site in sites.values():
                     site.cluster.allocate(object())
-            else:
-                sites[arg].status = kind
-            records, online = read("sweep", _sweep, registry, eng.now)
+            records = read("sweep", _sweep, registry)
             assert read("index", giis.query_all) == records
-            assert read("index", giis.active_records) == online
-            assert read("sweep", _sweep, registry, eng.now)[1] == online
+            assert read("index", giis.active_records) == records
             for name in NAMES:
                 assert builds.count(("index", name)) <= builds.count(("sweep", name))
 

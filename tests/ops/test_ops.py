@@ -119,16 +119,6 @@ def test_ops_team_no_duplicate_tickets_while_repairing(eng, net, rng):
     assert len(igoc.tickets.open_tickets("SiteA")) == 1
 
 
-def test_igoc_service_registry(eng):
-    igoc = IGOC(eng)
-    igoc.host("pacman-cache", object())
-    igoc.host("top-giis", object())
-    assert igoc.services() == ["pacman-cache", "top-giis"]
-    assert igoc.service("top-giis") is not None
-    with pytest.raises(KeyError):
-        igoc.service("nope")
-
-
 # --- policy ---------------------------------------------------------------
 
 def test_site_policy_admits(eng, net):

@@ -34,8 +34,6 @@ class ReferenceSelector(SiteSelector):
 
     @staticmethod
     def admissible(record, spec):
-        if record.get("status") != "online":
-            return False
         if spec.requires_outbound and not record.get("outbound_connectivity"):
             return False
         if float(record.get("se_free", 0.0)) < spec.local_disk_footprint:
@@ -98,8 +96,8 @@ class ReferenceSelector(SiteSelector):
 class SnapshotGIIS:
     """A GIIS stand-in serving one of several fixed snapshots.
 
-    ``active_records`` keeps the real index's contract: only records
-    with online status, in index order.
+    ``active_records`` keeps the real index's contract: the current
+    snapshot's records, in index order.
     """
 
     def __init__(self, snapshots: List[List[Dict[str, object]]]) -> None:
@@ -107,7 +105,7 @@ class SnapshotGIIS:
         self.current = 0
 
     def active_records(self):
-        return [r for r in self.snapshots[self.current] if r.get("status") == "online"]
+        return list(self.snapshots[self.current])
 
 
 class Clock:
@@ -121,7 +119,6 @@ class Clock:
 # Small value pools so that equal records, and hence score ties, are common.
 _record = st.fixed_dictionaries(
     {
-        "status": st.sampled_from(["online", "online", "online", "offline"]),
         "se_free": st.sampled_from([10 * GB, 500 * GB, 2e12, 2e12]),
         "max_walltime": st.sampled_from([12 * HOUR, 48 * HOUR, 200 * HOUR, 200 * HOUR]),
     },
@@ -243,7 +240,7 @@ def test_a_reissued_record_is_never_scored_from_held_terms():
     fields differ; the selector must rescore it from the new dict, bit
     for bit as the reference does.  The last round lists two records
     for one site, as two registrations of it would."""
-    first = {"site": "S0", "status": "online", "se_free": 2e12,
+    first = {"site": "S0", "se_free": 2e12,
              "max_walltime": 200 * HOUR, "outbound_connectivity": True,
              "total_cpus": 64, "free_cpus": 64, "access_bandwidth": 1.25e9,
              "estimated_wait": 0.0, "owner_vo": "uscms"}
@@ -277,7 +274,7 @@ def test_one_selection_is_one_pass():
     draw, and asks the fair-share ledger once, and only when there is a
     candidate to score."""
     giis = SnapshotGIIS([[
-        {"site": name, "status": "online", "se_free": 2e12, "max_walltime": 200 * HOUR}
+        {"site": name, "se_free": 2e12, "max_walltime": 200 * HOUR}
         for name in SITES
     ]])
     selector, ledger, _clock = _build(SiteSelector, giis, 5, True, 1.0, 0.0)

@@ -63,13 +63,6 @@ def test_filter_walltime(eng, net, rng):
     assert sel.rank(oscar) == ["Long"]
 
 
-def test_offline_sites_excluded(eng, net, rng):
-    giis, sites = build_giis(eng, net, {"A": {}, "B": {}})
-    sites["B"].status = "offline"
-    sel = SiteSelector(giis, rng)
-    assert sel.rank(spec()) == ["A"]
-
-
 def test_vo_affinity_preference(eng, net, rng):
     giis, _ = build_giis(eng, net, {
         "Home": dict(vo="usatlas"),

@@ -1,4 +1,5 @@
-"""Trace-backed troubleshooting queries surfaced via grid.troubleshooting()."""
+"""Trace-backed troubleshooting queries surfaced via grid.troubleshooting(),
+and the job-id join answered by the grid's span store."""
 
 from repro import Grid3, Grid3Config
 from repro.trace import PHASES
@@ -38,12 +39,11 @@ def test_phase_breakdown_all_and_per_vo():
 
 
 def test_trace_for_job_joins_execution_side_id():
-    grid = traced_grid()
-    ops = grid.troubleshooting()
-    job_id = grid.tracer.store.job_ids()[0]
-    root = ops.trace_for_job(job_id)
+    store = traced_grid().tracer.store
+    job_id = store.job_ids()[0]
+    root = store.trace_for_job(job_id)
     assert root is not None
-    assert job_id in grid.tracer.store.jobs_for(root.trace_id)
+    assert job_id in store.jobs_for(root.trace_id)
 
 
 def test_trace_queries_degrade_gracefully_without_tracing():
@@ -54,4 +54,4 @@ def test_trace_queries_degrade_gracefully_without_tracing():
     ops = grid.troubleshooting()
     assert ops.slowest_jobs() == []
     assert ops.phase_breakdown() == {}
-    assert ops.trace_for_job(1) is None
+    assert grid.tracer.store is None
