@@ -46,7 +46,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Tuple
@@ -58,6 +57,7 @@ from repro import (  # noqa: E402
     SCENARIOS,
     Grid3,
     Grid3Config,
+    GridClient,
     ReproService,
     ServiceApp,
 )
@@ -476,13 +476,6 @@ SERVICE_CONFIG = {"scale": 3000, "duration_days": 0.05, "apps": ["exerciser"],
 HOT_REQUESTS = 50
 
 
-def _http(method: str, url: str, payload=None):
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(url, data=data, method=method)
-    with urllib.request.urlopen(request, timeout=60) as response:
-        return response.status, json.loads(response.read())
-
-
 def bench_service(smoke: bool) -> Dict[str, object]:
     """Grid-as-a-service on an ephemeral port with one real worker
     process: a cold submit -> poll -> report round trip (one full
@@ -491,26 +484,21 @@ def bench_service(smoke: bool) -> Dict[str, object]:
     anything — the service's reason to exist."""
     service = ReproService(port=0, workers=1, queue_depth=8).start()
     try:
-        runs = f"{service.url}/v1/runs"
-        t0 = time.perf_counter()
-        _status, submitted = _http("POST", runs, {"config": SERVICE_CONFIG})
-        run_id = submitted["run_id"]
-        while True:
-            _status, view = _http("GET", f"{runs}/{run_id}")
-            if view["state"] in ("done", "failed"):
-                break
-            time.sleep(0.02)
-        assert view["state"] == "done", view
-        _http("GET", f"{runs}/{run_id}/report/ops?limit=50")
-        cold = time.perf_counter() - t0
+        with GridClient(service.url, timeout=60) as client:
+            t0 = time.perf_counter()
+            submitted = client.submit(SERVICE_CONFIG)
+            view = client.wait(submitted.run_id, poll_s=0.02)
+            assert view.state == "done", view
+            client.report(view.run_id, "ops", limit=50)
+            cold = time.perf_counter() - t0
 
-        hot_cached = 0
-        t0 = time.perf_counter()
-        for _ in range(HOT_REQUESTS):
-            status, answer = _http("POST", runs, {"config": SERVICE_CONFIG})
-            hot_cached += status == 200 and answer["dedup"] == "cached"
-        hot_each = (time.perf_counter() - t0) / HOT_REQUESTS
-        _status, gauges = _http("GET", f"{service.url}/v1/metrics?format=json")
+            hot_cached = 0
+            t0 = time.perf_counter()
+            for _ in range(HOT_REQUESTS):
+                answer = client.submit(SERVICE_CONFIG)
+                hot_cached += answer.dedup == "cached"
+            hot_each = (time.perf_counter() - t0) / HOT_REQUESTS
+            gauges = client.metrics()
     finally:
         service.close(drain=True, timeout=60.0)
     return {

@@ -404,12 +404,10 @@ def cmd_alerts(args, out=print) -> int:
     from .ops.alerts import default_rules, lint_rules, service_rules
 
     if args.url:
-        import json as _json
-        from urllib.request import urlopen
-        with urlopen(args.url.rstrip("/") + "/v1/alerts",
-                     timeout=10) as resp:
-            payload = _json.loads(resp.read().decode("utf-8"))
-        rows = payload["rules"]
+        from .client import GridClient
+        with GridClient(args.url, timeout=10) as client:
+            rows = client.alerts()
+        firing = sum(1 for r in rows if r["firing"])
         out(render_table(
             ["rule", "metric", "severity", "firing", "value", "threshold"],
             [(r["name"], r["metric"], r["severity"],
@@ -418,8 +416,8 @@ def cmd_alerts(args, out=print) -> int:
               f"{r['threshold']:g}")
              for r in rows],
         ))
-        out(f"\n{payload['firing']} of {len(rows)} rule(s) firing")
-        return 1 if payload["firing"] else 0
+        out(f"\n{firing} of {len(rows)} rule(s) firing")
+        return 1 if firing else 0
 
     if args.lint:
         # Real metric names: the service-health view of a deployed (not
@@ -479,27 +477,28 @@ def cmd_alerts(args, out=print) -> int:
 
 def cmd_top(args, out=print) -> int:
     """Render a run's live progress stream as a terminal dashboard."""
-    import json as _json
     import time as _time
     from urllib.request import urlopen
 
+    from .client import GridClient
     from .monitoring.progress import render_progress_line
     from .service.progress import iter_sse_events
 
-    base = args.url.rstrip("/")
     if args.poll:
         since = -1
-        while True:
-            with urlopen(f"{base}/v1/runs/{args.run_id}/events?since={since}",
-                         timeout=30) as resp:
-                payload = _json.loads(resp.read().decode("utf-8"))
-            for event in payload["events"]:
-                out(render_progress_line(event))
-            since = payload["next_since"]
-            if payload["closed"]:
-                out(f"run {args.run_id} finished ({payload['state']})")
-                return 0
-            _time.sleep(args.interval)
+        with GridClient(args.url) as client:
+            while True:
+                delta = client.events(args.run_id, since=since)
+                for event in delta.events:
+                    out(render_progress_line(event))
+                since = delta.next_since
+                if delta.closed:
+                    out(f"run {args.run_id} finished ({delta.state})")
+                    return 0
+                _time.sleep(args.interval)
+    # The SSE stream is one long response, so it gains nothing from a
+    # kept-alive connection.
+    base = args.url.rstrip("/")
     with urlopen(f"{base}/v1/runs/{args.run_id}/events", timeout=60) as resp:
         for event in iter_sse_events(resp):
             out(render_progress_line(event))

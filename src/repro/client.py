@@ -14,28 +14,39 @@ here as :class:`GridServiceError` with ``status``, ``code``, ``hint``,
 and (for 429s) ``retry_after`` attributes — so callers branch on
 ``exc.code == "quota_exceeded"`` instead of parsing message strings.
 
-Only :mod:`urllib.request` under the hood: the client imports cleanly
-anywhere the package does.
+The transport is :mod:`http.client` over persistent HTTP/1.1
+connections: a call takes an idle connection (or opens one), sends its
+request, reads the whole response and gives the connection back, so a
+single-threaded caller sends everything over one TCP connection and
+concurrent callers each hold their own.  A server may close an idle
+connection at any time; when a *reused* connection is found closed
+before any status line came back, the request is sent once more on a
+fresh one.  A timeout, or a failure on a fresh connection, is never
+retried.  (A replayed ``POST /v1/runs`` is harmless: digest dedup
+answers it ``joined`` or ``cached``.)  ``close()`` — or leaving a
+``with GridClient(...)`` block — closes the idle connections, which
+lets the server's handler threads exit; the client stays usable and
+reconnects on its next call.
 
 Typical use::
 
     from repro.client import GridClient
 
-    client = GridClient("http://127.0.0.1:8080")
-    submitted = client.submit({"scale": 6000}, client_id="alice",
-                              lane="interactive")
-    view = client.wait(submitted.run_id)
-    page = client.report(view.run_id, "ops")
+    with GridClient("http://127.0.0.1:8080") as client:
+        submitted = client.submit({"scale": 6000}, client_id="alice",
+                                  lane="interactive")
+        view = client.wait(submitted.run_id)
+        page = client.report(view.run_id, "ops")
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from .core.results import ReportPage
 from .errors import GridError
@@ -73,13 +84,37 @@ class GridClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        split = urllib.parse.urlsplit(self.base_url)
+        if split.scheme not in ("http", "https"):
+            raise ValueError(
+                f"base_url must be an http(s) URL, got {base_url!r}")
+        self._netloc = split.netloc
+        self._root = split.path + API_PREFIX
+        self._connection_class = (
+            http.client.HTTPSConnection if split.scheme == "https"
+            else http.client.HTTPConnection)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     # -- transport -------------------------------------------------------------
+    def close(self) -> None:
+        """Close the idle connections (the client stays usable)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "GridClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def _request(self, method: str, path: str,
                  query: Optional[Dict[str, object]] = None,
-                 body: Optional[Dict[str, object]] = None,
-                 ) -> Tuple[int, Dict[str, str], bytes]:
-        url = f"{self.base_url}{API_PREFIX}{path}"
+                 body: Optional[Dict[str, object]] = None) -> bytes:
+        """One round trip; the 2xx body, or :class:`GridServiceError`."""
+        url = self._root + path
         if query:
             url += "?" + urllib.parse.urlencode(
                 {k: v for k, v in query.items() if v is not None})
@@ -88,18 +123,45 @@ class GridClient:
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, method=method, headers=headers)
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._connection_class(
+                self._netloc, timeout=self.timeout)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as rsp:
-                return rsp.status, dict(rsp.headers), rsp.read()
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            raise self._decode_error(
-                exc.code, dict(exc.headers), raw) from exc
+            response = self._exchange(connection, method, url, data, headers)
+            raw = response.read()
+        except BaseException:
+            connection.close()  # reconnects on its next use
+            raise
+        finally:
+            with self._lock:
+                self._idle.append(connection)
+        if not 200 <= response.status < 300:
+            raise self._decode_error(response.status, response.headers, raw)
+        return raw
 
     @staticmethod
-    def _decode_error(status: int, headers: Dict[str, str],
+    def _exchange(connection: http.client.HTTPConnection, method: str,
+                  url: str, data: Optional[bytes],
+                  headers: Dict[str, str]) -> http.client.HTTPResponse:
+        """Send one request and read its status line, retrying once on
+        a fresh connection if a reused one was closed under us."""
+        reused = connection.sock is not None
+        try:
+            connection.request(method, url, body=data, headers=headers)
+            return connection.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # http.client.RemoteDisconnected is a ConnectionResetError:
+            # the server closed the connection before a status line.
+            if not reused:
+                raise
+            connection.close()
+        connection.request(method, url, body=data, headers=headers)
+        return connection.getresponse()
+
+    @staticmethod
+    def _decode_error(status: int, headers: http.client.HTTPMessage,
                       raw: bytes) -> GridServiceError:
         code, message, hint = "internal_error", raw.decode(
             "utf-8", "replace"), ""
@@ -122,8 +184,7 @@ class GridClient:
 
     def _get_json(self, path: str,
                   query: Optional[Dict[str, object]] = None) -> Dict:
-        _status, _headers, raw = self._request("GET", path, query=query)
-        return json.loads(raw)
+        return json.loads(self._request("GET", path, query=query))
 
     # -- submission & polling --------------------------------------------------
     def submit(self, config: Optional[Dict[str, object]] = None,
@@ -143,8 +204,8 @@ class GridClient:
             body["config"] = config
         if scenario is not None:
             body["scenario"] = scenario
-        _status, _headers, raw = self._request("POST", "/runs", body=body)
-        return RunSubmitted(**json.loads(raw))
+        return RunSubmitted(**json.loads(
+            self._request("POST", "/runs", body=body)))
 
     def run(self, run_id: int) -> RunView:
         """``GET /v1/runs/{id}``: the run's current state snapshot."""
@@ -209,9 +270,7 @@ class GridClient:
 
     def run_metrics(self, run_id: int) -> str:
         """``GET /v1/runs/{id}/metrics``: the run's Prometheus text."""
-        _status, _headers, raw = self._request(
-            "GET", f"/runs/{run_id}/metrics")
-        return raw.decode("utf-8")
+        return self._request("GET", f"/runs/{run_id}/metrics").decode("utf-8")
 
     # -- service-level surfaces ------------------------------------------------
     def health(self) -> HealthView:
@@ -224,8 +283,7 @@ class GridClient:
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics``: the Prometheus text exposition."""
-        _status, _headers, raw = self._request("GET", "/metrics")
-        return raw.decode("utf-8")
+        return self._request("GET", "/metrics").decode("utf-8")
 
     def alerts(self) -> List[Dict[str, object]]:
         """``GET /v1/alerts``: the live alert-rule state rows."""

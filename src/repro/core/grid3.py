@@ -809,13 +809,11 @@ class Grid3:
         return self.monitors["acdc"].database
 
     def troubleshooting(self):
-        """The §8 troubleshooting/accounting API over this grid,
-        data-management and trace queries included when those
-        subsystems are on."""
+        """The §8 troubleshooting/accounting API over this grid, trace
+        queries included when tracing is on."""
         from ..ops import TroubleshootingAPI
         return TroubleshootingAPI(
-            self.sites, self.acdc_db, data=self.data,
-            trace=self.tracer.store,
+            self.sites, self.acdc_db, trace=self.tracer.store,
         )
 
     def viewer(self) -> MDViewer:

@@ -35,12 +35,10 @@ class TroubleshootingAPI:
     """Direct (no-log-parsing) troubleshooting queries over a built grid."""
 
     def __init__(
-        self, sites: Dict[str, object], acdc_db, data=None, trace=None,
+        self, sites: Dict[str, object], acdc_db, trace=None,
     ) -> None:
         self.sites = sites
         self.acdc_db = acdc_db
-        #: Optional DataManager: storage/data queries answer from it.
-        self.data = data
         #: Optional SpanStore: trace-backed queries (slowest_jobs,
         #: phase_breakdown) answer from it.
         self.trace = trace

@@ -52,11 +52,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from multiprocessing.connection import Connection
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.grid3 import Grid3Config
 from ..core.results import paginate
@@ -198,8 +199,7 @@ class ServiceApp:
     # -- submission (the dedup path) ------------------------------------------
     def submit(self, request: RunRequest) -> Tuple[int, RunSubmitted]:
         """Dedup-or-enqueue one validated submission."""
-        config = request.config
-        digest = config.canonical_digest()
+        config, digest = request.config, request.digest
         with self._submit_lock:
             cached = self.store.cached(digest)
             if cached is not None:
@@ -534,6 +534,10 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceApp  # set by ReproService's handler subclass
     server_version = "repro-grid-service/2.0"
     protocol_version = "HTTP/1.1"
+    # A response goes out in two sends (headers, then body).  On a
+    # kept-alive connection Nagle would hold the body back until the
+    # peer's delayed ACK of the headers, about 40 ms per request.
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         from urllib.parse import parse_qsl, urlsplit
@@ -615,6 +619,44 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # requests are observable via /metrics, not stderr noise
 
 
+class _Server(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that can end its kept-alive connections.
+
+    An HTTP/1.1 client holds its connection open between requests, and
+    the handler thread waits on it.  ``server_close`` shuts every open
+    connection down so those threads see EOF and exit.  ``shutdown``,
+    not ``close``: a forked pool worker holds copies of the
+    descriptors, so closing ours alone would not end the connection.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already went away
+
+
 class ReproService:
     """The running service: a ThreadingHTTPServer around a ServiceApp.
 
@@ -647,8 +689,7 @@ class ReproService:
         class _BoundHandler(_Handler):
             app = self.app
 
-        self.httpd = ThreadingHTTPServer((host, port), _BoundHandler)
-        self.httpd.daemon_threads = True
+        self.httpd = _Server((host, port), _BoundHandler)
         self.host = host
         self.port = self.httpd.server_address[1]
         self._thread: Optional[threading.Thread] = None

@@ -87,10 +87,13 @@ class RunRequest:
 
     ``client`` is the fair-share/quota accounting identity (free-form
     string; defaults to ``"anonymous"``); ``lane`` picks the dispatch
-    lane (``"interactive"`` beats ``"batch"``).
+    lane (``"interactive"`` beats ``"batch"``).  ``digest`` is the
+    config's :meth:`~repro.Grid3Config.canonical_digest`, the result-cache
+    key, computed once while the submission is validated.
     """
 
     config: Grid3Config
+    digest: str
     client: str = "anonymous"
     lane: str = "batch"
 
@@ -252,10 +255,10 @@ def parse_submission(body: bytes) -> RunRequest:
                               f"{did_you_mean(knob, sorted(defaults))}")
         setattr(config, knob, _wire_value(knob, defaults[knob], value))
     try:
-        config.validate()
+        digest = config.canonical_digest()  # validates the config first
     except ConfigurationError as exc:
         raise SchemaError(str(exc)) from exc
-    return RunRequest(config=config, client=client, lane=lane)
+    return RunRequest(config=config, digest=digest, client=client, lane=lane)
 
 
 def parse_pagination(

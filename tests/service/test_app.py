@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import Grid3Config, ServiceApp
+from repro.errors import ConfigurationError
+from repro.service.schemas import split_hint
 
 
 def fake_payload(config, progress=None):
@@ -72,6 +74,32 @@ def test_duplicate_submit_never_reruns(app):
     # The acceptance criterion: one simulation executed, ever.
     assert app.service_metrics()["service.queue.executed"] == 1
     assert app.service_metrics()["service.cache.hits"] == 1
+
+
+def test_resubmission_validates_its_config_once(app, monkeypatch):
+    status, first = submit(app, seed=8)
+    wait_done(app, first["run_id"])
+    calls = []
+    validate = Grid3Config.validate
+
+    def counting(config):
+        calls.append(config.seed)
+        return validate(config)
+
+    monkeypatch.setattr(Grid3Config, "validate", counting)
+    status, again = submit(app, seed=8)
+    assert status == 200 and again["dedup"] == "cached"
+    assert calls == [8]
+
+
+def test_invalid_config_is_400_with_the_validation_message(app):
+    with pytest.raises(ConfigurationError) as expected:
+        Grid3Config(scale=-1.0).validate()
+    status, body = call(app, "POST", "/v1/runs",
+                        body=json.dumps({"config": {"scale": -1}}).encode())
+    assert status == 400 and body["error"]["code"] == "bad_request"
+    message, hint = split_hint(str(expected.value))
+    assert (body["error"]["message"], body["error"]["hint"]) == (message, hint)
 
 
 def test_inflight_duplicate_joins(app):

@@ -218,3 +218,8 @@ def test_validated_request_digests_stably():
     one = parse_submission(body(config={"seed": 5, "scale": 100})).config
     two = parse_submission(body(config={"scale": 100, "seed": 5})).config
     assert one.canonical_digest() == two.canonical_digest()
+
+
+def test_request_carries_its_config_digest():
+    request = parse_submission(body(config={"seed": 5, "scale": 100}))
+    assert request.digest == request.config.canonical_digest()
