@@ -203,13 +203,11 @@ def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
     Runs the same spec at workers=1 (the reference), then at each count
     in {2, N} that fits the core budget (N = available cores), recording
     wall time, speedup, and an ``identical_results`` flag per count.
-    The pool is warmed before each timed fan-out so the numbers measure
-    steady-state dispatch, not one-time worker spawn (which the
-    persistent pool amortizes across sweeps anyway).  On a single-core
+    Each parallel arm includes its pool's start-up.  On a single-core
     box there is nothing to fan out to; only the sequential arm is
     recorded, with a note.
     """
-    from repro.lab.experiment import _available_cores, _get_pool
+    from repro.lab.experiment import _available_cores
 
     spec = ExperimentSpec(
         name="worker-sweep",
@@ -228,7 +226,6 @@ def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
     counts = sorted({n for n in (2, cores) if 1 < n <= cores})
     runs = []
     for n in counts:
-        _get_pool(n)  # warm the persistent pool outside the timed region
         t0 = time.perf_counter()
         par = run_experiment(spec, workers=n)
         parallel_s = time.perf_counter() - t0
@@ -238,15 +235,15 @@ def bench_worker_sweep(smoke: bool) -> Dict[str, object]:
             "speedup": round(sequential_s / parallel_s, 2) if parallel_s else None,
             "identical_results": par == ref,
         })
-    return {
+    result = {
         "cells": len(spec.variants) * spec.repeats,
         "cores": cores,
         "sequential_s": round(sequential_s, 3),
         "runs": runs,
-        "note": ("single-core budget: workers clamp to 1, nothing to sweep"
-                 if not runs else
-                 "pool warmed before each timed arm (steady-state dispatch)"),
     }
+    if not runs:
+        result["note"] = "single-core budget: workers clamp to 1, nothing to sweep"
+    return result
 
 
 def live_samples(grid) -> int:

@@ -56,7 +56,6 @@ class AppStats:
     """Aggregated outcomes for one application class."""
 
     def __init__(self) -> None:
-        self.units_submitted = 0
         self.jobs: List[Job] = []
 
     def add_jobs(self, jobs: Sequence[Job]) -> None:
@@ -176,7 +175,6 @@ class ApplicationDemonstrator:
             delay = when - engine.now
             if delay > 0:
                 yield engine.timeout(delay)
-            self.stats.units_submitted += 1
             engine.process(
                 self._unit_wrapper(index), name=f"{self.name}-unit{index}"
             )

@@ -80,7 +80,6 @@ class ExerciserApplication(ApplicationDemonstrator):
         while engine.now < self.ctx.duration:
             self._cycle += 1
             for site_name in self._targets():
-                self.stats.units_submitted += 1
                 engine.process(
                     self._probe(site_name),
                     name=f"exerciser-{site_name}-{self._cycle}",

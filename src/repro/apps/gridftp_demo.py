@@ -47,7 +47,6 @@ class GridFTPDemoApplication(ApplicationDemonstrator):
         self.daily_volume = daily_volume
         self.cycle_interval = cycle_interval
         self.transfer_size = transfer_size
-        self.bytes_attempted = 0.0
         self.bytes_delivered = 0.0
         self.transfers_ok = 0
         self.transfers_failed = 0
@@ -71,7 +70,6 @@ class GridFTPDemoApplication(ApplicationDemonstrator):
     def _one_transfer(self, src_name: str, dst_name: str, size: float, tag: int):
         src = self.ctx.sites[src_name]
         dst = self.ctx.sites[dst_name]
-        self.bytes_attempted += size
         lfn = f"/entrada/{tag:08d}"
         try:
             yield from gridftp.transfer(
@@ -100,7 +98,6 @@ class GridFTPDemoApplication(ApplicationDemonstrator):
             size = per_cycle / n_transfers
             for src_name, dst_name in self._site_pairs(n_transfers):
                 tag += 1
-                self.stats.units_submitted += 1
                 engine.process(
                     self._one_transfer(src_name, dst_name, size, tag),
                     name=f"entrada-{tag}",

@@ -75,35 +75,25 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_grid(args) -> Grid3:
+def _config(args) -> Grid3Config:
     if args.scenario is not None:
         config = SCENARIOS[args.scenario](seed=args.seed, scale=args.scale)
-        config.duration_days = args.days
-        if args.apps is not None:
-            config.apps = args.apps
-        if args.srm:
-            config.use_srm = True
-        if args.random_matchmaking:
-            config.matchmaking = "random"
-        if args.no_failures:
-            config.failures = FailureProfile.disabled()
-        return Grid3(config)
-    config = Grid3Config(
-        seed=args.seed,
-        scale=args.scale,
-        duration_days=args.days,
-        use_srm=args.srm,
-        matchmaking="random" if args.random_matchmaking else "smart",
-        failures=(
-            FailureProfile.disabled() if args.no_failures else FailureProfile()
-        ),
-        apps=args.apps,
-    )
-    return Grid3(config)
+    else:
+        config = Grid3Config(seed=args.seed, scale=args.scale)
+    config.duration_days = args.days
+    if args.apps is not None:
+        config.apps = args.apps
+    if args.srm:
+        config.use_srm = True
+    if args.random_matchmaking:
+        config.matchmaking = "random"
+    if args.no_failures:
+        config.failures = FailureProfile.disabled()
+    return config
 
 
 def cmd_run(args, out=print) -> int:
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     out(f"deploying Grid3 (27 sites, scale {args.scale:g})...")
     grid.deploy()
     grid.start_applications()
@@ -128,7 +118,7 @@ def cmd_run(args, out=print) -> int:
 
 
 def cmd_figures(args, out=print) -> int:
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     grid.run_full()
     viewer = grid.viewer()
     t0, t1 = 0.0, grid.engine.now
@@ -197,7 +187,7 @@ def cmd_fabric(args, out=print) -> int:
 
 
 def cmd_export(args, out=print) -> int:
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     grid.run_full()
     text = export_database(grid.acdc_db)
     if args.output:
@@ -211,7 +201,7 @@ def cmd_export(args, out=print) -> int:
 
 def cmd_health(args, out=print) -> int:
     from .services import render_availability, total_downtime
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     grid.run_full()
     rows = grid.availability_report()
     if args.site:
@@ -224,13 +214,11 @@ def cmd_health(args, out=print) -> int:
 
 def cmd_data(args, out=print) -> int:
     """Run with the managed data subsystem and print its accounting."""
-    grid = _build_grid(args)
-    grid.config.data_management = True
+    config = _config(args)
+    config.data_management = True
     if args.disk_scale is not None:
-        grid.config.disk_scale = args.disk_scale
-    # Config edits above must land before construction side-effects; the
-    # builder read them in __init__, so rebuild with the final config.
-    grid = Grid3(grid.config)
+        config.disk_scale = args.disk_scale
+    grid = Grid3(config)
     grid.run_full()
     rows = [
         (r.site, r.files, f"{bytes_to_tb(r.capacity):.2f}",
@@ -269,11 +257,9 @@ def cmd_trace(args, out=print) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    grid = _build_grid(args)
-    grid.config.tracing = True
-    # Config edits above must land before construction side-effects; the
-    # builder read them in __init__, so rebuild with the final config.
-    grid = Grid3(grid.config)
+    config = _config(args)
+    config.tracing = True
+    grid = Grid3(config)
     grid.run_full()
     store = grid.tracer.store
     ops = grid.troubleshooting()
@@ -319,11 +305,9 @@ def cmd_fairshare(args, out=print) -> int:
     """Run with the fair-share layer and print its accounting; with
     ``--compare``, run the same seed without it and contrast per-VO
     completions."""
-    grid = _build_grid(args)
-    grid.config.fair_share = True
-    # Config edits above must land before construction side-effects; the
-    # builder read them in __init__, so rebuild with the final config.
-    grid = Grid3(grid.config)
+    config = _config(args)
+    config.fair_share = True
+    grid = Grid3(config)
     grid.run_full()
 
     rows = [
@@ -355,7 +339,7 @@ def cmd_fairshare(args, out=print) -> int:
         ))
 
     if args.compare:
-        baseline_cfg = _build_grid(args).config
+        baseline_cfg = _config(args)
         baseline_cfg.fair_share = False
         baseline = Grid3(baseline_cfg)
         baseline.run_full()
@@ -446,11 +430,9 @@ def cmd_alerts(args, out=print) -> int:
         out(f"{total} shipped alert rule(s) lint clean")
         return 0
 
-    grid = _build_grid(args)
-    grid.config.alerts = True
-    # Config edits above must land before construction side-effects; the
-    # builder read them in __init__, so rebuild with the final config.
-    grid = Grid3(grid.config)
+    config = _config(args)
+    config.alerts = True
+    grid = Grid3(config)
     grid.run_full()
     engine = grid.alert_monitor.alert_engine
     out(render_table(
@@ -508,7 +490,7 @@ def cmd_top(args, out=print) -> int:
 
 def cmd_report(args, out=print) -> int:
     from .ops.reports import weekly_report
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     grid.run_full()
     weeks = max(1, int(args.days // 7))
     for week in range(weeks):
@@ -519,7 +501,7 @@ def cmd_report(args, out=print) -> int:
 
 def cmd_score(args, out=print) -> int:
     from .analysis.compare import agreement_report, compare_run
-    grid = _build_grid(args)
+    grid = Grid3(_config(args))
     grid.run_full()
     checks = compare_run(grid)
     out(agreement_report(checks))

@@ -572,7 +572,7 @@ class Grid3:
 
         # Register users and generate grid-maps (§5.3).
         self._register_users()
-        refresh_site_gridmaps(sites, list(self.voms.values()), now=self.engine.now)
+        refresh_site_gridmaps(sites, list(self.voms.values()))
         # The authenticators must see the refreshed gridmap objects.
         for site in sites:
             site.service("authenticator").gridmap = site.service("gridmap")
@@ -706,9 +706,7 @@ class Grid3:
         """Register a new VO member and propagate the grid-map update to
         every site (the §5.3 admission procedure)."""
         user = self.voms[vo].register(name, role=role)
-        refresh_site_gridmaps(
-            self.sites.values(), list(self.voms.values()), now=self.engine.now
-        )
+        refresh_site_gridmaps(self.sites.values(), list(self.voms.values()))
         for site in self.sites.values():
             auth = site.services.get("authenticator")
             if auth is not None:

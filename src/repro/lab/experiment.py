@@ -33,13 +33,8 @@ Parallelism model (``workers``):
 * ``workers`` larger than the available cores is clamped down with a
   note through ``progress`` — oversubscribing cores never helps a
   CPU-bound simulation.
-* Cells are submitted to a **persistent** process pool (reused across
-  ``run_experiment`` calls in the same process) in **chunks** sized to
-  amortize task overhead while still load-balancing.
-* Before fanning out on a cold pool, the first cell runs in-process as
-  a *calibration cell*: its wall time feeds a cost model that keeps
-  tiny sweeps sequential (worker spawn + import costs more than it
-  saves).  On a warm pool the fan-out starts immediately.
+* Each ``run_experiment`` call fans its cells out over a fresh process
+  pool, one cell per task, and shuts the pool down before it returns.
 * Cells are always independent full runs, so parallel results are
   bit-identical to a sequential run and are assembled in declaration
   order regardless of completion order.
@@ -50,12 +45,10 @@ Parallelism model (``workers``):
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
-import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -64,16 +57,6 @@ import numpy as np
 
 from ..analysis.report import render_table
 from ..core.grid3 import Grid3, Grid3Config
-
-#: Chunks submitted per worker: small enough to amortize per-task
-#: overhead, large enough that an unlucky slow chunk can be balanced
-#: by the others.
-_CHUNKS_PER_WORKER = 4
-
-#: Cost-model estimate (seconds) for bringing up a cold process pool:
-#: spawn + interpreter start + ``import repro`` per worker.
-_COLD_POOL_COST_S = 0.5
-
 
 class UnpicklableSpecWarning(UserWarning):
     """A spec attribute does not pickle, so the sweep ran sequentially."""
@@ -162,41 +145,6 @@ def _effective_workers(
     return max(1, min(workers, n_cells))
 
 
-# -- the persistent pool ------------------------------------------------------
-
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_size = 0
-
-
-def _get_pool(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
-    """A process pool with at least ``workers`` workers.
-
-    Returns ``(pool, was_warm)``.  The pool persists across
-    ``run_experiment`` calls (spawn + ``import repro`` is the dominant
-    fan-out cost, paid once per process instead of once per sweep); a
-    too-small pool is replaced by a bigger one.
-    """
-    global _pool, _pool_size
-    if _pool is not None and _pool_size >= workers:
-        return _pool, True
-    if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
-    _pool = ProcessPoolExecutor(max_workers=workers)
-    _pool_size = workers
-    return _pool, False
-
-
-def _discard_pool() -> None:
-    global _pool, _pool_size
-    if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
-        _pool = None
-        _pool_size = 0
-
-
-atexit.register(_discard_pool)
-
-
 # -- pickling pre-flight ------------------------------------------------------
 
 def _find_unpicklable(spec: ExperimentSpec) -> str:
@@ -259,67 +207,6 @@ def _run_cell_metrics(
     return {metric: float(fn(grid)) for metric, fn in spec.metrics.items()}
 
 
-def _run_cell_batch(
-    spec: ExperimentSpec, chunk: List[Tuple[str, int]]
-) -> List[Tuple[str, int, Dict[str, float]]]:
-    """Worker body: run a chunk of cells, return tagged metric dicts."""
-    return [
-        (variant, repeat, _run_cell_metrics(spec, variant, repeat))
-        for variant, repeat in chunk
-    ]
-
-
-def _chunk_cells(
-    cells: List[Tuple[str, int]], workers: int
-) -> List[List[Tuple[str, int]]]:
-    """Split cells into round-robin-sized contiguous chunks.
-
-    One future per cell maximizes scheduling overhead; one future per
-    worker loses all load balancing.  ``_CHUNKS_PER_WORKER`` chunks per
-    worker is the usual compromise.
-    """
-    n = len(cells)
-    size = max(1, -(-n // (workers * _CHUNKS_PER_WORKER)))
-    return [cells[i:i + size] for i in range(0, n, size)]
-
-
-def _cells_parallel(
-    spec: ExperimentSpec,
-    cells: List[Tuple[str, int]],
-    workers: int,
-    progress: Optional[Callable[[str], None]],
-    done_offset: int = 0,
-    total: Optional[int] = None,
-    executor: Optional[ProcessPoolExecutor] = None,
-) -> Dict[Tuple[str, int], Dict[str, float]]:
-    """Fan cell chunks out over a process pool; collect by cell key.
-
-    Progress messages carry completed/total *counts* only, so their
-    content is identical no matter which worker finishes first.
-    ``executor`` is injectable for tests; by default the persistent
-    pool is used.
-    """
-    values: Dict[Tuple[str, int], Dict[str, float]] = {}
-    total = total if total is not None else len(cells)
-    if executor is None:
-        executor, _warm = _get_pool(workers)
-    futures = {
-        executor.submit(_run_cell_batch, spec, chunk): chunk
-        for chunk in _chunk_cells(cells, workers)
-    }
-    done_cells = done_offset
-    pending = set(futures)
-    while pending:
-        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in finished:
-            for variant, repeat, metrics in future.result():
-                values[(variant, repeat)] = metrics
-                done_cells += 1
-                if progress is not None:
-                    progress(f"{spec.name}: {done_cells}/{total} cells done")
-    return values
-
-
 def run_experiment(
     spec: ExperimentSpec,
     progress: Optional[Callable[[str], None]] = None,
@@ -327,21 +214,19 @@ def run_experiment(
 ) -> List[ExperimentResult]:
     """Run every (variant × repeat) cell and aggregate the metrics.
 
-    ``workers`` > 1 fans cell chunks out over a persistent
-    :class:`~concurrent.futures.ProcessPoolExecutor` (each worker builds
-    its own :class:`Grid3`, so cells stay bit-identical to a sequential
-    run); ``workers=None`` means one per available core (see
-    :func:`_available_cores`).  Requests beyond the core budget are
+    ``workers`` > 1 fans the cells out over one
+    :class:`~concurrent.futures.ProcessPoolExecutor` for this call (each
+    worker builds its own :class:`Grid3`, so cells stay bit-identical to
+    a sequential run); ``workers=None`` means one per available core
+    (see :func:`_available_cores`).  Requests beyond the core budget are
     clamped with a ``progress`` note.  Results are assembled in
-    declaration order regardless of completion order.
+    declaration order.
 
     Specs that do not pickle (e.g. lambda metrics) run sequentially
-    with an :class:`UnpicklableSpecWarning` naming the offender.  On a
-    cold pool the first cell runs in-process as a calibration cell; if
-    the measured remaining work cannot beat the pool spawn cost, the
-    sweep stays sequential (tiny sweeps must never get slower).  A pool
+    with an :class:`UnpicklableSpecWarning` naming the offender.  A pool
     that dies mid-sweep (:class:`BrokenProcessPool`) degrades to
-    sequential for the unfinished cells instead of failing the sweep.
+    sequential for the cells not yet collected instead of failing the
+    sweep.
     """
     cells = [
         (variant, repeat)
@@ -350,60 +235,30 @@ def run_experiment(
     ]
     total = len(cells)
     workers = _effective_workers(workers, total, progress)
-    parallel = workers > 1 and total > 1 and _spec_is_picklable(spec, progress)
-
     values: Dict[Tuple[str, int], Dict[str, float]] = {}
-    done = 0
 
-    def _sequential(remaining: List[Tuple[str, int]]) -> None:
-        nonlocal done
-        for variant, repeat in remaining:
-            values[(variant, repeat)] = _run_cell_metrics(spec, variant, repeat)
-            done += 1
+    def _collect(cell: Tuple[str, int], metrics: Dict[str, float]) -> None:
+        values[cell] = metrics
+        if progress is not None:
+            progress(f"{spec.name}: {len(values)}/{total} cells done")
+
+    if workers > 1 and _spec_is_picklable(spec, progress):
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = pool.map(
+                    _run_cell_metrics,
+                    [spec] * total,
+                    [variant for variant, _ in cells],
+                    [repeat for _, repeat in cells],
+                )
+                for cell, metrics in zip(cells, outcomes):
+                    _collect(cell, metrics)
+        except BrokenProcessPool:
             if progress is not None:
-                progress(f"{spec.name}: {done}/{total} cells done")
-
-    if parallel:
-        _pool_obj, warm = _get_pool(workers)
-        remaining = cells
-        if not warm:
-            # Calibration cell: measure one cell in-process (the result
-            # is kept, not thrown away) and only fan out if the saved
-            # wall time beats the pool bring-up cost.  This is what
-            # keeps a 9-small-cell sweep from the historical 0.79x
-            # slowdown.
-            t0 = time.perf_counter()
-            _sequential(cells[:1])
-            cell_s = time.perf_counter() - t0
-            remaining = cells[1:]
-            saved_s = cell_s * len(remaining) * (1.0 - 1.0 / workers)
-            if saved_s <= _COLD_POOL_COST_S:
-                if progress is not None:
-                    progress(
-                        f"{spec.name}: sweep too small to amortize worker "
-                        f"spawn (~{cell_s:.2f}s/cell × {len(remaining)} "
-                        f"cells); staying sequential"
-                    )
-                parallel = False
-        if parallel:
-            try:
-                values.update(_cells_parallel(
-                    spec, remaining, workers, progress,
-                    done_offset=done, total=total,
-                ))
-                done = total
-            except BrokenProcessPool:
-                _discard_pool()
-                if progress is not None:
-                    progress(
-                        f"{spec.name}: worker pool died; finishing "
-                        f"sequentially"
-                    )
-                _sequential([c for c in remaining if c not in values])
-        else:
-            _sequential(remaining)
-    else:
-        _sequential(cells)
+                progress(f"{spec.name}: worker pool died; finishing sequentially")
+    for cell in cells:
+        if cell not in values:
+            _collect(cell, _run_cell_metrics(spec, *cell))
 
     results: List[ExperimentResult] = []
     for variant in spec.variants:

@@ -88,8 +88,6 @@ class GridMapFile:
 
     def __init__(self) -> None:
         self._map: Dict[str, str] = {}
-        #: Sim-time of the last regeneration, for staleness checks.
-        self.generated_at: float = 0.0
 
     def __len__(self) -> int:
         return len(self._map)

@@ -99,7 +99,6 @@ class VOMSServer(GridService):
 def generate_gridmap(
     site,  # repro.fabric.Site; untyped to avoid a cycle
     voms_servers: Iterable[VOMSServer],
-    now: float = 0.0,
 ) -> GridMapFile:
     """The EDG gridmap script: pull every VO's DNs, map to group accounts.
 
@@ -116,12 +115,11 @@ def generate_gridmap(
             continue
         for dn in dns:
             gridmap.add(dn, account)
-    gridmap.generated_at = now
     return gridmap
 
 
-def refresh_site_gridmaps(sites: Iterable, voms_servers: List[VOMSServer], now: float = 0.0) -> None:
+def refresh_site_gridmaps(sites: Iterable, voms_servers: List[VOMSServer]) -> None:
     """Regenerate every site's grid-map (the periodic cron the real Grid3
     ran).  Attaches the map as the site service ``"gridmap"``."""
     for site in sites:
-        site.attach_service("gridmap", generate_gridmap(site, voms_servers, now))
+        site.attach_service("gridmap", generate_gridmap(site, voms_servers))

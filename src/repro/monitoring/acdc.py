@@ -145,7 +145,6 @@ class ACDCJobMonitor:
         self.database = database or ACDCDatabase()
         self.poll_interval = poll_interval
         self._cursors: Dict[str, int] = {s.name: 0 for s in self.sites}
-        self.polls = 0
         self.process = engine.process(self._run(), name="acdc-monitor")
 
     def poll_once(self) -> int:
@@ -161,7 +160,6 @@ class ACDCJobMonitor:
             for job in fresh:
                 self.database.add(JobRecord.from_job(job))
                 pulled += 1
-        self.polls += 1
         return pulled
 
     def _run(self):

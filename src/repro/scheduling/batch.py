@@ -58,7 +58,6 @@ class BatchScheduler:
         #: Completed job records retained for ACDC's pull harvesting.
         self.completed: List[Job] = []
         #: Lifetime counters.
-        self.submitted_count = 0
         self.rejected_count = 0
         self.peak_running = 0
 
@@ -98,7 +97,6 @@ class BatchScheduler:
             job.mark(JobState.PENDING, self.engine.now)
         job.completion = self.engine.event()
         self._queue.append(job)
-        self.submitted_count += 1
         self._dispatch()
         return job
 

@@ -206,8 +206,6 @@ class CondorG:
                 self.policy.note_finish(site_name, spec.vo)
             if self.fairshare is not None:
                 self.fairshare.charge(spec.vo, final.cpu_time, self.engine.now)
-            gatekeeper = site.service("gatekeeper")
-            gatekeeper.job_finished(final)
             if final.error is not None:
                 attempt_span.annotate(error=type(final.error).__name__)
             attempt_span.close_subtree("ok" if final.succeeded else "error")

@@ -215,22 +215,17 @@ class PolicyEngine:
         self._running: Dict[Tuple[str, str], int] = {}
         self._peak: Dict[Tuple[str, str], int] = {}
         self._rejects: Dict[Tuple[str, str, str], int] = {}
-        #: Lifetime counters.
-        self.admission_checks = 0
-        self.rejections = 0
 
     # -- admission ------------------------------------------------------
     def admits(self, site_name: str, vo: str, walltime_request: float) -> bool:
         """Policy check at match time; rejections are counted and
         published (``sched.policy.rejects``), never submitted."""
-        self.admission_checks += 1
         policy = self.policies.get(site_name)
         if policy is None:
             return True
         reason = policy.rejection_reason(vo, walltime_request)
         if reason is None:
             return True
-        self.rejections += 1
         key = (site_name, vo, reason)
         self._rejects[key] = self._rejects.get(key, 0) + 1
         self.store.append(MetricSample(

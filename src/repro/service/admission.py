@@ -97,7 +97,6 @@ class AdmissionPolicy:
         self.dispatched: Dict[str, int] = {lane: 0 for lane in LANES}
         #: EWMA of completed-run wall seconds (the Retry-After estimate).
         self._mean_run_s = 1.0
-        self._completions = 0
 
     # -- time base ------------------------------------------------------------
     def _now(self) -> float:
@@ -194,7 +193,6 @@ class AdmissionPolicy:
             ledger = self._ensure_client(client)
             cost = max(0.0, float(wall_seconds))
             ledger.charge(client, cost, self._now())
-            self._completions += 1
             # EWMA with 0.3 step: recent runs dominate the estimate.
             self._mean_run_s += 0.3 * (cost - self._mean_run_s)
 

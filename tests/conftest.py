@@ -59,6 +59,7 @@ def wire_site(eng, site, gridmap_dns=(), runner=None):
     gk = attach_gatekeeper(eng, site, auth)
     lrm = make_scheduler(eng, site, runner)
     gk.lrm = lrm
+    lrm.on_job_complete.append(gk.job_finished)
     site.attach_service("lrm", lrm)
     return site
 

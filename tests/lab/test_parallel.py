@@ -1,11 +1,13 @@
 """run_experiment(workers=N) must match the sequential runner exactly."""
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.failures import FailureProfile
+from repro.lab import experiment
 from repro.lab.experiment import ExperimentSpec, run_experiment, sweep
 
 
@@ -16,6 +18,17 @@ def metric_success(grid):
 
 def metric_cpu_days(grid):
     return grid.acdc_db.total_cpu_days()
+
+
+def metric_pid(grid):
+    return float(os.getpid())
+
+
+def metric_success_or_die(grid):
+    """Kill the worker process that runs it; succeed in the test process."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return metric_success(grid)
 
 
 def _small_spec():
@@ -40,6 +53,33 @@ def test_workers2_identical_to_sequential():
     # Ordering is declaration order, not completion order.
     assert [r.variant for r in par] == ["calm", "noisy", "wide"]
     assert all(r.repeats == 2 for r in par)
+
+
+def test_workers2_runs_cells_in_worker_processes(monkeypatch):
+    """At workers=2 the cells really leave the test process, and the
+    progress lines still count up in order."""
+    monkeypatch.setattr(experiment, "_available_cores", lambda: 2)
+    spec = _small_spec()
+    spec.metrics = {"pid": metric_pid}
+    notes = []
+    results = run_experiment(spec, progress=notes.append, workers=2)
+    pids = {pid for r in results for pid in r.samples["pid"]}
+    assert pids - {float(os.getpid())}
+    assert notes == [f"parity: {i}/6 cells done" for i in range(1, 7)]
+
+
+def test_dead_worker_finishes_sequentially(monkeypatch):
+    """A worker that dies breaks the pool; the sweep finishes the cells
+    it has not collected in-process, with the workers=1 values."""
+    monkeypatch.setattr(experiment, "_available_cores", lambda: 2)
+    spec = _small_spec()
+    spec.metrics = {"success": metric_success_or_die}
+    ref = run_experiment(spec, workers=1)
+    notes = []
+    got = run_experiment(spec, progress=notes.append, workers=2)
+    assert got == ref
+    assert "parity: worker pool died; finishing sequentially" in notes
+    assert notes[-1] == "parity: 6/6 cells done"
 
 
 def test_unpicklable_metrics_fall_back_to_sequential():

@@ -1,17 +1,14 @@
-"""Worker budgeting, fallback diagnostics, and deterministic progress.
+"""Worker budgeting and fallback diagnostics.
 
 Covers the runner's decision layer without spawning real worker
 processes: core detection via the affinity mask, clamping of
-oversubscribed ``workers`` requests, the :class:`UnpicklableSpecWarning`
-diagnostic naming the offending spec attribute, the cold-pool cost
-model, the broken-pool sequential fallback, and order-independent
-progress reporting from ``_cells_parallel``.
+oversubscribed ``workers`` requests, and the
+:class:`UnpicklableSpecWarning` diagnostic naming the offending spec
+attribute.  The fan-out itself and the dead-worker fallback are tested
+with real workers in ``test_parallel.py``.
 """
 
 import os
-import threading
-import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -103,116 +100,3 @@ def test_picklable_spec_emits_no_warning(recwarn):
     spec = _spec()
     experiment._spec_is_picklable(spec, None)
     assert not [w for w in recwarn if w.category is UnpicklableSpecWarning]
-
-
-# -- cost model and degradation paths -----------------------------------------
-
-def test_cold_pool_small_sweep_stays_sequential(monkeypatch):
-    """A cold pool plus cheap cells must not fan out (the 0.79x fix)."""
-    monkeypatch.setattr(experiment, "_available_cores", lambda: 4)
-    monkeypatch.setattr(experiment, "_get_pool", lambda workers: (object(), False))
-    monkeypatch.setattr(
-        experiment, "_run_cell_metrics",
-        lambda spec, variant, repeat: {"success": float(repeat)},
-    )
-    notes = []
-    results = run_experiment(_spec(repeats=2), progress=notes.append, workers=4)
-    # The fake pool has no .submit — reaching the fan-out would crash,
-    # so completing proves the cost model kept the sweep sequential.
-    assert [r.samples["success"] for r in results] == [(0.0, 1.0)] * 2
-    assert any("too small to amortize worker spawn" in n for n in notes)
-    assert notes[-1] == "budget: 4/4 cells done"
-
-
-def test_broken_pool_degrades_to_sequential(monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    monkeypatch.setattr(experiment, "_available_cores", lambda: 4)
-    monkeypatch.setattr(experiment, "_get_pool", lambda workers: (object(), True))
-    monkeypatch.setattr(
-        experiment, "_run_cell_metrics",
-        lambda spec, variant, repeat: {"success": float(repeat) + 0.25},
-    )
-
-    def _boom(*args, **kwargs):
-        raise BrokenProcessPool("worker died")
-
-    monkeypatch.setattr(experiment, "_cells_parallel", _boom)
-    notes = []
-    results = run_experiment(_spec(repeats=2), progress=notes.append, workers=4)
-    assert [r.samples["success"] for r in results] == [(0.25, 1.25)] * 2
-    assert any("worker pool died; finishing sequentially" in n for n in notes)
-
-
-# -- deterministic progress under out-of-order completion ---------------------
-
-class _ReverseExecutor:
-    """Test double: resolves submitted futures in *reverse* submission
-    order (worst-case completion order) with synthetic results, without
-    spawning any process."""
-
-    def __init__(self, n_expected):
-        self.n_expected = n_expected
-        self.submitted = []
-        self._thread = threading.Thread(target=self._resolve, daemon=True)
-        self._thread.start()
-
-    def submit(self, fn, spec, chunk):
-        future = Future()
-        self.submitted.append((future, chunk))
-        return future
-
-    def _resolve(self):
-        deadline = time.monotonic() + 10.0
-        while len(self.submitted) < self.n_expected:
-            if time.monotonic() > deadline:  # pragma: no cover - hang guard
-                for future, _chunk in self.submitted:
-                    future.set_exception(TimeoutError("stub never filled"))
-                return
-            time.sleep(0.001)
-        for future, chunk in reversed(self.submitted):
-            future.set_result(
-                [(v, r, {"success": 100.0 * r + len(v)}) for v, r in chunk]
-            )
-            time.sleep(0.002)
-
-
-def test_progress_counts_deterministic_under_reverse_completion():
-    """Progress lines carry counts only, and collected values land on
-    the right cells, even when chunks complete in reverse order."""
-    spec = _spec(
-        variants={"a": {}, "b": {}, "c": {}},
-        repeats=2,
-        name="revorder",
-    )
-    cells = [(v, r) for v in spec.variants for r in range(spec.repeats)]
-    n_chunks = len(experiment._chunk_cells(cells, workers=2))
-    stub = _ReverseExecutor(n_expected=n_chunks)
-    notes = []
-    values = experiment._cells_parallel(
-        spec, cells, workers=2, progress=notes.append, executor=stub,
-    )
-    assert notes == [f"revorder: {i}/6 cells done" for i in range(1, 7)]
-    assert values == {
-        (v, r): {"success": 100.0 * r + len(v)} for v, r in cells
-    }
-
-
-def test_run_experiment_assembles_declaration_order(monkeypatch):
-    """Even when the parallel collector returns cells scrambled, the
-    final results follow variant declaration order."""
-    monkeypatch.setattr(experiment, "_available_cores", lambda: 4)
-    monkeypatch.setattr(experiment, "_get_pool", lambda workers: (object(), True))
-
-    def _scrambled(spec, cells, workers, progress, done_offset=0,
-                   total=None, executor=None):
-        return {
-            (v, r): {"success": float(r)}
-            for v, r in reversed(cells)
-        }
-
-    monkeypatch.setattr(experiment, "_cells_parallel", _scrambled)
-    spec = _spec(variants={"z": {}, "m": {}, "a": {}}, repeats=2)
-    results = run_experiment(spec, workers=4)
-    assert [r.variant for r in results] == ["z", "m", "a"]
-    assert all(r.samples["success"] == (0.0, 1.0) for r in results)

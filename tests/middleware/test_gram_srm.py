@@ -218,3 +218,24 @@ def test_srm_expired_leases_reaped(eng, net):
     # A new reservation triggers the reap and succeeds.
     res2 = srm.prepare_to_put(8 * GB)
     assert res2.amount == 8 * GB
+
+
+def test_every_finished_job_logs_exactly_one_end_line():
+    """The LRM completion hook is the gatekeeper's only end-of-job
+    signal: one ``done``/``failed`` line per finished job, no more."""
+    from collections import Counter
+
+    from repro.core.grid3 import Grid3, Grid3Config
+
+    grid = Grid3(Grid3Config(seed=3, scale=400, duration_days=1))
+    grid.run_full()
+    finished = 0
+    for site in grid.sites.values():
+        ends = Counter(
+            job_id for _t, event, job_id, _detail in site.service("gatekeeper").log
+            if event in ("done", "failed")
+        )
+        completed = [job.job_id for job in site.service("lrm").completed]
+        assert ends == Counter(completed), site.name
+        finished += len(completed)
+    assert finished > 0

@@ -156,7 +156,7 @@ def test_refresh_site_gridmaps_attaches_service(eng, ca):
     sites = [make_site(eng, net, f"S{i}") for i in range(3)]
     voms = VOMSServer(eng, "sdss", ca)
     voms.register("astronomer")
-    refresh_site_gridmaps(sites, [voms], now=eng.now)
+    refresh_site_gridmaps(sites, [voms])
     for site in sites:
         gm = site.service("gridmap")
         assert "/DC=org/DC=grid3/O=sdss/CN=astronomer" in gm

@@ -28,7 +28,8 @@ def service():
 
 @pytest.fixture
 def client(service):
-    return GridClient(service.url, timeout=30.0)
+    with GridClient(service.url, timeout=30.0) as client:
+        yield client
 
 
 def test_submit_wait_report_typed_roundtrip(client):

@@ -99,11 +99,11 @@ def test_scenario_flag_applies_config():
         "run", "--scenario", "chaos-deployment", "--scale", "700",
         "--days", "1", "--apps", "exerciser",
     ])
-    from repro.cli import _build_grid
-    grid = _build_grid(args)
-    assert grid.config.scale == 700
-    assert not grid.config.ops_team          # chaos scenario property
-    assert grid.config.misconfig_probability == 0.5
+    from repro.cli import _config
+    config = _config(args)
+    assert config.scale == 700
+    assert not config.ops_team          # chaos scenario property
+    assert config.misconfig_probability == 0.5
 
 
 def test_report_command():
