@@ -9,8 +9,8 @@ A run replaces the entry with the same commit and mode; otherwise it
 appends one, so the file keeps a per-commit trajectory.  The sections:
 
 * ``kernel``: timeout-chain event throughput;
-* ``grid_7day``: full-mix Grid3 wall time, ACDC records and dispatched
-  events at scales 400 and 100;
+* ``grid_7day``: full-mix Grid3 wall time, ACDC records, dispatched
+  events and garbage-collector counters at scales 400 and 100;
 * ``store``: MetricStore query, latest and batch-append latency;
 * ``sweep``: sequential vs parallel experiment sweep;
 * ``scale``: the 27/200/500-site ladder against a metrics memory bound;
@@ -38,6 +38,7 @@ sections run the same configs in both modes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import operator
 import os
@@ -100,19 +101,38 @@ def bench_kernel(smoke: bool) -> Dict[str, float]:
 
 def bench_grid(smoke: bool) -> Dict[str, float]:
     """Full-mix Grid3 wall time at the two bench scales, with the record
-    and dispatched-event counts that show the trajectory did not move."""
+    and dispatched-event counts that show the trajectory did not move.
+
+    Also the garbage collector's share, recorded but not gated (both
+    counts differ between Python versions): the gen-2 collections that
+    started during ``run_full()`` and the objects the collector tracks
+    once a final collection has run, with the grid still alive."""
     days = 2 if smoke else 7
     out: Dict[str, float] = {"duration_days": days}
+    gen2 = Counter()
+
+    def count_gen2(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start" and info["generation"] == 2:
+            gen2["collections"] += 1
+
     for scale in (400, 100):
         t0 = time.perf_counter()
         grid = Grid3(Grid3Config(
             seed=3, scale=scale, duration_days=days,
             failures=FailureProfile.calm(),
         ))
-        grid.run_full()
+        gen2.clear()
+        gc.callbacks.append(count_gen2)
+        try:
+            grid.run_full()
+        finally:
+            gc.callbacks.remove(count_gen2)
         out[f"scale{scale}_s"] = round(time.perf_counter() - t0, 3)
         out[f"scale{scale}_records"] = len(grid.acdc_db)
         out[f"scale{scale}_events"] = grid.engine.dispatched
+        out[f"scale{scale}_gc_gen2"] = gen2["collections"]
+        gc.collect()
+        out[f"scale{scale}_gc_tracked"] = len(gc.get_objects())
     return out
 
 

@@ -66,7 +66,8 @@ class MetricStore:
     retained sample, ``latest_per_series`` one forward pass.
 
     ``names`` and ``len`` read ``_samples``; ``window_stats`` reads
-    :meth:`_window_values`, every other reader :meth:`_retained`.  The
+    :meth:`_window_values`, ``latest_values`` reads
+    ``latest_per_series``, every other reader :meth:`_retained`.  The
     read-only views (the Ganglia pages, the service-health view) make
     ``append``/``extend`` raise and answer ``names``, ``len`` and the
     two hooks from what they view, overriding a reader only where a hot
@@ -130,6 +131,13 @@ class MetricStore:
         regardless of how many tag combinations exist.
         """
         return {sample.tags: sample for sample in self._retained(name)}
+
+    def latest_values(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], float]:
+        """The value of :meth:`latest_per_series`'s sample per tag set:
+        all the exposition reads, so a view can answer it without
+        building samples."""
+        return {tags: sample.value
+                for tags, sample in self.latest_per_series(name).items()}
 
     def window_stats(
         self,

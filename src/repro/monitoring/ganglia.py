@@ -17,7 +17,7 @@ the run, and nothing is written twice.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
@@ -34,9 +34,10 @@ class GangliaPage(MetricStore):
     Each agent that has collected contributes one sample per metric,
     stamped with its last-collect time and tagged with its site.  Reads
     see the agents least recently collected first (ties in ``agents``
-    order), so ``names``, ``latest`` and ``latest_per_series`` answer
-    what a plain store fed every collect answers; ``query`` and
-    ``window_stats`` see only the newest row of each agent.
+    order), so ``names``, ``latest``, ``latest_per_series`` and
+    ``latest_values`` answer what a plain store fed every collect
+    answers; ``query`` and ``window_stats`` see only the newest row of
+    each agent.
     ``append``/``extend`` raise.
     """
 
@@ -50,14 +51,26 @@ class GangliaPage(MetricStore):
     def extend(self, samples: Iterable[MetricSample]) -> None:
         raise TypeError("a Ganglia page is read-only")
 
+    def _collected(self) -> List["GangliaAgent"]:
+        """The agents that have collected, least recently first (ties in
+        ``agents`` order)."""
+        return sorted((a for a in self.agents if a.collected_at is not None),
+                      key=lambda agent: agent.collected_at)
+
     def _retained(self, name: str) -> List[MetricSample]:
         if name not in METRICS:
             return []
         i = METRICS.index(name)
-        collected = sorted((a for a in self.agents if a.collected_at is not None),
-                           key=lambda agent: agent.collected_at)
         return [MetricSample(a.collected_at, name, a.readings[i], a.tags)
-                for a in collected]
+                for a in self._collected()]
+
+    def latest_values(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], float]:
+        """Straight from the rows, with no sample built: the newest
+        collect wins per tag set, as in :meth:`_retained` order."""
+        if name not in METRICS:
+            return {}
+        i = METRICS.index(name)
+        return {a.tags: a.readings[i] for a in self._collected()}
 
     def names(self) -> List[str]:
         """The row's metrics once any agent has collected, none before."""

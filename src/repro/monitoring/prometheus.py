@@ -83,14 +83,13 @@ def render_store(store: MetricStore, prefix: str = "") -> List[str]:
     """
     lines: List[str] = []
     for name in store.names():
-        per_series = store.latest_per_series(name)
+        per_series = store.latest_values(name)
         if not per_series:
             continue
         family = sanitize_name(prefix + name)
         lines.append(f"# TYPE {family} gauge")
         for tags in sorted(per_series):
-            sample = per_series[tags]
-            lines.append(render_line(prefix + name, sample.value, tags))
+            lines.append(render_line(prefix + name, per_series[tags], tags))
     return lines
 
 

@@ -5,12 +5,19 @@ central server at the iGOC, storing it in a round robin-like database."
 Fixed-width bins, a fixed retention ring, and a consolidation function —
 old data ages out instead of growing without bound, exactly the
 trade-off the real repository made.
+
+The ring is kept as columns: one list of retained bin indices, one of
+each bin's first value, and a dict of the rarer further values keyed by
+bin index.  Ints and floats are not tracked by the garbage collector,
+so a database owns the same handful of GC-tracked objects however many
+bins it retains; a bin kept as an ``(index, [values])`` tuple would
+cost two, and a wide run retains hundreds of thousands of bins.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 _CONSOLIDATORS = {
     "avg": lambda values: sum(values) / len(values),
@@ -35,8 +42,11 @@ class RoundRobinDatabase:
         self.capacity = capacity
         self.consolidation = consolidation
         self._fn: Callable = _CONSOLIDATORS[consolidation]
-        #: ring entries: (bin_index, [raw values]) — kept sorted by bin.
-        self._bins: List[Tuple[int, List[float]]] = []
+        #: Retained bin indices, ascending, and each bin's first value.
+        self._idx: List[int] = []
+        self._first: List[float] = []
+        #: bin index -> the bin's later values, in arrival order.
+        self._more: Dict[int, List[float]] = {}
         self.samples_seen = 0
         self.samples_dropped = 0
 
@@ -45,53 +55,47 @@ class RoundRobinDatabase:
         dropped and counted, never retro-inserted."""
         self.samples_seen += 1
         idx = int(time // self.bin_width)
-        if self._bins and idx < self._bins[0][0]:
+        bins = self._idx
+        if not bins or bins[-1] < idx:
+            bins.append(idx)
+            self._first.append(value)
+        elif idx < bins[0]:
             self.samples_dropped += 1
             return
-        if self._bins:
-            last_idx, last_values = self._bins[-1]
-            if last_idx == idx:
-                last_values.append(value)
-                return
-            if last_idx < idx:
-                self._bins.append((idx, [value]))
-            else:
-                # Rare out-of-order arrival into an older retained bin.
-                for bin_idx, values in reversed(self._bins):
-                    if bin_idx == idx:
-                        values.append(value)
-                        return
-                # idx differs from every retained bin here, so tuple
-                # comparison never reaches the list element.
-                bisect.insort(self._bins, (idx, [value]))
         else:
-            self._bins.append((idx, [value]))
-        while len(self._bins) > self.capacity:
-            self._bins.pop(0)
+            # The current bin, or a rare out-of-order arrival into an
+            # older retained one or into a gap between two.
+            pos = bisect.bisect_left(bins, idx)
+            if bins[pos] == idx:
+                self._more.setdefault(idx, []).append(value)
+                return
+            bins.insert(pos, idx)
+            self._first.insert(pos, value)
+        if len(bins) > self.capacity:
+            self._more.pop(bins.pop(0), None)
+            self._first.pop(0)
 
     def series(self) -> List[Tuple[float, float]]:
         """Retained (bin start time, consolidated value) pairs."""
-        return [
-            (idx * self.bin_width, self._fn(values))
-            for idx, values in self._bins
-            if values
-        ]
+        fn, width, more = self._fn, self.bin_width, self._more
+        return [(idx * width, fn([first, *more[idx]] if idx in more else [first]))
+                for idx, first in zip(self._idx, self._first)]
 
     def value_at(self, time: float) -> Optional[float]:
         """Consolidated value of the bin containing ``time`` (None if
         absent/aged out)."""
         idx = int(time // self.bin_width)
-        for bin_idx, values in self._bins:
-            if bin_idx == idx and values:
-                return self._fn(values)
-        return None
+        pos = bisect.bisect_left(self._idx, idx)
+        if pos == len(self._idx) or self._idx[pos] != idx:
+            return None
+        return self._fn([self._first[pos], *self._more.get(idx, ())])
 
     @property
     def span(self) -> float:
         """Seconds of history currently retained."""
-        if not self._bins:
+        if not self._idx:
             return 0.0
-        return (self._bins[-1][0] - self._bins[0][0] + 1) * self.bin_width
+        return (self._idx[-1] - self._idx[0] + 1) * self.bin_width
 
     def __len__(self) -> int:
-        return len(self._bins)
+        return len(self._idx)

@@ -1,11 +1,14 @@
 """Tests for the monitoring core (samples, store, producers) and RRD."""
 
+import bisect
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring.core import MetricSample, MetricStore, PeriodicProducer, make_tags
-from repro.monitoring.rrd import RoundRobinDatabase
+from repro.monitoring.rrd import _CONSOLIDATORS, RoundRobinDatabase
 from repro.sim import Engine
 
 
@@ -137,3 +140,156 @@ def test_rrd_property_series_sorted_and_bounded(times):
     assert len(series) <= 5
     assert [t for t, _ in series] == sorted(t for t, _ in series)
     assert rrd.samples_seen == len(times)
+
+
+class _TupleBinsRRD:
+    """Reference model: the bins as a sorted list of ``(index, [values])``
+    tuples, the layout the column store replaced."""
+
+    def __init__(self, bin_width, capacity, consolidation="avg"):
+        self.bin_width = bin_width
+        self.capacity = capacity
+        self._fn = _CONSOLIDATORS[consolidation]
+        self._bins = []
+        self.samples_seen = 0
+        self.samples_dropped = 0
+
+    def update(self, time, value):
+        self.samples_seen += 1
+        idx = int(time // self.bin_width)
+        if self._bins and idx < self._bins[0][0]:
+            self.samples_dropped += 1
+            return
+        if self._bins:
+            last_idx, last_values = self._bins[-1]
+            if last_idx == idx:
+                last_values.append(value)
+                return
+            if last_idx < idx:
+                self._bins.append((idx, [value]))
+            else:
+                for bin_idx, values in reversed(self._bins):
+                    if bin_idx == idx:
+                        values.append(value)
+                        return
+                bisect.insort(self._bins, (idx, [value]))
+        else:
+            self._bins.append((idx, [value]))
+        while len(self._bins) > self.capacity:
+            self._bins.pop(0)
+
+    def series(self):
+        return [(idx * self.bin_width, self._fn(values))
+                for idx, values in self._bins if values]
+
+    def value_at(self, time):
+        idx = int(time // self.bin_width)
+        for bin_idx, values in self._bins:
+            if bin_idx == idx and values:
+                return self._fn(values)
+        return None
+
+    @property
+    def span(self):
+        if not self._bins:
+            return 0.0
+        return (self._bins[-1][0] - self._bins[0][0] + 1) * self.bin_width
+
+    def __len__(self):
+        return len(self._bins)
+
+
+def _same_floats(a, b):
+    """Equal, and with the same sign bit (``0.0 == -0.0`` is not enough)."""
+    return repr(a) == repr(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    consolidation=st.sampled_from(sorted(_CONSOLIDATORS)),
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30),
+                  st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 1e300, 3.0])),
+        min_size=1, max_size=60),
+)
+def test_rrd_columns_match_tuple_reference(capacity, consolidation, steps):
+    """Property: the column store answers every read exactly as the
+    tuple-of-lists layout does, for times that repeat, go backwards and
+    fall out of retention, and for every consolidation."""
+    rrd = RoundRobinDatabase(10.0, capacity, consolidation)
+    ref = _TupleBinsRRD(10.0, capacity, consolidation)
+    for t, value in steps:
+        # Times inside a bin vary, so a bin's samples arrive at
+        # different instants.
+        time = t * 7.0
+        rrd.update(time, value)
+        ref.update(time, value)
+    assert _same_floats(rrd.series(), ref.series())
+    assert len(rrd) == len(ref)
+    assert rrd.span == ref.span
+    assert rrd.samples_seen == ref.samples_seen
+    assert rrd.samples_dropped == ref.samples_dropped
+    # Every bin up to one past the newest: retained, evicted, never
+    # written and missing.
+    newest = int(max(t for t, _v in steps) * 7.0 // 10.0)
+    for idx in range(newest + 2):
+        assert _same_floats(rrd.value_at(idx * 10.0 + 5.0),
+                            ref.value_at(idx * 10.0 + 5.0))
+    assert rrd.value_at((newest + 1) * 10.0) is None
+
+
+def test_rrd_out_of_order_value_joins_multi_value_bin_last():
+    """A late value for an older, multi-value bin is that bin's newest:
+    ``last`` returns it, and the newer bins are untouched."""
+    rrd = RoundRobinDatabase(10.0, 10, consolidation="last")
+    rrd.update(1.0, 1.0)
+    rrd.update(2.0, 2.0)
+    rrd.update(25.0, 9.0)
+    rrd.update(3.0, 5.0)  # arrives after bin 2 opened
+    assert rrd.series() == [(0.0, 5.0), (20.0, 9.0)]
+    assert rrd.value_at(4.0) == 5.0
+    assert rrd.samples_dropped == 0
+
+
+def test_rrd_evicted_multi_value_bin_leaves_nothing_behind():
+    rrd = RoundRobinDatabase(10.0, capacity=2, consolidation="sum")
+    rrd.update(1.0, 1.0)
+    rrd.update(2.0, 2.0)
+    rrd.update(11.0, 3.0)
+    rrd.update(12.0, 4.0)
+    rrd.update(21.0, 5.0)  # evicts bin 0 and its second value
+    assert rrd.series() == [(10.0, 7.0), (20.0, 5.0)]
+    assert rrd.value_at(1.0) is None
+    assert list(rrd._more) == [1]
+    rrd.update(31.0, 6.0)  # evicts bin 1 and its second value
+    assert rrd._more == {}
+
+
+def _tracked_objects(rrd):
+    """GC-tracked objects ``rrd`` owns: its attributes and, one level
+    down, their elements (a dict's values)."""
+    count = 0
+    for attr in vars(rrd).values():
+        if not gc.is_tracked(attr):
+            continue
+        count += 1
+        if isinstance(attr, dict):
+            count += sum(map(gc.is_tracked, attr.values()))
+        elif isinstance(attr, (list, tuple)):
+            count += sum(map(gc.is_tracked, attr))
+    return count
+
+
+def test_rrd_tracked_objects_do_not_grow_with_bins():
+    """A bin holding one value costs the garbage collector nothing: the
+    count of tracked objects an RRD owns is the same at 100 and 1,000
+    retained bins."""
+    counts = []
+    for n in (100, 1_000):
+        rrd = RoundRobinDatabase(10.0, capacity=n)
+        for i in range(n):
+            rrd.update(i * 10.0, float(i))
+        assert len(rrd) == n
+        counts.append(_tracked_objects(rrd))
+    assert counts[0] == counts[1]

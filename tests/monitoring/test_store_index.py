@@ -342,6 +342,7 @@ def _assert_page_answers_like(page, fed):
     tag_sets = [make_tags(site=site) for site in ("S0", "S1", "S2", "nope")]
     for name in METRICS + ("absent",):
         assert page.latest_per_series(name) == fed.latest_per_series(name)
+        assert page.latest_values(name) == fed.latest_values(name)
         assert page.latest(name) == fed.latest(name), name
         assert page.query(name) == newest.query(name)
         assert page.query(name, 1.0, 3600.0) == newest.query(name, 1.0, 3600.0)
@@ -411,9 +412,10 @@ def test_latest_value_store_reads_in_write_order():
 
 def test_view_shortcuts_agree_with_their_sample_hook():
     """On a finished grid with every optional store on, each store and
-    each site's Ganglia page answers ``latest``, ``latest_per_series``
-    and ``window_stats`` exactly as its ``query`` samples imply, so a
-    view's shortcut can never drift from what its hook serves."""
+    each site's Ganglia page answers ``latest``, ``latest_per_series``,
+    ``latest_values`` and ``window_stats`` exactly as its ``query``
+    samples imply, so a view's shortcut can never drift from what its
+    hook serves."""
     grid = Grid3(Grid3Config(
         seed=5, scale=400.0, duration_days=1.0, failures=FailureProfile.early(),
         apps=["exerciser", "usatlas"], alerts=True, fair_share=True,
@@ -436,6 +438,8 @@ def test_view_shortcuts_agree_with_their_sample_hook():
             assert store.latest(name) == (samples or [None])[-1], where
             assert store.latest_per_series(name) == {
                 s.tags: s for s in samples}, where
+            assert store.latest_values(name) == {
+                s.tags: s.value for s in samples}, where
             for since, until in windows:
                 inside = [s.value for s in store.query(name, since, until)]
                 assert repr(store.window_stats(name, since, until)) == repr(

@@ -1,6 +1,7 @@
 """The snapshot harness's history file, exit status and recorded keys
 (no simulation runs)."""
 
+import gc
 import json
 import pathlib
 
@@ -72,21 +73,28 @@ def test_main_creates_a_missing_out_directory(tmp_path, monkeypatch):
 
 
 def test_grid_section_records_records_and_events_per_scale(monkeypatch):
-    """``grid_7day`` records the ACDC record count and the dispatched
-    event count beside each scale's wall time."""
+    """``grid_7day`` records the ACDC record count, the dispatched
+    event count and the garbage collector's counters beside each
+    scale's wall time: gen-2 collections during ``run_full`` only."""
     class StubGrid:
         def __init__(self, config):
+            gc.collect()  # outside run_full: not counted
             self.acdc_db = [None] * int(config.scale)
             self.engine = type("StubEngine", (), {"dispatched": 0})()
 
         def run_full(self):
             self.engine.dispatched = 7 * len(self.acdc_db)
+            gc.collect()
 
     monkeypatch.setattr(record_bench, "Grid3", StubGrid)
     out = record_bench.bench_grid(smoke=True)
     for scale in (400, 100):
         assert out[f"scale{scale}_records"] == scale
         assert out[f"scale{scale}_events"] == 7 * scale
+        assert out[f"scale{scale}_gc_gen2"] == 1
+        assert out[f"scale{scale}_gc_tracked"] > 0
     assert set(out) == {"duration_days"} | {
         f"scale{scale}_{key}" for scale in (400, 100)
-        for key in ("s", "records", "events")}
+        for key in ("s", "records", "events", "gc_gen2", "gc_tracked")}
+    assert not any(getattr(cb, "__name__", "") == "count_gen2"
+                   for cb in gc.callbacks)
