@@ -139,9 +139,10 @@ def bench_grid(smoke: bool) -> Dict[str, float]:
 def bench_store(smoke: bool) -> Dict[str, float]:
     """Window-query latency on a populated multi-site store, then the
     paths runs and the service take on a bounded 2048-sample ring:
-    6-sample batches in, then one latest-per-series read (the
-    exposition), a window query, a latest read and a window_stats read
-    (the service scrape store's alert reads)."""
+    6-sample batches in, then one latest-per-series read, one
+    latest-values read (what the exposition reads), a window query, a
+    latest read and a window_stats read (the service scrape store's
+    alert reads)."""
     n = 20_000 if smoke else 200_000
     sites = [f"Site{i}" for i in range(8)]
     store = MetricStore()
@@ -177,6 +178,12 @@ def bench_store(smoke: bool) -> Dict[str, float]:
     per_series_us = (time.perf_counter() - t0) / reps * 1e6
     assert len(per_series) == 6
 
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        values = ring.latest_values("cpu.busy")
+    values_us = (time.perf_counter() - t0) / reps * 1e6
+    assert len(values) == 6
+
     newest = ring.latest("cpu.busy").time
     since = newest - 100.0
     t0 = time.perf_counter()
@@ -203,6 +210,7 @@ def bench_store(smoke: bool) -> Dict[str, float]:
         "ring_samples": len(ring),
         "extend_batch6_us": round(extend_us, 2),
         "latest_per_series_us": round(per_series_us, 1),
+        "latest_values_us": round(values_us, 1),
         "ring_query_window_us": round(ring_window_us, 1),
         "ring_latest_us": round(ring_latest_us, 2),
         "ring_window_stats_us": round(ring_stats_us, 1),

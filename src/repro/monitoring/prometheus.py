@@ -17,6 +17,14 @@ hourly grid instant, and its counters as they stand now; a scrape
 costs O(services), since nothing is stored to walk.  Names are sanitised to
 the Prometheus grammar (``service.gatekeeper.up`` ->
 ``service_gatekeeper_up``); label values are escaped per the spec.
+
+Rendering costs O(lines).  :func:`render_store` sanitises each family
+name once, and builds the ``{k="v",...}`` part of each distinct tag
+tuple once per scrape, in a label cache owned by the
+:func:`grid_exposition` call and shared across its stores.  No cache
+outlives its scrape: labels can carry values without bound, such as
+the service's run ids.  :func:`render_line` builds the same part
+uncached, so every line comes from one label formatter.
 """
 
 from __future__ import annotations
@@ -28,6 +36,12 @@ from .core import MetricStore
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _FIRST_OK = re.compile(r"^[a-zA-Z_:]")
+_INF = float("inf")
+
+Tags = Tuple[Tuple[str, str], ...]
+#: A scrape's label cache: tag tuple -> (the tuple it was built from,
+#: whether that holds only ``str``, its ``{k="v",...}`` part).
+LabelCache = Dict[Tags, Tuple[Tags, bool, str]]
 
 
 def sanitize_name(name: str) -> str:
@@ -50,37 +64,73 @@ def escape_label_value(value: str) -> str:
 
 def format_value(value: float) -> str:
     """Render a sample value (ints without the trailing .0)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
+    if type(value) is not float:
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            return "NaN"
+    if value != value:
         return "NaN"
-    if number != number:
-        return "NaN"
-    if number in (float("inf"), -float("inf")):
-        return "+Inf" if number > 0 else "-Inf"
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
+    if value == _INF or value == -_INF:
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer() and -1e15 < value < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def _labels(tags: Iterable[Tuple[str, str]]) -> str:
+    """The ``{k="v",...}`` part of a sample line ("" for no tags)."""
+    body = ",".join(
+        f'{sanitize_name(k)}="{escape_label_value(str(v))}"' for k, v in tags
+    )
+    return f"{{{body}}}" if body else ""
+
+
+def _all_str(tags: Tags) -> bool:
+    """Whether every key and value in ``tags`` is exactly a ``str``."""
+    return all(type(k) is str and type(v) is str for k, v in tags)
+
+
+def _scrape_labels(tags: Tags, cache: LabelCache) -> str:
+    """:func:`_labels` of ``tags``, built once per scrape in ``cache``.
+
+    Equal tag tuples can render differently: ``(("k", 1),)``,
+    ``(("k", 1.0),)`` and ``(("k", True),)`` are equal, and so are
+    ``0.0`` and ``-0.0``.  So a cached part serves the very tuple it was
+    built from, or an equal one when both hold only ``str`` keys and
+    values, which render by their characters alone.
+    """
+    hit = cache.get(tags)
+    if hit is not None:
+        seen, all_str, labels = hit
+        if seen is tags or (all_str and _all_str(tags)):
+            return labels
+    labels = _labels(tags)
+    cache[tags] = (tags, _all_str(tags), labels)
+    return labels
 
 
 def render_line(
     name: str, value: float, tags: Iterable[Tuple[str, str]] = ()
 ) -> str:
     """One ``name{labels} value`` sample line."""
-    labels = ",".join(
-        f'{sanitize_name(k)}="{escape_label_value(str(v))}"' for k, v in tags
-    )
-    body = f"{{{labels}}}" if labels else ""
-    return f"{sanitize_name(name)}{body} {format_value(value)}"
+    return f"{sanitize_name(name)}{_labels(tags)} {format_value(value)}"
 
 
-def render_store(store: MetricStore, prefix: str = "") -> List[str]:
+def render_store(
+    store: MetricStore, prefix: str = "", labels: Optional[LabelCache] = None
+) -> List[str]:
     """Every metric in ``store`` as exposition lines, latest sample per
     (name, label set), with a ``# TYPE ... gauge`` header per family.
 
     ``prefix`` namespaces the family (``repro_trace_`` etc.); it is
     applied before sanitisation so callers pass plain dotted names.
+    ``labels`` is the label cache of the scrape the store is part of
+    (:func:`grid_exposition` shares one across its stores); by default
+    the store gets its own.
     """
+    if labels is None:
+        labels = {}
     lines: List[str] = []
     for name in store.names():
         per_series = store.latest_values(name)
@@ -89,7 +139,8 @@ def render_store(store: MetricStore, prefix: str = "") -> List[str]:
         family = sanitize_name(prefix + name)
         lines.append(f"# TYPE {family} gauge")
         for tags in sorted(per_series):
-            lines.append(render_line(prefix + name, per_series[tags], tags))
+            lines.append(family + _scrape_labels(tags, labels) + " "
+                         + format_value(per_series[tags]))
     return lines
 
 
@@ -137,6 +188,7 @@ def grid_exposition(grid, progress: Optional[dict] = None) -> str:
     holding the grid.
     """
     lines: List[str] = []
+    labels: LabelCache = {}
     lines.extend(render_flat({
         "engine_events_dispatched": float(grid.engine.dispatched),
         "engine_sim_seconds": float(grid.engine.now),
@@ -161,6 +213,6 @@ def grid_exposition(grid, progress: Optional[dict] = None) -> str:
         }, prefix="repro_"))
     for store_name, store in grid_stores(grid).items():
         lines.extend(render_store(
-            store, prefix=f"repro_{sanitize_name(store_name)}_"
+            store, prefix=f"repro_{sanitize_name(store_name)}_", labels=labels
         ))
     return "\n".join(lines) + "\n"

@@ -12,9 +12,12 @@ read-only :class:`~repro.monitoring.core.MetricStore` that answers the
 store's two read hooks (``_retained`` for samples, ``_window_values``
 for ``window_stats``) from the ledgers and live counters at query
 time, so the alert engine, ``grid_stores`` and the Prometheus
-exposition read it like any other store.  ``latest_per_series``, the
-scrape path, reads only the newest instant.  Published series, all
-tagged ``site=<owner site>``, ``role=<role>``:
+exposition read it like any other store.  ``latest_values``, the
+scrape's read, answers from the newest instant alone with no sample
+and no array: for ``up``/``availability`` one ledger probe per service
+at the newest grid instant, for a counter ``counters()`` now;
+``latest_per_series`` stamps those values with that instant.
+Published series, all tagged ``site=<owner site>``, ``role=<role>``:
 
 * ``service.<role>.up`` — 1.0/0.0 liveness;
 * ``service.<role>.availability`` — ledger availability since t=0;
@@ -88,9 +91,10 @@ class ServiceHealthView(MetricStore):
         #: addition, the way the engine advances a periodic timeout.
         self._grid: List[float] = [agent.engine.now]
         #: role -> [(tags, service)], and the sites' total attach count
-        #: when it was built.
+        #: when it was built; the names it publishes, once asked for.
         self._roster: Dict[str, List[Tuple[Tags, GridService]]] = {}
         self._roster_at: Optional[int] = None
+        self._published: Optional[List[str]] = None
         self._tags: Dict[Tuple[str, str], Tags] = {}
 
     def append(self, sample: MetricSample) -> None:
@@ -129,6 +133,7 @@ class ServiceHealthView(MetricStore):
             roster.setdefault(role, []).append((tags, service))
         self._roster = roster
         self._roster_at = attached
+        self._published = None
         return roster
 
     def _instants(self) -> List[float]:
@@ -189,14 +194,22 @@ class ServiceHealthView(MetricStore):
 
     def published_names(self) -> List[str]:
         """Every name the services publish, whether or not a grid
-        instant has passed yet."""
-        names = set()
-        for role, entries in self._services().items():
-            names.update(f"service.{role}.{field}" for field in _LEDGER_FIELDS)
-            for _tags, service in entries:
-                names.update(f"service.{role}.{counter}"
-                             for counter in service.counters())
-        return sorted(names)
+        instant has passed yet.
+
+        Listed once per roster: a service's counter names are fixed (its
+        ``_counter_names`` and the keys its ``counters()`` adds), only
+        their values move.
+        """
+        roster = self._services()
+        if self._published is None:
+            names = set()
+            for role, entries in roster.items():
+                fields = set(_LEDGER_FIELDS)
+                for _tags, service in entries:
+                    fields.update(service.counters())
+                names.update(f"service.{role}.{field}" for field in fields)
+            self._published = sorted(names)
+        return list(self._published)
 
     def _retained(self, name: str) -> List[MetricSample]:
         """Every sample of ``name``, time-major in publication order."""
@@ -211,18 +224,39 @@ class ServiceHealthView(MetricStore):
                        until: float) -> np.ndarray:
         return self._read(name, since, until)[2].ravel()
 
+    def latest_values(self, name: str) -> Dict[Tags, float]:
+        """Each series' value at the newest instant, read without a
+        sample: ``up``/``availability`` probe each ledger once, at the
+        newest grid instant (an empty ledger reads 1.0); a counter reads
+        ``counters()`` now.  Empty before the first grid instant."""
+        grid = self._instants()
+        if len(grid) == 1:
+            return {}
+        role, field = _split(name)
+        entries = self._services().get(role, [])
+        if field in _LEDGER_FIELDS:
+            newest = grid[-1:]
+            return {
+                tags: (_ledger_column(service, field, newest)[0]
+                       if len(service.ledger) else 1.0)
+                for tags, service in entries
+            }
+        values: Dict[Tags, float] = {}
+        for tags, service in entries:
+            value = service.counters().get(field)
+            if value is not None:
+                values[tags] = float(value)
+        return values
+
     def latest_per_series(self, name: str) -> Dict[Tags, MetricSample]:
-        """The newest sample for each distinct tag set under ``name``,
-        read from the newest instant alone."""
+        """The newest sample for each distinct tag set under ``name``:
+        :meth:`latest_values` stamped with the newest instant."""
         newest = self._newest(name)
         if newest is None:
             return {}
-        times, members, values = self._read(name, newest, newest)
-        if not times:
-            return {}
         return {
-            tags: MetricSample(times[-1], name, value, tags)
-            for tags, value in zip(members, values[-1].tolist())
+            tags: MetricSample(newest, name, value, tags)
+            for tags, value in self.latest_values(name).items()
         }
 
 

@@ -134,19 +134,16 @@ class DAG:
 
     def rescue_dag(self) -> "DAG":
         """A new DAG containing only the un-done work (DAGMan's rescue
-        file): failed/unreachable/unfinished nodes plus edges among them."""
+        file): failed/unreachable/unfinished nodes, in declaration
+        order, plus edges among them."""
         rescue = DAG(f"{self.name}-rescue")
-        keep = {
-            n.node_id
-            for n in self._nodes.values()
-            if n.state is not NodeState.DONE
-        }
-        for node_id in keep:
-            old = self._nodes[node_id]
-            rescue.add_node(DagNode(node_id, old.spec, retries=old.retries,
-                                    pin_site=old.pin_site))
+        for old in self._nodes.values():
+            if old.state is not NodeState.DONE:
+                rescue.add_node(DagNode(old.node_id, old.spec,
+                                        retries=old.retries,
+                                        pin_site=old.pin_site))
         for parent, child in self._graph.edges():
-            if parent in keep and child in keep:
+            if parent in rescue and child in rescue:
                 rescue.add_edge(parent, child)
         return rescue
 

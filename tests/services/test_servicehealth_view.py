@@ -227,6 +227,52 @@ def test_counters_are_live_without_history(eng, net):
 
 
 
+def test_latest_reads_the_newest_instant_across_open_and_closing_outages(eng, net):
+    """``latest_values`` and ``latest_per_series`` read ``up`` and
+    ``availability`` at the newest grid instant, and a transition at a
+    grid instant counts as before the read."""
+    site = wire_site(eng, make_site(eng, net, "SiteA"))
+    store = ServiceHealthAgent(eng, [site]).store
+    gatekeeper, gridftp = site.services["gatekeeper"], site.services["gridftp"]
+    gk = make_tags(site="SiteA", role="gatekeeper")
+    ftp = make_tags(site="SiteA", role="gridftp")
+
+    def latest(field, tags):
+        name = f"service.{tags[0][1]}.{field}"
+        values = store.latest_values(name)
+        per = store.latest_per_series(name)
+        assert per == {t: MetricSample(per[t].time, name, v, t)
+                       for t, v in values.items()}
+        return values[tags], per[tags].time
+
+    eng.run(until=1.5 * HOUR)
+    gatekeeper.fail("crash")
+    gridftp.fail("crash")
+    eng.run(until=2.5 * HOUR)
+    # Both outages are open at the newest instant, 2h: down for 0.5 of 2h.
+    for tags in (gk, ftp):
+        assert latest("up", tags) == (0.0, 2 * HOUR)
+        assert latest("availability", tags) == (0.75, 2 * HOUR)
+    # Counters are read now, not at the instant.
+    assert store.latest_values("service.gatekeeper.submissions_accepted") == {
+        gk: 0.0}
+    assert store.latest_per_series(
+        "service.gatekeeper.submissions_accepted")[gk].time == 2.5 * HOUR
+
+    # The gridftp outage closes exactly on the 3h instant; the
+    # gatekeeper's stays open through it.
+    eng.run(until=3 * HOUR)
+    gridftp.restore()
+    assert latest("up", ftp) == (1.0, 3 * HOUR)
+    assert latest("availability", ftp) == (0.5, 3 * HOUR)
+    assert latest("up", gk) == (0.0, 3 * HOUR)
+    assert latest("availability", gk) == (0.5, 3 * HOUR)
+    # Between instants the ledger series still read the last one.
+    eng.run(until=3.5 * HOUR)
+    assert latest("up", ftp) == (1.0, 3 * HOUR)
+    assert latest("availability", gk) == (0.5, 3 * HOUR)
+
+
 def test_roster_is_rebuilt_on_attach_not_on_dispatch(eng, net):
     site = wire_site(eng, make_site(eng, net, "SiteA"))
     agent = ServiceHealthAgent(eng, [site])

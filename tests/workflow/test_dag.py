@@ -1,7 +1,13 @@
 """Tests for the workflow DAG structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.job import JobSpec
 from repro.sim import HOUR
 from repro.workflow.dag import DAG, DagNode, NodeState
@@ -99,6 +105,35 @@ def test_rescue_dag_keeps_undone_work():
     assert [p.node_id for p in rescue.parents("n3")] == ["n2"]
     # Rescue nodes start fresh.
     assert all(n.state is NodeState.WAITING for n in rescue.nodes())
+
+
+_RESCUE_ORDER = """
+from repro.core.job import JobSpec
+from repro.sim import HOUR
+from repro.workflow.dag import DAG, NodeState
+
+dag = DAG("wide")
+for i in range(30):
+    node = dag.add_job(f"step-{(i * 7) % 30}", JobSpec(
+        name=f"s{i}", vo="sdss", user="astro", runtime=HOUR))
+    if i % 4 == 0:
+        node.state = NodeState.DONE
+print(" ".join(n.node_id for n in dag.rescue_dag().nodes()))
+"""
+
+
+def test_rescue_dag_keeps_declaration_order_under_any_hash_seed():
+    """The rescue DAG lists its nodes in the order they were declared,
+    whatever ``PYTHONHASHSEED`` the interpreter runs with."""
+    declared = [f"step-{(i * 7) % 30}" for i in range(30) if i % 4]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _RESCUE_ORDER], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == declared, seed
 
 
 def test_counts():
