@@ -23,17 +23,24 @@ goes to standard error, the listing to standard output:
 
     PYTHONPATH=src python benchmarks/reachability.py > reachability.txt
 
-The exit status is 1 only if a workload raised; the listing is a
-report, not a gate.
+The exit status is 1 if a workload raised.  With ``--check`` it is
+also 1 if the unreached functions or the unreached lines grew past the
+total line checked in at :data:`CEILING`, so the count can only
+shrink: a change that deletes unreached code lowers that file to the
+new total in the same commit.  The checked-in count was taken on
+Python 3.11; whether other versions list the same functions is
+unverified.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import cProfile
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -48,6 +55,8 @@ SRC = ROOT / "src" / "repro"
 EXCLUDED = ("service/", "client.py")
 #: Examples that need a live server; the service tests reach that code.
 SKIPPED_EXAMPLES = ("service_client.py",)
+#: The checked-in total line that ``--check`` holds the listing to.
+CEILING = ROOT / "benchmarks" / "reachability_total.txt"
 
 Reached = Set[Tuple[str, int]]
 
@@ -140,6 +149,27 @@ def render(unreached: List[Function], total: int, src: Path = SRC) -> str:
     return "\n".join(rows)
 
 
+def parse_total(line: str) -> Tuple[int, int]:
+    """(unreached functions, unreached lines) from a total line."""
+    match = re.fullmatch(
+        r"unreached: (\d+) functions, (\d+) of \d+ function lines",
+        line.strip())
+    if match is None:
+        raise ValueError(f"not a reachability total line: {line!r}")
+    return int(match.group(1)), int(match.group(2))
+
+
+def growth(total: str, ceiling: str) -> List[str]:
+    """What grew from the ``ceiling`` total line to ``total``; empty if
+    neither the unreached functions nor the unreached lines did."""
+    grew = []
+    for what, now, cap in zip(("functions", "lines"), parse_total(total),
+                              parse_total(ceiling)):
+        if now > cap:
+            grew.append(f"unreached {what} grew from {cap} to {now}")
+    return grew
+
+
 # -- the profiled workloads ---------------------------------------------------
 
 def _golden() -> None:
@@ -213,17 +243,31 @@ def profile_reached() -> Tuple[Reached, List[str]]:
     return reached, failed
 
 
-def main() -> int:
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"exit 1 if the count grew past {CEILING.relative_to(ROOT)}")
+    args = parser.parse_args(argv)
     for path in (str(ROOT), str(ROOT / "src")):
         if path not in sys.path:
             sys.path.insert(0, path)
     reached, failed = profile_reached()
-    print(render(*join(source_files(), reached)))
+    listing = render(*join(source_files(), reached))
+    print(listing)
+    status = 0
     if failed:
         print(f"workloads that raised: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if args.check:
+        grew = growth(listing.splitlines()[-1], CEILING.read_text())
+        for line in grew:
+            print(f"{line} (ceiling: {CEILING.relative_to(ROOT)})",
+                  file=sys.stderr)
+        if grew:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

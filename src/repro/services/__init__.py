@@ -3,8 +3,8 @@
 * :class:`GridService` — up/down liveness kept as the open outage of a
   per-service downtime ledger, uniform ``health()`` snapshot and
   counters registry;
-* :class:`ServiceLog` — bounded structured log ring buffer with
-  eviction-stable cursors;
+* :class:`ServiceLog` — bounded structured log ring buffer: ``append``
+  to write, ``since(cursor)`` to read with an eviction-stable cursor;
 * :data:`CORE_ROLES` / :func:`down_roles` / :func:`availability_rows` —
   the one site probe and the reporting queries built on the substrate.
 

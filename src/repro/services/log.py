@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
 
 class ServiceLog:
     """A bounded FIFO of structured log entries.
 
-    List-compatible surface (``append``/``extend``/``len``/iteration/
-    indexing and slicing over the *retained* window) plus the
-    cursor-stable :meth:`since` API for log tailers.
+    Writers :meth:`append`; log tailers read with the cursor-stable
+    :meth:`since` (``since(0)`` reads every retained entry), and
+    ``len`` counts the retained entries.
     """
 
     __slots__ = ("_entries", "_capacity", "_seq0")
@@ -34,13 +34,6 @@ class ServiceLog:
         self._capacity = capacity
         self._seq0 = 0  # absolute sequence number of _entries[0]
 
-    # -- capacity ---------------------------------------------------------
-    @property
-    def capacity(self) -> Optional[int]:
-        """Retained-entry bound (None = unbounded)."""
-        return self._capacity
-
-    # -- list surface -----------------------------------------------------
     def append(self, entry: Any) -> int:
         """Add one entry, evicting the oldest past ``capacity``; returns
         its absolute sequence number."""
@@ -52,52 +45,16 @@ class ServiceLog:
             self._seq0 += 1
         return seq
 
-    def extend(self, entries: Iterable[Any]) -> None:
-        for entry in entries:
-            self.append(entry)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._entries)
-
-    def __getitem__(self, index: Union[int, slice]) -> Any:
-        if isinstance(index, slice):
-            return list(self._entries)[index]
-        return self._entries[index]
-
-    # -- cursor API -------------------------------------------------------
-    @property
-    def first_seq(self) -> int:
-        """Absolute sequence number of the oldest retained entry."""
-        return self._seq0
-
-    @property
-    def end_seq(self) -> int:
-        """One past the newest entry — the cursor for "read everything"."""
-        return self._seq0 + len(self._entries)
 
     def since(self, cursor: int) -> Tuple[List[Any], int]:
         """Entries with sequence number >= ``cursor`` and the new cursor.
 
         Entries already evicted are simply gone (the tailer was too
-        slow); the returned cursor always equals :attr:`end_seq`, so the
+        slow); the returned cursor is one past the newest entry, so the
         next call resumes where this one left off.
         """
         skip = max(0, cursor - self._seq0)
         entries = list(islice(self._entries, skip, None))
         return entries, self._seq0 + len(self._entries)
-
-    def tail(self, n: int) -> List[Any]:
-        """The newest ``n`` retained entries, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._entries)[-n:]
-
-    def __repr__(self) -> str:
-        cap = "∞" if self._capacity is None else self._capacity
-        return f"<ServiceLog {len(self._entries)}/{cap} seq0={self._seq0}>"

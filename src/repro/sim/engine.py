@@ -1,7 +1,7 @@
 """The discrete-event simulation core.
 
 This is a calendar + generator-process kernel, written from scratch for
-this reproduction (the project depends only on numpy / networkx).  The
+this reproduction (the project depends only on numpy).  The
 design mirrors the well-known process-interaction style:
 
 * :class:`Engine` owns the clock and the pending-event calendar.

@@ -4,14 +4,18 @@ Both virtual-data planners (Chimera/Pegasus, §4.1) and the CMS tools
 (MCRunJob/MOP, §4.2) produce these.  Nodes carry a :class:`JobSpec`
 each; edges are parent→child dependencies.  Node state tracking supports
 DAGMan-style retries and rescue DAGs.
+
+DAGMan asks a graph for a node's parents, a cycle check on each new
+edge and the descendants of a failed node, so the graph is two plain
+adjacency maps.  Each maps a node id to a ``Dict[str, None]`` used as an
+insertion-ordered set: a repeated edge is a no-op, and every read lists
+nodes in a fixed order whatever ``PYTHONHASHSEED`` is.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
+from typing import Dict, List, Optional, Set
 
 from ..core.job import JobSpec
 
@@ -50,8 +54,9 @@ class DAG:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._nodes: Dict[str, DagNode] = {}
+        self._parents: Dict[str, Dict[str, None]] = {}
+        self._children: Dict[str, Dict[str, None]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -65,7 +70,8 @@ class DAG:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
-        self._graph.add_node(node.node_id)
+        self._parents[node.node_id] = {}
+        self._children[node.node_id] = {}
         return node
 
     def add_job(self, node_id: str, spec: JobSpec, **kwargs) -> DagNode:
@@ -76,10 +82,10 @@ class DAG:
         """Declare ``child`` depends on ``parent``; cycles are rejected."""
         if parent_id not in self._nodes or child_id not in self._nodes:
             raise KeyError("both endpoints must be added before the edge")
-        self._graph.add_edge(parent_id, child_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent_id, child_id)
+        if parent_id == child_id or parent_id in self._descendants(child_id):
             raise ValueError(f"edge {parent_id}->{child_id} creates a cycle")
+        self._parents[child_id][parent_id] = None
+        self._children[parent_id][child_id] = None
 
     # -- queries -------------------------------------------------------------
     def node(self, node_id: str) -> DagNode:
@@ -90,14 +96,23 @@ class DAG:
         return list(self._nodes.values())
 
     def parents(self, node_id: str) -> List[DagNode]:
-        return [self._nodes[p] for p in self._graph.predecessors(node_id)]
+        """Direct parents, in the order their edges were added."""
+        return [self._nodes[p] for p in self._parents[node_id]]
 
     def children(self, node_id: str) -> List[DagNode]:
-        return [self._nodes[c] for c in self._graph.successors(node_id)]
+        """Direct children, in the order their edges were added."""
+        return [self._nodes[c] for c in self._children[node_id]]
 
-    def topological_order(self) -> List[DagNode]:
-        """Nodes in a valid execution order."""
-        return [self._nodes[n] for n in nx.topological_sort(self._graph)]
+    def _descendants(self, node_id: str) -> Set[str]:
+        """Ids of every node reachable from ``node_id`` (not itself)."""
+        seen: Set[str] = set()
+        stack = [node_id]
+        while stack:
+            for child in self._children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
 
     def refresh_ready(self) -> List[DagNode]:
         """Promote WAITING nodes whose parents are all DONE; returns the
@@ -110,13 +125,15 @@ class DAG:
         return [n for n in self._nodes.values() if n.state is NodeState.READY]
 
     def mark_unreachable_descendants(self, node_id: str) -> List[DagNode]:
-        """After a node fails, mark everything downstream UNREACHABLE."""
+        """After a node fails, mark everything downstream UNREACHABLE;
+        returns the nodes it marked, in declaration order."""
+        downstream = self._descendants(node_id)
         affected = []
-        for desc_id in nx.descendants(self._graph, node_id):
-            desc = self._nodes[desc_id]
-            if desc.state in (NodeState.WAITING, NodeState.READY):
-                desc.state = NodeState.UNREACHABLE
-                affected.append(desc)
+        for node in self._nodes.values():
+            if node.node_id in downstream and node.state in (
+                    NodeState.WAITING, NodeState.READY):
+                node.state = NodeState.UNREACHABLE
+                affected.append(node)
         return affected
 
     # -- outcome -----------------------------------------------------------
@@ -142,9 +159,10 @@ class DAG:
                 rescue.add_node(DagNode(old.node_id, old.spec,
                                         retries=old.retries,
                                         pin_site=old.pin_site))
-        for parent, child in self._graph.edges():
-            if parent in rescue and child in rescue:
-                rescue.add_edge(parent, child)
+        for parent, children in self._children.items():
+            for child in children:
+                if parent in rescue and child in rescue:
+                    rescue.add_edge(parent, child)
         return rescue
 
     def counts(self) -> Dict[str, int]:

@@ -57,7 +57,7 @@ def test_submit_happy_path(eng, gatekeeper):
     assert gk.managed_count == 1
     assert gk.lrm.jobs == [job]
     assert gk.submissions_accepted == 1
-    assert any(e[1] == "submit" for e in gk.log)
+    assert any(e[1] == "submit" for e in gk.log.since(0)[0])
 
 
 def test_submit_requires_lrm(eng, net, authed):
@@ -160,7 +160,8 @@ def test_cancel_forwards_to_lrm(eng, gatekeeper):
 
 def test_gram_log_bounded(eng, gatekeeper):
     gk, proxy = gatekeeper
-    gk.log.extend((0.0, "x", i, "") for i in range(60_000))
+    for i in range(60_000):
+        gk.log.append((0.0, "x", i, ""))
     gk.submit(proxy, spec())
     assert len(gk.log) < 60_000
 
@@ -232,7 +233,9 @@ def test_every_finished_job_logs_exactly_one_end_line():
     finished = 0
     for site in grid.sites.values():
         ends = Counter(
-            job_id for _t, event, job_id, _detail in site.service("gatekeeper").log
+            job_id
+            for _t, event, job_id, _detail
+            in site.service("gatekeeper").log.since(0)[0]
             if event in ("done", "failed")
         )
         completed = [job.job_id for job in site.service("lrm").completed]

@@ -7,24 +7,25 @@ from repro.services import ServiceLog
 
 def test_append_and_list_surface():
     log = ServiceLog(capacity=10)
-    assert not log
+    assert len(log) == 0
+    assert log.since(0) == ([], 0)
     assert log.append("a") == 0
     assert log.append("b") == 1
-    log.extend(["c", "d"])
+    for entry in "cd":
+        log.append(entry)
     assert len(log) == 4
-    assert list(log) == ["a", "b", "c", "d"]
-    assert log[0] == "a"
-    assert log[-1] == "d"
-    assert log[1:3] == ["b", "c"]
+    assert log.since(0) == (["a", "b", "c", "d"], 4)
+    assert log.since(1) == (["b", "c", "d"], 4)
 
 
 def test_eviction_keeps_newest():
     log = ServiceLog(capacity=3)
     for i in range(6):
         log.append(i)
-    assert list(log) == [3, 4, 5]
-    assert log.first_seq == 3
-    assert log.end_seq == 6
+    assert len(log) == 3
+    # Entries 0..2 were evicted; the cursor still counts them.
+    assert log.since(0) == ([3, 4, 5], 6)
+    assert log.since(4) == ([4, 5], 6)
 
 
 def test_since_cursor_survives_eviction():
@@ -39,17 +40,9 @@ def test_since_cursor_survives_eviction():
     entries, cursor = log.since(cursor)
     # Entries 3..5 were evicted before the tailer returned: gone.
     assert entries == [6, 7, 8, 9]
-    assert cursor == log.end_seq
+    assert cursor == 10
     entries, cursor = log.since(cursor)
     assert entries == []
-
-
-def test_tail():
-    log = ServiceLog(capacity=5)
-    log.extend("abcdefg")
-    assert log.tail(2) == ["f", "g"]
-    assert log.tail(100) == list("cdefg")
-    assert log.tail(0) == []
 
 
 def test_negative_capacity_rejected():

@@ -105,3 +105,22 @@ def test_service_and_client_are_excluded(tmp_path):
     names = sorted(p.relative_to(tmp_path).as_posix()
                    for p in reachability.source_files(tmp_path))
     assert names == ["cli.py", "core/client.py", "services/base.py"]
+
+
+def test_growth_names_each_count_that_grew():
+    ceiling = "unreached: 10 functions, 80 of 900 function lines"
+    assert reachability.growth(
+        "unreached: 9 functions, 80 of 950 function lines", ceiling) == []
+    assert reachability.growth(
+        "unreached: 11 functions, 79 of 900 function lines", ceiling) == [
+        "unreached functions grew from 10 to 11"]
+    assert reachability.growth(
+        "unreached: 11 functions, 83 of 900 function lines", ceiling) == [
+        "unreached functions grew from 10 to 11",
+        "unreached lines grew from 80 to 83"]
+
+
+def test_checked_in_ceiling_is_a_total_line():
+    functions, lines = reachability.parse_total(
+        reachability.CEILING.read_text())
+    assert 0 < functions < lines

@@ -9,6 +9,7 @@ import ast
 import importlib
 import pathlib
 import re
+import sys
 import tokenize
 from collections import Counter
 
@@ -205,6 +206,42 @@ def test_doc_snippets_use_public_api_only(doc):
     assert sorted(set(deep)) == [], (
         f"{doc} code snippets import internal modules {sorted(set(deep))}; "
         "use the repro facade or a top-level subpackage"
+    )
+
+
+def _declared_dependencies():
+    """Import names of ``pyproject.toml``'s ``[project] dependencies``."""
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+        for spec in project.get("dependencies", [])
+    }
+
+
+def test_package_imports_only_stdlib_and_declared_dependencies():
+    """Every import in ``src/repro`` names the standard library, ``repro``
+    itself or a declared dependency.  An undeclared package installed on
+    the test machine would otherwise pass every other test here and fail
+    only on a clean install."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | _declared_dependencies()
+    offenders = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] not in allowed:
+                    offenders.append(
+                        f"{path.relative_to(REPO)}:{node.lineno} {module}")
+    assert offenders == [], (
+        f"imports outside the stdlib and pyproject dependencies: {offenders}"
     )
 
 

@@ -47,12 +47,55 @@ def test_edge_endpoints_must_exist():
         dag.add_edge("n0", "ghost")
 
 
+def ids(nodes):
+    return [n.node_id for n in nodes]
+
+
 def test_cycle_rejected():
     dag = chain(3)
     with pytest.raises(ValueError):
         dag.add_edge("n2", "n0")
-    # The offending edge was rolled back.
-    assert [n.node_id for n in dag.topological_order()] == ["n0", "n1", "n2"]
+    # The offending edge was never added: the chain is still n0 -> n1 -> n2.
+    assert ids(dag.parents("n0")) == []
+    assert ids(dag.children("n2")) == []
+    assert ids(dag.parents("n1")) == ["n0"]
+    assert ids(dag.parents("n2")) == ["n1"]
+
+
+def test_self_loop_rejected():
+    dag = chain(2)
+    with pytest.raises(ValueError):
+        dag.add_edge("n0", "n0")
+    assert ids(dag.parents("n0")) == []
+    assert ids(dag.children("n0")) == ["n1"]
+
+
+def test_rejected_cycle_leaves_adjacency_unchanged():
+    dag = DAG("diamond")
+    for nid in "abcd":
+        dag.add_job(nid, spec(nid))
+    for parent, child in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+        dag.add_edge(parent, child)
+    before = {nid: (ids(dag.parents(nid)), ids(dag.children(nid)))
+              for nid in "abcd"}
+    for parent, child in (("d", "a"), ("d", "b"), ("c", "a")):
+        with pytest.raises(ValueError):
+            dag.add_edge(parent, child)
+    after = {nid: (ids(dag.parents(nid)), ids(dag.children(nid)))
+             for nid in "abcd"}
+    assert after == before
+
+
+def test_repeated_edge_is_listed_once():
+    dag = DAG("fan-in")
+    for nid in "abc":
+        dag.add_job(nid, spec(nid))
+    dag.add_edge("b", "c")
+    dag.add_edge("a", "c")
+    dag.add_edge("b", "c")
+    # Parents keep the order their edges were first added.
+    assert ids(dag.parents("c")) == ["b", "a"]
+    assert ids(dag.children("b")) == ["c"]
 
 
 def test_refresh_ready_promotes_roots_only():
@@ -107,33 +150,47 @@ def test_rescue_dag_keeps_undone_work():
     assert all(n.state is NodeState.WAITING for n in rescue.nodes())
 
 
-_RESCUE_ORDER = """
+_DECLARATION_ORDER = """
 from repro.core.job import JobSpec
 from repro.sim import HOUR
 from repro.workflow.dag import DAG, NodeState
 
+def job(i):
+    return JobSpec(name=f"s{i}", vo="sdss", user="astro", runtime=HOUR)
+
 dag = DAG("wide")
 for i in range(30):
-    node = dag.add_job(f"step-{(i * 7) % 30}", JobSpec(
-        name=f"s{i}", vo="sdss", user="astro", runtime=HOUR))
+    node = dag.add_job(f"step-{(i * 7) % 30}", job(i))
     if i % 4 == 0:
         node.state = NodeState.DONE
 print(" ".join(n.node_id for n in dag.rescue_dag().nodes()))
+
+fan = DAG("fan-out")
+fan.add_job("root", job(0))
+for i in range(12):
+    fan.add_job(f"leaf-{(i * 5) % 12}", job(i))
+    fan.add_edge("root", f"leaf-{(i * 5) % 12}")
+print(" ".join(n.node_id for n in fan.mark_unreachable_descendants("root")))
 """
 
 
-def test_rescue_dag_keeps_declaration_order_under_any_hash_seed():
-    """The rescue DAG lists its nodes in the order they were declared,
-    whatever ``PYTHONHASHSEED`` the interpreter runs with."""
-    declared = [f"step-{(i * 7) % 30}" for i in range(30) if i % 4]
+def test_node_lists_keep_declaration_order_under_any_hash_seed():
+    """The rescue DAG and a failed node's unreachable descendants list
+    nodes in the order they were declared, whatever ``PYTHONHASHSEED``
+    the interpreter runs with."""
+    rescue = [f"step-{(i * 7) % 30}" for i in range(30) if i % 4]
+    leaves = [f"leaf-{(i * 5) % 12}" for i in range(12)]
     src = str(Path(repro.__file__).resolve().parents[1])
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _RESCUE_ORDER], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split() == declared, seed
+        out = subprocess.run([sys.executable, "-c", _DECLARATION_ORDER],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        rescue_line, leaves_line = out.stdout.splitlines()
+        assert rescue_line.split() == rescue, seed
+        assert leaves_line.split() == leaves, seed
 
 
 def test_counts():

@@ -39,8 +39,10 @@ def test_mop_builds_three_step_chain():
     req = MCRequest("req-00001", n_events=250)
     dag = mop.dag_for(req)
     assert len(dag) == 3
-    order = [n.node_id for n in dag.topological_order()]
-    assert order == ["gen", "sim", "digi"]
+    assert [n.node_id for n in dag.nodes()] == ["gen", "sim", "digi"]
+    assert [p.node_id for p in dag.parents("gen")] == []
+    assert [p.node_id for p in dag.parents("sim")] == ["gen"]
+    assert [p.node_id for p in dag.parents("digi")] == ["sim"]
     # Data flows: sim consumes gen's output; digi consumes sim's.
     assert dag.node("sim").spec.inputs[0][0] == "/cms/req-00001/gen.ntpl"
     assert dag.node("digi").spec.inputs[0][0] == "/cms/req-00001/sim.fz"
