@@ -168,10 +168,6 @@ class Grid3Config:
     ligo_test_mode: bool = True
     #: Per-site Condor-G throttle (scaled).
     per_site_throttle: int = 100
-    #: Run the Tier1 archives on dCache pool managers instead of flat
-    #: storage elements (§2: "dCache can be provided by individual VOs").
-    tier1_dcache: bool = False
-    tier1_dcache_pools: int = 8
     #: §8 "Storage Services and Data Management": run the managed data
     #: subsystem (replica selection, transfer queueing, StorageAgent
     #: disk-pressure control).  Off by default — the deployed system had
@@ -266,8 +262,7 @@ class Grid3Config:
             value = getattr(self, knob)
             if not value > 0:
                 raise ConfigurationError(f"{knob} must be positive, got {value!r}")
-        for knob in ("per_site_throttle", "trace_max_traces",
-                     "tier1_dcache_pools"):
+        for knob in ("per_site_throttle", "trace_max_traces"):
             value = getattr(self, knob)
             if value < 1:
                 raise ConfigurationError(f"{knob} must be >= 1, got {value!r}")
@@ -463,17 +458,6 @@ class Grid3:
             # is reachable in short windows.
             for site in self.sites.values():
                 site.storage.capacity = site.storage.capacity / cfg.disk_scale
-        if cfg.tier1_dcache:
-            # §2: the Tier1 VOs ran pooled storage behind their doors.
-            from ..middleware.dcache import DCachePoolManager
-            for site in self.sites.values():
-                if site.tier1:
-                    capacity = site.storage.capacity
-                    site.storage = DCachePoolManager(
-                        self.engine, f"{site.name}-dcache",
-                        pool_count=cfg.tier1_dcache_pools,
-                        pool_capacity=capacity / cfg.tier1_dcache_pools,
-                    )
         self.duration = cfg.duration_days * DAY
 
         # Security + VO management (§5.3).

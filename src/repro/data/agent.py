@@ -59,10 +59,9 @@ class StorageAgent:
     Parameters
     ----------
     engine, sites:
-        Kernel and name → Site map (each site's ``.storage`` may be a
-        flat :class:`~repro.fabric.storage.StorageElement` or a pooled
-        :class:`~repro.middleware.dcache.DCachePoolManager`; both expose
-        the files()/delete()/capacity surface the sweep needs).
+        Kernel and name → Site map (each site's ``.storage`` is a
+        :class:`~repro.fabric.storage.StorageElement`, whose
+        files()/delete()/capacity surface the sweep needs).
     catalog:
         The :class:`DatasetCatalog` consulted for pinning and heat.
     rls:

@@ -46,7 +46,7 @@ class FailureInjector:
             self.schedule = profile
         #: Event counters by class, for the failure-analysis reports.
         self.injected: Dict[str, int] = {
-            "service": 0, "pool": 0, "network": 0, "node": 0, "rollover": 0,
+            "service": 0, "network": 0, "node": 0, "rollover": 0,
         }
         self.jobs_killed = 0
         self._start()
@@ -86,10 +86,6 @@ class FailureInjector:
             if self._any_era("service_failure_interval"):
                 self.engine.process(
                     self._service_crash_loop(site), name=f"svc-fail-{site.name}"
-                )
-            if self._any_era("pool_failure_interval"):
-                self.engine.process(
-                    self._pool_loop(site), name=f"pool-fail-{site.name}"
                 )
             if self._any_era("network_interruption_interval"):
                 self.engine.process(
@@ -149,31 +145,6 @@ class FailureInjector:
             service.fail(f"injected {victim_role} crash")
             yield self.engine.timeout(p.service_repair_time)
             service.restore(note="injector repair")
-
-    def _pool_loop(self, site):
-        """A dCache disk pool dies and gets repaired.
-
-        Only fires at sites whose storage is a pooled manager (has
-        ``fail_pool``); flat-SE sites draw from their stream but skip,
-        so enabling a Tier1 pool store never perturbs another site's
-        failure schedule.
-        """
-        while True:
-            p = self._profile()
-            wait = self._draw(f"fail.pool.{site.name}", p.pool_failure_interval)
-            yield self.engine.timeout(wait)
-            p = self._profile()
-            manager = getattr(site, "storage", None)
-            if not p.pool_failure_interval or not hasattr(manager, "fail_pool"):
-                continue
-            online = [pool for pool in manager.pools if pool.online]
-            if not online:
-                continue
-            pool = self.rng.choice(f"fail.pool.pick.{site.name}", online)
-            self.injected["pool"] += 1
-            manager.fail_pool(pool, cause="injected pool failure")
-            yield self.engine.timeout(p.pool_repair_time)
-            manager.restore_pool(pool)
 
     def _network_loop(self, site):
         """Access links drop, killing in-flight transfers (§6.1)."""

@@ -41,13 +41,6 @@ class FailureProfile:
     batch_crash_weight: float = 0.25
     #: How long a crashed service stays down before ops restart it.
     service_repair_time: float = 4 * HOUR
-    #: Mean time between dCache disk-pool failures, at sites whose
-    #: storage is a pooled Tier1 store (no-op for flat SEs).  Off by
-    #: default: pool hardware trouble is a Tier1-bench concern, not
-    #: part of the calibrated Grid3 baseline mix.
-    pool_failure_interval: Optional[float] = None
-    #: How long a failed pool stays offline before repair.
-    pool_repair_time: float = 6 * HOUR
     #: Mean time between WAN/access-link interruptions per site.
     network_interruption_interval: Optional[float] = 10 * DAY
     #: Interruption duration.

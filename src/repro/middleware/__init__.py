@@ -9,7 +9,6 @@ from .gram import (
     attach_gatekeeper,
 )
 from .gridftp import GridFTPServer, attach_gridftp, transfer
-from .dcache import DCachePoolManager, Pool
 from .gsi import (
     Authenticator,
     Certificate,
@@ -32,8 +31,6 @@ from .voms import VOMSServer, VOUser, generate_gridmap, refresh_site_gridmaps
 
 __all__ = [
     "Authenticator",
-    "DCachePoolManager",
-    "Pool",
     "Certificate",
     "CertificateAuthority",
     "DEFAULT_OVERLOAD_THRESHOLD",

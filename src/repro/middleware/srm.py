@@ -8,7 +8,7 @@ storage."
 
 :class:`SRMService` wraps a site's storage element with space
 reservation and pinning.  It is **off by default** in the Grid3 builder
-(matching the deployed system, where only individual VOs ran SRM/dCache)
+(matching the deployed system, where only individual VOs ran SRM)
 and switched on for the ablation bench, which shows the disk-full
 failure class disappearing.
 """

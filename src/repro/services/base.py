@@ -3,7 +3,7 @@
 The paper's operational story (§5.2 Site Status Catalog, §6.1–6.2
 failure classes, §7 "once a site becomes stable, it usually remains
 so") is about *service* health over time.  Every Grid3 service model —
-gatekeeper, GridFTP, GRIS/GIIS, RLS, VOMS, SRM, dCache pools — derives
+gatekeeper, GridFTP, GRIS/GIIS, RLS, VOMS, SRM — derives
 from :class:`GridService`, which provides:
 
 * a per-service **downtime ledger** (:class:`DowntimeLedger`): every
@@ -146,7 +146,7 @@ class GridService:
     """Base class every Grid3 service model derives from.
 
     Subclasses call ``super().__init__(role=..., owner=..., engine=...)``
-    first; ``owner`` names the site (or VO, or pool) the instance
+    first; ``owner`` names the site (or VO) the instance
     belongs to, ``role`` is the service kind used in metric names and
     probe tables.  Services built without an engine (bare unit-test
     construction) run on a zero clock until one is adopted via

@@ -162,18 +162,6 @@ def test_replication_avoids_dead_gridftp_target(eng, net, rng):
     assert rls.sites_with("/atlas/hot/f1") == ["SiteA", "SiteC"]
 
 
-def test_works_over_dcache_pool_manager(eng, net):
-    from repro.middleware.dcache import DCachePoolManager
-    sites, rls, _cat, agent = build(eng, net)
-    sites["SiteA"].storage = DCachePoolManager(
-        eng, "SiteA-dcache", pool_count=2, pool_capacity=0.5 * GB,
-    )
-    fill(sites, rls, "SiteA", [f"/x/{i}" for i in range(9)], register=False)
-    agent.sweep_once()
-    assert sites["SiteA"].storage.utilisation <= 0.70 + 1e-9
-    assert agent.evictions > 0
-
-
 def latest_at(store, name, site):
     """The newest sample of ``name`` tagged ``site=<site>``, or None."""
     rows = [s for s in store.query(name) if ("site", site) in s.tags]

@@ -29,7 +29,7 @@ def test_disabled_profile_injects_nothing(eng, net, rng):
     injector = FailureInjector(eng, [site], rng, FailureProfile.disabled())
     eng.run(until=30 * DAY)
     assert injector.injected == {
-        "service": 0, "pool": 0, "network": 0, "node": 0, "rollover": 0,
+        "service": 0, "network": 0, "node": 0, "rollover": 0,
     }
 
 

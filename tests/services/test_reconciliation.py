@@ -9,13 +9,11 @@ probe-sampled.
 import pytest
 
 from repro.failures import FailureInjector, FailureProfile
-from repro.middleware.dcache import DCachePoolManager
 from repro.fabric import Network
-from repro.sim import DAY, Engine, HOUR, RngRegistry, TB
+from repro.sim import DAY, Engine, HOUR, RngRegistry
 from tests.conftest import make_site, wire_site
 
 REPAIR = 4 * HOUR
-POOL_REPAIR = 6 * HOUR
 
 
 def service_only_profile(**overrides):
@@ -68,70 +66,30 @@ def test_batch_crashes_land_in_gatekeeper_ledger(eng, net, rng):
     )
 
 
-def make_tier1(eng, net, name="Tier1"):
-    site = make_site(eng, net, name)
-    site.storage = DCachePoolManager(
-        eng, f"{name}-dcache", pool_count=4, pool_capacity=1 * TB
-    )
-    return site
+def test_network_class_does_not_perturb_service_schedule():
+    """Enabling network interruptions must not shift the service-failure
+    RNG streams: each class draws from its own stream, so existing
+    schedules stay reproducible."""
 
-
-def pool_only_profile():
-    return FailureProfile(
-        service_failure_interval=None,
-        pool_failure_interval=2 * DAY,
-        pool_repair_time=POOL_REPAIR,
-        network_interruption_interval=None,
-        node_mtbf=None,
-        nightly_rollover={},
-    )
-
-
-def test_pool_failures_are_injectable_and_ledger_accounted(eng, net, rng):
-    site = make_tier1(eng, net)
-    injector = FailureInjector(eng, [site], rng, pool_only_profile())
-    horizon = 40 * DAY
-    eng.run(until=horizon)
-
-    assert injector.injected["pool"] > 0
-    outages = [o for pool in site.storage.pools for o in pool.ledger.outages()]
-    assert len(outages) == injector.injected["pool"]
-    assert all(o.cause == "injected pool failure" for o in outages)
-    for outage in outages:
-        if outage.closed:
-            assert outage.duration() == pytest.approx(POOL_REPAIR)
-
-
-def test_flat_se_sites_skip_pool_injection(eng, net, rng):
-    site = wire_site(eng, make_site(eng, net, "FlatSE"))
-    injector = FailureInjector(eng, [site], rng, pool_only_profile())
-    eng.run(until=40 * DAY)
-    assert injector.injected["pool"] == 0
-
-
-def test_pool_class_does_not_perturb_service_schedule():
-    """Enabling pool injection must not shift the service-failure RNG
-    streams — existing schedules stay reproducible."""
-
-    def outage_starts(enable_pool):
+    def outage_starts(enable_network):
         engine = Engine()
         network = Network(engine)
         registry = RngRegistry(42)
-        site = make_tier1(engine, network, "Tier1")
-        wire_site(engine, site)
+        site = wire_site(engine, make_site(engine, network, "SiteA"))
         profile = service_only_profile(
-            pool_failure_interval=2 * DAY if enable_pool else None,
-            pool_repair_time=POOL_REPAIR,
+            network_interruption_interval=2 * DAY if enable_network else None,
         )
-        FailureInjector(engine, [site], registry, profile)
+        injector = FailureInjector(engine, [site], registry, profile)
         engine.run(until=30 * DAY)
-        return sorted(
+        starts = sorted(
             o.start
             for role in ("gatekeeper", "gridftp")
             for o in site.services[role].ledger.outages()
         )
+        return starts, injector.injected["network"]
 
-    without_pool = outage_starts(enable_pool=False)
-    with_pool = outage_starts(enable_pool=True)
-    assert without_pool  # the schedule actually fired
-    assert without_pool == with_pool
+    without_network, quiet = outage_starts(enable_network=False)
+    with_network, interruptions = outage_starts(enable_network=True)
+    assert quiet == 0 and interruptions > 0  # the network class fired
+    assert without_network  # the service schedule actually fired
+    assert without_network == with_network

@@ -219,3 +219,62 @@ def test_trace_command_exports(tmp_path):
     assert doc["traceEvents"]
     lines = jsonl.read_text().splitlines()
     assert lines and all(json.loads(l)["trace_id"] for l in lines)
+
+
+def table_rows(text, heading=None):
+    """The data rows of the table printed first, or right after the
+    line starting with ``heading``: the lines past its column header and
+    dash rule, up to the next blank or prose line."""
+    lines = text.splitlines()
+    start = 0
+    if heading is not None:
+        start = 1 + next(
+            i for i, line in enumerate(lines) if line.startswith(heading)
+        )
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.strip() or ":" in line:
+            break
+        rows.append(line.split())
+    return rows
+
+
+def test_fabric_command_summary_and_ranking():
+    code, text = run_cli(["fabric", "--sites", "50", "--top", "3"])
+    assert code == 0
+    summary = dict(table_rows(text))
+    assert summary["sites"] == "50"
+    assert "sites per owner VO:" in text and "sites per region:" in text
+    ranked = table_rows(text, "largest 3 sites:")
+    assert len(ranked) == 3
+    cpus = [int(row[2]) for row in ranked]
+    assert cpus == sorted(cpus, reverse=True)
+
+
+def test_fairshare_command_compare():
+    code, text = run_cli([
+        "fairshare", "--scale", "800", "--days", "1", "--compare",
+    ])
+    assert code == 0
+    accounted = [row[0] for row in table_rows(text)]
+    compared = table_rows(text, "same-seed comparison")
+    vos = [row[0] for row in compared]
+    assert vos == sorted(set(vos)) == sorted(accounted)
+    assert all(len(row) == 3 for row in compared)
+    assert "max/min completion ratio" in text
+
+
+def test_alerts_command_local_mode():
+    code, text = run_cli(["alerts", "--scale", "800", "--days", "1"])
+    assert code == 0
+    header = text.splitlines()[0].split()
+    assert header == ["rule", "metric", "severity", "firing", "transitions"]
+    assert "gatekeeper-fleet-down" in text
+    assert "alert ticket(s) opened;" in text
+
+
+def test_alerts_command_lint():
+    code, text = run_cli(["alerts", "--lint"])
+    assert code == 0
+    assert "lint clean" in text
+    assert "LINT:" not in text
