@@ -173,9 +173,6 @@ class Grid3Config:
     #: disk-pressure control).  Off by default — the deployed system had
     #: none — and isolated on data.* RNG streams when on.
     data_management: bool = False
-    #: StorageAgent watermarks: evict above high, down to low.
-    data_high_watermark: float = 0.85
-    data_low_watermark: float = 0.70
     #: Divides every SE capacity (1.0 = the catalog's real disks).
     #: Raising it manufactures the §6.2 disk-pressure regime at bench
     #: scales where the full-size disks would never fill.
@@ -184,22 +181,12 @@ class Grid3Config:
     #: Off by default: an untraced same-seed run is byte-identical to a
     #: pre-tracing build; on, it adds no events and draws no RNG.
     tracing: bool = False
-    #: Retained whole traces before FIFO eviction (bounded SpanStore).
-    trace_max_traces: int = 20_000
     #: §5/§7 multi-VO scheduling: enforce per-site usage policies
     #: (admission control + per-VO share slots) and fold decayed-usage
     #: fair-share priorities into matchmaking.  Off by default — a
     #: same-seed run with it off is byte-identical to a pre-fair-share
     #: build; policies are still *published* on every site either way.
     fair_share: bool = False
-    #: Which reconstructed policy set the sites publish: "paper" (the
-    #: §5/§7 reconstruction) or "open" (everything-goes ablation).
-    site_policies: str = "paper"
-    #: Fair-share usage half-life (hours): yesterday's monopolisation
-    #: counts half as much as today's.
-    fair_share_half_life_hours: float = 24.0
-    #: VO -> target share (normalised; None = equal shares).
-    fair_share_targets: Optional[Dict[str, float]] = None
     #: Synthetic fabric (the scale-out path): a site count, or a dict of
     #: :func:`repro.fabric.synthesize` kwargs (``{"sites": 500, ...}``).
     #: None = the 27-site paper catalog scaled by ``scale``.  When set,
@@ -215,8 +202,6 @@ class Grid3Config:
     #: byte-identical to a pre-alerting build (the monitor adds
     #: periodic events when on).
     alerts: bool = False
-    #: Alert evaluation cadence in hours (sim time).
-    alert_interval_hours: float = 1.0
 
     def validate(self) -> "Grid3Config":
         """Reject unknown knobs, wrongly typed values and contradictory settings.
@@ -226,7 +211,6 @@ class Grid3Config:
         message rather than letting a typo silently no-op.
         """
         from ..errors import ConfigurationError
-        from ..scheduling.policy import POLICY_SETS
 
         knobs = fields(self)
         known = {f.name for f in knobs}
@@ -247,58 +231,25 @@ class Grid3Config:
             raise ConfigurationError(
                 f"apps must be a list of app names, got {self.apps!r}"
             )
-        for knob, allowed in (
-            ("matchmaking", ("smart", "random")),
-            ("site_policies", tuple(sorted(POLICY_SETS))),
-        ):
-            value = getattr(self, knob)
-            if value not in allowed:
-                raise ConfigurationError(
-                    f"{knob}={value!r} is not one of {allowed}"
-                    f"{did_you_mean(value, allowed)}"
-                )
-        for knob in ("scale", "duration_days", "disk_scale",
-                     "fair_share_half_life_hours", "alert_interval_hours"):
+        allowed = ("smart", "random")
+        if self.matchmaking not in allowed:
+            raise ConfigurationError(
+                f"matchmaking={self.matchmaking!r} is not one of {allowed}"
+                f"{did_you_mean(self.matchmaking, allowed)}"
+            )
+        for knob in ("scale", "duration_days", "disk_scale"):
             value = getattr(self, knob)
             if not value > 0:
                 raise ConfigurationError(f"{knob} must be positive, got {value!r}")
-        for knob in ("per_site_throttle", "trace_max_traces"):
-            value = getattr(self, knob)
-            if value < 1:
-                raise ConfigurationError(f"{knob} must be >= 1, got {value!r}")
+        if self.per_site_throttle < 1:
+            raise ConfigurationError(
+                f"per_site_throttle must be >= 1, got {self.per_site_throttle!r}"
+            )
         if not 0.0 <= self.misconfig_probability <= 1.0:
             raise ConfigurationError(
                 "misconfig_probability is a probability; got "
                 f"{self.misconfig_probability!r} (want 0.0-1.0)"
             )
-        for knob in ("data_high_watermark", "data_low_watermark"):
-            value = getattr(self, knob)
-            if not 0.0 < value <= 1.0:
-                raise ConfigurationError(
-                    f"{knob} is a disk-fill fraction; got {value!r} "
-                    "(want within (0.0, 1.0])"
-                )
-        if self.data_low_watermark > self.data_high_watermark:
-            raise ConfigurationError(
-                f"data_low_watermark={self.data_low_watermark} exceeds "
-                f"data_high_watermark={self.data_high_watermark}: the "
-                "StorageAgent evicts from the high watermark *down to* "
-                "the low one, so low must be <= high"
-            )
-        if self.fair_share_targets is not None:
-            if not isinstance(self.fair_share_targets, dict):
-                raise ConfigurationError(
-                    "fair_share_targets must map VO names to shares, got "
-                    f"{self.fair_share_targets!r}"
-                )
-            bad = {
-                vo: s for vo, s in self.fair_share_targets.items()
-                if not (_finite_real(s) and s > 0)
-            }
-            if bad:
-                raise ConfigurationError(
-                    f"fair_share_targets shares must be positive numbers: {bad!r}"
-                )
         if self.apps:
             unknown = [a for a in self.apps if a not in APP_CLASSES]
             if unknown:
@@ -431,14 +382,14 @@ class Grid3:
         # same-seed runs byte-identical; enforcement is gated below on
         # cfg.fair_share.  Synthetic fabrics auto-generate their policy
         # set (the generated VO allow-lists) from the same spec rules.
-        from ..scheduling.policy import POLICY_SETS
-        if self._fabric_regions is not None and cfg.site_policies == "paper":
+        if self._fabric_regions is not None:
             from ..fabric.synthesize import synthetic_policies
             self.usage_policies = synthetic_policies(
                 self.catalog, GRID3_VOS, seed=cfg.seed
             )
         else:
-            self.usage_policies = POLICY_SETS[cfg.site_policies](self.catalog, GRID3_VOS)
+            from ..scheduling.policy import paper_policies
+            self.usage_policies = paper_policies(self.catalog, GRID3_VOS)
         for site in self.sites.values():
             site.usage_policy = self.usage_policies.get(site.name)
         # Regional WAN trunks (OC-48-class; uncongested at Grid3 demand,
@@ -476,8 +427,7 @@ class Grid3:
         # on, the shared no-op otherwise — call sites never branch.
         from ..trace import NULL_TRACER, JobTracer
         self.tracer = (
-            JobTracer(self.engine, max_traces=cfg.trace_max_traces)
-            if cfg.tracing else NULL_TRACER
+            JobTracer(self.engine) if cfg.tracing else NULL_TRACER
         )
 
         # Central services at the iGOC (§5.4).
@@ -493,10 +443,7 @@ class Grid3:
             from ..data import DataManager
             self.data = DataManager(
                 self.engine, self.sites, self.rls, self.rng,
-                ledger=self.ledger,
-                high_watermark=cfg.data_high_watermark,
-                low_watermark=cfg.data_low_watermark,
-                tracer=self.tracer,
+                ledger=self.ledger, tracer=self.tracer,
             )
 
         self.runner = Grid3Runner(
@@ -624,11 +571,9 @@ class Grid3:
         # events, so default runs stay byte-identical with it off.
         if cfg.alerts:
             from ..ops.alerts import AlertMonitor, default_rules
-            from ..sim.units import HOUR as _AH
             self.alert_monitor = AlertMonitor(
                 self.engine, self.igoc, default_rules(),
                 stores={"service-health": service_health.store},
-                interval=cfg.alert_interval_hours * _AH,
             )
 
         # Per-VO submit infrastructure.
@@ -640,14 +585,8 @@ class Grid3:
             from ..monitoring.core import MetricStore
             from ..scheduling.fairshare import FairShareLedger
             from ..scheduling.policy import PolicyEngine
-            from ..sim.units import HOUR as _H
             sched_store = MetricStore(max_samples=200_000)
-            self.fairshare = FairShareLedger(
-                GRID3_VOS,
-                targets=cfg.fair_share_targets,
-                half_life=cfg.fair_share_half_life_hours * _H,
-                store=sched_store,
-            )
+            self.fairshare = FairShareLedger(GRID3_VOS, store=sched_store)
             self.policy_engine = PolicyEngine(
                 self.engine, self.usage_policies,
                 slots_per_site=throttle, store=sched_store,

@@ -15,12 +15,10 @@ from .flavors import (
 from .localload import LocalLoadGenerator, add_local_load
 from .matchmaking import RandomSelector, SiteSelector
 from .policy import (
-    POLICY_SETS,
     PolicyEngine,
     PolicyRejectRow,
     ShareCapRow,
     UsagePolicy,
-    open_policies,
     paper_policies,
 )
 
@@ -38,7 +36,6 @@ __all__ = [
     "LSFScheduler",
     "LocalLoadGenerator",
     "PBSScheduler",
-    "POLICY_SETS",
     "PolicyEngine",
     "PolicyRejectRow",
     "RandomSelector",
@@ -48,6 +45,5 @@ __all__ = [
     "add_local_load",
     "default_runner",
     "make_scheduler",
-    "open_policies",
     "paper_policies",
 ]

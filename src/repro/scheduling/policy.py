@@ -151,23 +151,6 @@ def paper_policies(specs, vos: Iterable[str]) -> Dict[str, UsagePolicy]:
     return {spec.name: policy_for_spec(spec, vos) for spec in specs}
 
 
-def open_policies(specs, vos: Iterable[str]) -> Dict[str, UsagePolicy]:
-    """An everything-goes policy set: all VOs, full shares — enforcement
-    becomes a no-op (the ablation baseline for the policy layer)."""
-    return {
-        spec.name: UsagePolicy(
-            site=spec.name,
-            max_walltime=spec.max_walltime_hours * HOUR,
-            runtime_class=runtime_class_for(spec.max_walltime_hours * HOUR),
-        )
-        for spec in specs
-    }
-
-
-#: Named policy sets ``Grid3Config.site_policies`` selects from.
-POLICY_SETS = {"paper": paper_policies, "open": open_policies}
-
-
 @dataclass(frozen=True)
 class PolicyRejectRow(ReportRecord):
     """One (site, vo, reason) cell of the policy-rejection report."""

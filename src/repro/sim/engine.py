@@ -328,8 +328,9 @@ class Engine:
     heap's head.
     """
 
-    # Slots for the per-event-hot attributes; __dict__ stays so
-    # instrumentation can replace step() on the instance (the Tracer).
+    # Slots for the per-event-hot attributes; __dict__ stays for the
+    # ``dispatched`` counter and so a profiler can replace step() on
+    # the instance.
     __slots__ = (
         "_now", "_urgent", "_timed", "_seq", "_active_process",
         "__dict__", "__weakref__",
@@ -401,8 +402,8 @@ class Engine:
     def peek_event(self) -> Optional[Event]:
         """The next event :meth:`step` would dispatch, or ``None``.
 
-        Used by instrumentation (e.g. the Tracer) that wants to
-        describe the upcoming event before it runs.
+        Used by instrumentation that wants to describe the upcoming
+        event before it runs.
         """
         if self._urgent:
             return self._urgent[0][1]
@@ -416,7 +417,7 @@ class Engine:
         When ``until`` is given the clock is advanced to exactly that
         time even if no event falls on it.  Every event goes through
         :meth:`step`, so instrumentation that replaces ``step`` on the
-        instance (e.g. the Tracer) sees every dispatch.
+        instance sees every dispatch.
         """
         if until is None:
             while self.step():

@@ -103,7 +103,6 @@ class Span:
             self.status = status
             if attrs:
                 self.attrs.update(attrs)
-            self.tracer._finished(self)
         return self
 
     def close_subtree(self, status: str = "ok") -> None:
@@ -264,8 +263,6 @@ class JobTracer:
         self._trace_seq = 0
         self._span_seq = 0
         self._metrics = None
-        #: Open-span stack for the kernel tracer's active-span label.
-        self._stack: List[Span] = []
 
     # -- metrics sink (lazy import keeps repro.trace cycle-free) -------------
     @property
@@ -292,13 +289,7 @@ class JobTracer:
         )
         if parent is not None:
             parent.children.append(span)
-        self._stack.append(span)
         return span
-
-    def _finished(self, span: Span) -> None:
-        stack = self._stack
-        while stack and stack[-1].end >= 0:
-            stack.pop()
 
     def start_trace(self, name: str, kind: str = "job", **attrs: object) -> Span:
         """Open a new trace; returns its root span."""
@@ -340,15 +331,6 @@ class JobTracer:
                     MetricSample(now, f"trace.phase.{phase}", value, tags)
                 )
 
-    # -- kernel-tracer bridge -------------------------------------------------
-    def current_label(self) -> str:
-        """Name of the innermost open span (best effort, for the kernel
-        :class:`~repro.sim.tracing.Tracer`'s per-event span column)."""
-        stack = self._stack
-        while stack and stack[-1].end >= 0:
-            stack.pop()
-        return stack[-1].name if stack else ""
-
     def __repr__(self) -> str:
         return f"<JobTracer traces={len(self.store)} spans~{self._span_seq}>"
 
@@ -369,9 +351,6 @@ class NullTracer:
 
     def finalize(self, root, status: str = "ok") -> None:
         return None
-
-    def current_label(self) -> str:
-        return ""
 
     def __repr__(self) -> str:
         return "<NullTracer>"

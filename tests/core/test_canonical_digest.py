@@ -33,10 +33,8 @@ def test_digest_is_container_order_insensitive_where_semantics_are():
     b = Grid3Config(apps=["usatlas", "uscms"]).canonical_digest()
     assert a != b  # app list order is meaningful (round-robin order)
     # Dict key order never matters (canonical JSON sorts keys).
-    one = Grid3Config(fair_share=True,
-                      fair_share_targets={"uscms": 0.6, "sdss": 0.4})
-    two = Grid3Config(fair_share=True,
-                      fair_share_targets={"sdss": 0.4, "uscms": 0.6})
+    one = Grid3Config(fabric={"sites": 30, "seed": 1})
+    two = Grid3Config(fabric={"seed": 1, "sites": 30})
     assert one.canonical_digest() == two.canonical_digest()
 
 

@@ -25,25 +25,11 @@ def test_unknown_matchmaking_value():
         Grid3Config(matchmaking="smartt").validate()
 
 
-def test_unknown_policy_set():
-    with pytest.raises(ConfigurationError, match="site_policies"):
-        Grid3Config(site_policies="strict").validate()
-
-
-def test_contradictory_watermarks():
-    with pytest.raises(ConfigurationError, match="low must be <= high"):
-        Grid3Config(
-            data_low_watermark=0.9, data_high_watermark=0.5
-        ).validate()
-
-
 def test_out_of_range_scalars():
     with pytest.raises(ConfigurationError, match="scale must be positive"):
         Grid3Config(scale=0).validate()
     with pytest.raises(ConfigurationError, match="probability"):
         Grid3Config(misconfig_probability=1.5).validate()
-    with pytest.raises(ConfigurationError, match="disk-fill fraction"):
-        Grid3Config(data_high_watermark=0.0).validate()
     with pytest.raises(ConfigurationError, match="per_site_throttle"):
         Grid3Config(per_site_throttle=0).validate()
 
@@ -51,11 +37,6 @@ def test_out_of_range_scalars():
 def test_unknown_app_name():
     with pytest.raises(ConfigurationError, match="uscmss.*did you mean"):
         Grid3Config(apps=["uscmss"]).validate()
-
-
-def test_bad_fair_share_targets():
-    with pytest.raises(ConfigurationError, match="positive"):
-        Grid3Config(fair_share_targets={"uscms": 0.0}).validate()
 
 
 def test_grid3_init_validates():
@@ -77,9 +58,6 @@ _WRONGLY_TYPED = [
     ("apps", 5),
     ("apps", "ligo"),
     ("apps", [["ligo"]]),
-    ("fair_share_targets", ["uscms"]),
-    ("fair_share_targets", {"uscms": "1"}),
-    ("fair_share_targets", {"uscms": float("inf")}),
 ]
 
 
@@ -95,8 +73,8 @@ def test_wrongly_typed_knob_is_a_configuration_error(knob, value):
 @pytest.mark.parametrize("knob, value", [
     ("scale", 50),          # an int where a float is expected
     ("duration_days", 2),
-    ("alert_interval_hours", 2),
-    ("fair_share_targets", {"uscms": 2, "usatlas": 1.5}),
+    ("disk_scale", 2),
+    ("fabric", {"sites": 30, "seed": 2}),
     ("apps", ["ligo", "sdss"]),
 ])
 def test_well_typed_knob_validates(knob, value):

@@ -10,7 +10,6 @@ from repro.scheduling import (
     FairShareLedger,
     PolicyEngine,
     UsagePolicy,
-    open_policies,
     paper_policies,
 )
 from repro.monitoring.core import make_tags
@@ -147,15 +146,6 @@ def test_paper_policies_cover_catalog_and_favor_owners():
     # The reconstructed allow-lists actually restrict someone.
     assert not policies["KNU_Grid3"].admits("sdss", 1 * HOUR)
     assert policies["KNU_Grid3"].admits("uscms", 1 * HOUR)
-
-
-def test_open_policies_admit_everyone_at_full_share():
-    policies = open_policies(GRID3_SITES, GRID3_VOS)
-    for spec in GRID3_SITES:
-        policy = policies[spec.name]
-        for vo in GRID3_VOS:
-            assert policy.admits(vo, 1 * HOUR)
-            assert policy.share_cap(vo) == 1.0
 
 
 # -- PolicyEngine ---------------------------------------------------------

@@ -6,6 +6,9 @@ from collections import Counter
 from repro import Grid3, Grid3Config, SCENARIOS
 from repro.analysis import export_database
 from repro.failures import FailureProfile
+from repro.scheduling import UsagePolicy
+from repro.scheduling.policy import runtime_class_for
+from repro.sim.units import HOUR
 
 
 def _completed_per_vo(grid):
@@ -73,8 +76,24 @@ def test_fairshare_report_surfaces():
     assert charged, "no VO ever charged the ledger"
 
 
-def _export(**kwargs):
+def _open_policies(specs):
+    """An everything-goes policy set: all VOs, full shares."""
+    return {
+        spec.name: UsagePolicy(
+            site=spec.name,
+            max_walltime=spec.max_walltime_hours * HOUR,
+            runtime_class=runtime_class_for(spec.max_walltime_hours * HOUR),
+        )
+        for spec in specs
+    }
+
+
+def _export(open_policies=False, **kwargs):
     grid = Grid3(Grid3Config(seed=11, scale=800, duration_days=2, **kwargs))
+    if open_policies:
+        grid.usage_policies = _open_policies(grid.catalog)
+        for site in grid.sites.values():
+            site.usage_policy = grid.usage_policies[site.name]
     grid.run_full()
     return export_database(grid.acdc_db), grid
 
@@ -87,7 +106,7 @@ def test_feature_off_runs_are_byte_identical():
     unmodified tree at PR time for three configs.)"""
     base, grid_a = _export()
     again, _ = _export()
-    open_set, grid_b = _export(site_policies="open")
+    open_set, grid_b = _export(open_policies=True)
     assert base == again
     assert base == open_set
     for grid in (grid_a, grid_b):

@@ -65,6 +65,7 @@ def test_unknown_knob_gets_suggestion():
         # A removed knob is refused like any other unknown one.
         ("metrics_memory_budget_mb",
          "unknown Grid3Config knob 'metrics_memory_budget_mb'"),
+        ("site_policies", "unknown Grid3Config knob 'site_policies'"),
     ):
         with pytest.raises(SchemaError) as excinfo:
             parse_submission(body(config={knob: 64}))

@@ -221,6 +221,39 @@ def _declared_dependencies():
     }
 
 
+def _names_set_in(path: pathlib.Path) -> set:
+    """Names a file sets by keyword (``name=``) or attribute (``.name =``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+    return names
+
+
+def test_every_config_knob_has_a_caller():
+    """Each ``Grid3Config`` field is set by name somewhere in the
+    package (besides ``core/grid3.py``, which declares and reads it),
+    ``benchmarks/`` or ``perfbench/``.  A knob that only tests set is an
+    option no run uses: make it a constant of the component instead."""
+    from dataclasses import fields
+
+    from repro import Grid3Config
+
+    declaring = REPO / "src" / "repro" / "core" / "grid3.py"
+    paths = [
+        path
+        for top in ("src/repro", "benchmarks", "perfbench")
+        for path in sorted((REPO / top).rglob("*.py"))
+        if path != declaring
+    ]
+    set_somewhere = set().union(*(_names_set_in(path) for path in paths))
+    uncalled = [f.name for f in fields(Grid3Config) if f.name not in set_somewhere]
+    assert uncalled == [], f"Grid3Config knobs nothing sets: {uncalled}"
+
+
 def test_package_imports_only_stdlib_and_declared_dependencies():
     """Every import in ``src/repro`` names the standard library, ``repro``
     itself or a declared dependency.  An undeclared package installed on

@@ -79,7 +79,6 @@ def test_null_tracer_is_inert():
     assert not NULL_TRACER.enabled
     assert NULL_TRACER.store is None
     assert NULL_TRACER.start_trace("x") is NULL_SPAN
-    assert NULL_TRACER.current_label() == ""
     NULL_TRACER.bind_job(1, NULL_SPAN)
     NULL_TRACER.finalize(NULL_SPAN)
 
@@ -134,17 +133,6 @@ def test_finalize_non_job_traces_publishes_nothing():
     engine._now = 5.0
     tracer.finalize(root, "ok")
     assert tracer._metrics is None  # sink never even created
-
-
-def test_current_label_tracks_innermost_open_span():
-    _engine, tracer = make_tracer()
-    assert tracer.current_label() == ""
-    root = tracer.start_trace("job-7")
-    assert tracer.current_label() == "job-7"
-    inner = root.child("compute", phase="compute")
-    assert tracer.current_label() == "compute"
-    inner.finish()
-    assert tracer.current_label() == "job-7"
 
 
 def test_ids_are_deterministic():
