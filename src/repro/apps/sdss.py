@@ -14,8 +14,11 @@ month 02-2004 (SDSS ramped *later* than the LHC experiments).
 
 from __future__ import annotations
 
+from ..core.job import Job, JobSpec
+from ..errors import StorageFullError
 from ..sim.units import GB, HOUR, MB
 from ..workflow.chimera import Derivation, Transformation, VirtualDataCatalog
+from ..workflow.dag import DAG
 from ..workflow.pegasus import PegasusPlanner
 from .base import ApplicationDemonstrator, AppContext
 
@@ -25,6 +28,8 @@ APP_FAILURE_PROBABILITY = 0.02
 PREP_RUNTIME = 0.8 * HOUR
 SEARCH_RUNTIME = 1.5 * HOUR
 MERGE_RUNTIME = 1.0 * HOUR
+#: One SDSS imaging strip, the input of a NEO scan.
+IMAGE_STRIP_SIZE = 1.5 * GB
 
 
 class SDSSApplication(ApplicationDemonstrator):
@@ -90,51 +95,48 @@ class SDSSApplication(ApplicationDemonstrator):
         )
         return self.vdc.derive([f"/sdss/{rid}/catalog"])
 
-    def _ensure_image_strip(self, strip: int) -> tuple:
-        """Publish an SDSS imaging strip at the archive (idempotent);
-        returns (lfn, size).  NEO scans read "complete SDSS images"."""
-        from ..sim.units import GB
-        lfn = f"/sdss/images/strip-{strip:03d}"
-        size = 1.5 * GB
-        site = self.ctx.sites[self.archive_site]
-        if lfn not in site.storage:
-            site.storage.store(lfn, size)
-            self.ctx.rls.register(self.archive_site, lfn, size)
-            self._strips_published += 1
-        return lfn, size
-
     def _neo_dag(self, index: int):
-        """A flat pixel-scan fan-out over a few imaging strips."""
-        from ..core.job import JobSpec
-        from ..workflow.dag import DAG
+        """A flat pixel-scan fan-out over a few imaging strips, each
+        published at the archive on first use; and the scans whose strip
+        the archive SE could not take, failed there (StorageFullError)."""
         rng = self.ctx.rng
+        archive = self.ctx.sites[self.archive_site]
         dag = DAG(f"neo-{index:05d}")
+        refused = []
         n_strips = max(2, int(rng.uniform("sdss.neo.strips", 2, 6)))
         for k in range(n_strips):
             strip = int(rng.uniform("sdss.neo.pick", 0, 100))
-            lfn, size = self._ensure_image_strip(strip)
+            lfn = f"/sdss/images/strip-{strip:03d}"
             runtime = rng.lognormal_from_mean("sdss.neo.runtime", 1.2 * HOUR, 0.3)
-            dag.add_job(
-                f"scan-{k}",
-                JobSpec(
-                    name=f"neo-{index:05d}-{k}",
-                    vo=self.vo,
-                    user=self.users[index % len(self.users)],
-                    runtime=runtime,
-                    walltime_request=max(4 * HOUR, runtime * 3),
-                    inputs=((lfn, size),),
-                    outputs=((f"/sdss/neo/{index:05d}-{k}.cand", 5 * MB),),
-                    staging="heavy",
-                    archive_site=self.archive_site,
-                    app_failure_probability=APP_FAILURE_PROBABILITY,
-                ),
+            spec = JobSpec(
+                name=f"neo-{index:05d}-{k}",
+                vo=self.vo,
+                user=self.users[index % len(self.users)],
+                runtime=runtime,
+                walltime_request=max(4 * HOUR, runtime * 3),
+                inputs=((lfn, IMAGE_STRIP_SIZE),),
+                outputs=((f"/sdss/neo/{index:05d}-{k}.cand", 5 * MB),),
+                staging="heavy",
+                archive_site=self.archive_site,
+                app_failure_probability=APP_FAILURE_PROBABILITY,
             )
-        return dag
+            if lfn not in archive.storage:
+                try:
+                    archive.storage.store(lfn, IMAGE_STRIP_SIZE)
+                except StorageFullError as exc:
+                    job = Job(spec=spec, site_name=self.archive_site)
+                    refused.append(archive.service("lrm").refuse(job, exc))
+                    continue
+                self.ctx.rls.register(self.archive_site, lfn, IMAGE_STRIP_SIZE)
+                self._strips_published += 1
+            dag.add_job(f"scan-{k}", spec)
+        return dag, refused
 
     def run_unit(self, index: int):
         if self.ctx.rng.bernoulli("sdss.kind", self.NEO_FRACTION):
-            jobs = yield from self.run_dag(self._neo_dag(index))
-            return jobs
+            dag, refused = self._neo_dag(index)
+            jobs = yield from self.run_dag(dag)
+            return refused + jobs
         dax = self._workflow_dax(index)
         dag = self.planner.plan(
             dax, vo=self.vo, user=self.users[index % len(self.users)],

@@ -31,7 +31,7 @@ from ..errors import (
     GatekeeperOverloadError,
     SubmissionError,
 )
-from ..services import GridService, ServiceLog
+from ..services import GridService
 from ..sim.engine import Engine
 from ..sim.units import MINUTE
 from ..trace import NULL_SPAN
@@ -48,7 +48,7 @@ DEFAULT_OVERLOAD_THRESHOLD = 450.0
 class Gatekeeper(GridService):
     """A site's GRAM gatekeeper: auth, load accounting, LRM hand-off."""
 
-    #: Retained GRAM log lines (ring semantics via ServiceLog).
+    #: Retained GRAM log lines; older lines are evicted.
     LOG_LIMIT = 50_000
 
     _counter_names = (
@@ -80,8 +80,12 @@ class Gatekeeper(GridService):
         self.submissions_rejected = 0
         self.overload_rejections = 0
         self.peak_load = 0.0
-        #: GRAM log (start/end/error lines MonALISA agents tail, §5.2).
-        self.log = ServiceLog(self.LOG_LIMIT)
+        #: GRAM log (start/end/error lines MonALISA agents tail, §5.2):
+        #: ``(time, event, job_id, detail)``, the newest LOG_LIMIT lines.
+        self.log: deque = deque(maxlen=self.LOG_LIMIT)
+        #: event -> lines ever logged with it, eviction or not: the
+        #: running counts the MonALISA GRAM sensor reads.
+        self.log_lines: Dict[str, int] = {}
 
     # -- load model -----------------------------------------------------------
     def _prune_spikes(self) -> None:
@@ -106,6 +110,8 @@ class Gatekeeper(GridService):
 
     def _record(self, event: str, job_id: int, detail: str = "") -> None:
         self.log.append((self.engine.now, event, job_id, detail))
+        lines = self.log_lines
+        lines[event] = lines.get(event, 0) + 1
 
     def counters(self) -> Dict[str, float]:
         out = super().counters()

@@ -9,24 +9,29 @@ collects its information in a central server at the iGOC, storing it in
 a round robin-like database."
 
 Per-site :class:`MonALISAAgent` runs three sensors (GRAM log tail, job
-queue, VO activity) plus a Ganglia pass-through and writes each reading
-into its per-(metric, site[,vo]) round-robin database at the central
-:class:`MonALISARepository`.
+queue, VO activity) plus a Ganglia pass-through.  Each sensor group's
+series share one round-robin database at the central
+:class:`MonALISARepository`, so a collection writes one row per group;
+the repository reads each (metric, site[,vo]) series through its own
+handle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Engine
 from ..sim.units import HOUR, MINUTE
 from .core import PeriodicProducer, make_tags
 from .ganglia import METRICS
-from .rrd import RoundRobinDatabase
+from .rrd import RoundRobinDatabase, RRDSeries
+
+_Key = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
 class MonALISARepository:
-    """The iGOC central repository: RRD per (metric, tag-set)."""
+    """The iGOC central repository: an RRD series per (metric, tag-set),
+    one shared-index database per sensor group."""
 
     def __init__(
         self,
@@ -37,23 +42,25 @@ class MonALISARepository:
         self.bin_width = bin_width
         self.capacity = capacity
         self.consolidation = consolidation
-        self._rrds: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], RoundRobinDatabase] = {}
+        #: (name, tags) -> the series' read handle, in first-write order.
+        self._rrds: Dict[_Key, RRDSeries] = {}
 
-    def _rrd(self, name: str, tags: Tuple[Tuple[str, str], ...]) -> RoundRobinDatabase:
-        """The RRD of (name, tags), created on first use: the one place
-        an RRD is made, so ``_rrds`` keeps first-write order."""
-        key = (name, tags)
-        rrd = self._rrds.get(key)
-        if rrd is None:
-            rrd = self._rrds[key] = RoundRobinDatabase(
-                self.bin_width, self.capacity, self.consolidation
-            )
-        return rrd
+    def register_group(self, keys: Sequence[_Key]) -> RoundRobinDatabase:
+        """A database for series always written together, one per
+        ``(name, tags)`` key in row order: the one place an RRD is made.
+        Agents call it on a group's first write, so ``_rrds`` keeps
+        first-write order.  A key has one writer."""
+        database = RoundRobinDatabase(self.bin_width, self.capacity, self.consolidation)
+        rrds = self._rrds
+        for key in keys:
+            if key in rrds:
+                raise ValueError(f"series {key!r} is already registered")
+            rrds[key] = database.add_series()
+        return database
 
     def series(self, name: str, **tags: str) -> List[Tuple[float, float]]:
         """The consolidated series for an exact (metric, tags) key."""
-        key = (name, make_tags(**tags))
-        rrd = self._rrds.get(key)
+        rrd = self._rrds.get((name, make_tags(**tags)))
         return rrd.series() if rrd else []
 
     def series_matching(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], List[Tuple[float, float]]]:
@@ -82,11 +89,11 @@ _CPU_BUSY = METRICS.index("cpu.busy")
 class MonALISAAgent:
     """The per-site station agent and its sensors.
 
-    Each collection reads every sensor, then writes the readings straight
-    into the agent's RRDs at the central repository.  A sensor group's
-    RRD handles are resolved on the group's first write, so the
-    repository holds only series that were written, in first-write
-    order.
+    Each collection reads every sensor, then writes each group's
+    readings as one row of the group's database at the central
+    repository.  A group's database is registered on its first write,
+    so the repository holds only series that were written, in
+    first-write order.
     """
 
     def __init__(
@@ -101,63 +108,59 @@ class MonALISAAgent:
         self.site = site
         self.repository = repository
         self.vos = vos
-        self._gram_log_cursor = 0
+        #: The gatekeeper last read and its running line counts then
+        #: (submits, completions, failures).
+        self._gram_seen: Tuple[object, Tuple[int, int, int]] = (None, (0, 0, 0))
         self._tags = make_tags(site=site.name)
         #: vo -> its per-VO tags, in ``vos`` order (duplicates dropped).
         self._vo_tags = {vo: make_tags(site=site.name, vo=vo) for vo in vos}
-        #: sensor group -> its RRDs, resolved on the group's first write.
-        self._handles: Dict[str, List[RoundRobinDatabase]] = {}
+        #: sensor group -> its database, registered on the group's first write.
+        self._databases: Dict[str, RoundRobinDatabase] = {}
         self.producer = PeriodicProducer(
             engine, f"monalisa-{site.name}", interval, self._collect
         )
         site.attach_service("monalisa", self)
 
-    def _group_rrds(self, group: str) -> List[RoundRobinDatabase]:
-        rrds = self._handles.get(group)
-        if rrds is None:
-            rrd = self.repository._rrd
-            if group == "vo":
-                rrds = [rrd("vo.cpus_in_use", tags) for tags in self._vo_tags.values()]
-            else:
-                rrds = [rrd(name, self._tags) for name in _GROUP_NAMES[group]]
-            self._handles[group] = rrds
-        return rrds
+    def _register(self, group: str) -> RoundRobinDatabase:
+        if group == "vo":
+            keys = [("vo.cpus_in_use", tags) for tags in self._vo_tags.values()]
+        else:
+            keys = [(name, self._tags) for name in _GROUP_NAMES[group]]
+        database = self._databases[group] = self.repository.register_group(keys)
+        return database
 
     # -- sensors -----------------------------------------------------------
     def _gram_log_sensor(self) -> Optional[Tuple[float, ...]]:
-        """Tail the gatekeeper log: submissions/completions/failures since
-        the last pass (one walk), plus the current load (the §6.4
-        quantity) and the managed-job count."""
+        """Tail the gatekeeper log: submissions/completions/failures
+        logged since the last pass (the difference of the gatekeeper's
+        running line counts; a new gatekeeper starts from zero), plus
+        the current load (the §6.4 quantity) and the managed-job
+        count."""
         gatekeeper = self.site.services.get("gatekeeper")
         if gatekeeper is None:
             return None
-        new_entries, self._gram_log_cursor = gatekeeper.log.since(
-            self._gram_log_cursor
-        )
-        submits = dones = fails = 0
-        for entry in new_entries:
-            event = entry[1]
-            if event == "submit":
-                submits += 1
-            elif event == "done":
-                dones += 1
-            elif event == "failed" or event == "overload_reject":
-                fails += 1
+        lines = gatekeeper.log_lines.get
+        submits, dones, fails = totals = (
+            lines("submit", 0), lines("done", 0),
+            lines("failed", 0) + lines("overload_reject", 0))
+        seen_gatekeeper, seen = self._gram_seen
+        self._gram_seen = (gatekeeper, totals)
+        if seen_gatekeeper is gatekeeper:
+            submits -= seen[0]
+            dones -= seen[1]
+            fails -= seen[2]
         return (float(submits), float(dones), float(fails),
                 gatekeeper.load(), float(gatekeeper.managed_count))
 
     def _vo_activity_sensor(self, lrm) -> List[float]:
         """The custom Grid3 agents: per-VO CPUs in use at this site."""
-        counts = dict.fromkeys(self._vo_tags, 0)
-        for job in lrm.running_jobs():
-            if job.vo in counts:
-                counts[job.vo] += 1
-        return [float(count) for count in counts.values()]
+        running = lrm.running_by_vo.get
+        return [float(running(vo, 0)) for vo in self._vo_tags]
 
     def _collect(self) -> Tuple[()]:
-        """Read every sensor, then write the readings.  A sensor that
-        raises leaves every RRD untouched.  Nothing is left for the
-        producer to deliver."""
+        """Read every sensor, then write one row per sensor group.  A
+        sensor that raises leaves every RRD untouched.  Nothing is left
+        for the producer to deliver."""
         services = self.site.services
         readings = []
         gram = self._gram_log_sensor()
@@ -174,7 +177,10 @@ class MonALISAAgent:
         if ganglia is not None and ganglia.collected_at is not None:
             readings.append(("ganglia", (ganglia.readings[_CPU_BUSY],)))
         now = self.engine.now
+        databases = self._databases
         for group, values in readings:
-            for rrd, value in zip(self._group_rrds(group), values):
-                rrd.update(now, value)
+            database = databases.get(group)
+            if database is None:
+                database = self._register(group)
+            database.write(now, values)
         return ()

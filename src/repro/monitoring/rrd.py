@@ -6,18 +6,25 @@ Fixed-width bins, a fixed retention ring, and a consolidation function —
 old data ages out instead of growing without bound, exactly the
 trade-off the real repository made.
 
-The ring is kept as columns: one list of retained bin indices, one of
-each bin's first value, and a dict of the rarer further values keyed by
-bin index.  Ints and floats are not tracked by the garbage collector,
-so a database owns the same handful of GC-tracked objects however many
-bins it retains; a bin kept as an ``(index, [values])`` tuple would
-cost two, and a wide run retains hundreds of thousands of bins.
+A database holds N series that are always written at the same instant
+(a MonALISA sensor group), so they share one bin index: a row write
+computes one bin, appends to one list of retained bin indices and
+appends one value to each series' column of first values.  The rarer
+further rows of a bin sit in a dict keyed by bin index.  Each series
+is read through its :class:`RRDSeries` handle, which answers exactly
+as a database of that series alone would; a one-series database is
+just the N = 1 case.
+
+Ints and floats are not tracked by the garbage collector, so a
+database owns the same handful of GC-tracked objects however many bins
+it retains; a bin kept as an ``(index, [values])`` tuple would cost
+two, and a wide run retains hundreds of thousands of bins.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 _CONSOLIDATORS = {
     "avg": lambda values: sum(values) / len(values),
@@ -29,7 +36,7 @@ _CONSOLIDATORS = {
 
 
 class RoundRobinDatabase:
-    """Fixed-capacity binned time series."""
+    """Fixed-capacity binned time series over one shared bin index."""
 
     def __init__(self, bin_width: float, capacity: int, consolidation: str = "avg") -> None:
         if bin_width <= 0:
@@ -42,23 +49,38 @@ class RoundRobinDatabase:
         self.capacity = capacity
         self.consolidation = consolidation
         self._fn: Callable = _CONSOLIDATORS[consolidation]
-        #: Retained bin indices, ascending, and each bin's first value.
+        #: Retained bin indices, ascending.
         self._idx: List[int] = []
-        self._first: List[float] = []
-        #: bin index -> the bin's later values, in arrival order.
-        self._more: Dict[int, List[float]] = {}
+        #: One column per series: each retained bin's first value.
+        self._first: List[List[float]] = []
+        #: bin index -> the bin's later rows, in arrival order.
+        self._more: Dict[int, List[Tuple[float, ...]]] = {}
+        #: Rows written, and rows dropped as older than the retention;
+        #: every series saw (and lost) each of them.
         self.samples_seen = 0
         self.samples_dropped = 0
 
-    def update(self, time: float, value: float) -> None:
-        """Add an observation.  Out-of-retention (too old) samples are
-        dropped and counted, never retro-inserted."""
+    def add_series(self) -> "RRDSeries":
+        """A new series and its read handle; every series is added
+        before the first row."""
+        if self.samples_seen:
+            raise ValueError("series are added before the first row")
+        self._first.append([])
+        return RRDSeries(self, len(self._first) - 1)
+
+    def write(self, time: float, values: Sequence[float]) -> None:
+        """Add one row, a value per series in add order.  Out-of-retention
+        (too old) rows are dropped and counted, never retro-inserted."""
+        columns = self._first
+        if len(values) != len(columns):
+            raise ValueError(f"row of {len(values)} values for {len(columns)} series")
         self.samples_seen += 1
         idx = int(time // self.bin_width)
         bins = self._idx
         if not bins or bins[-1] < idx:
             bins.append(idx)
-            self._first.append(value)
+            for column, value in zip(columns, values):
+                column.append(value)
         elif idx < bins[0]:
             self.samples_dropped += 1
             return
@@ -67,35 +89,57 @@ class RoundRobinDatabase:
             # older retained one or into a gap between two.
             pos = bisect.bisect_left(bins, idx)
             if bins[pos] == idx:
-                self._more.setdefault(idx, []).append(value)
+                self._more.setdefault(idx, []).append(tuple(values))
                 return
             bins.insert(pos, idx)
-            self._first.insert(pos, value)
+            for column, value in zip(columns, values):
+                column.insert(pos, value)
         if len(bins) > self.capacity:
             self._more.pop(bins.pop(0), None)
-            self._first.pop(0)
-
-    def series(self) -> List[Tuple[float, float]]:
-        """Retained (bin start time, consolidated value) pairs."""
-        fn, width, more = self._fn, self.bin_width, self._more
-        return [(idx * width, fn([first, *more[idx]] if idx in more else [first]))
-                for idx, first in zip(self._idx, self._first)]
-
-    def value_at(self, time: float) -> Optional[float]:
-        """Consolidated value of the bin containing ``time`` (None if
-        absent/aged out)."""
-        idx = int(time // self.bin_width)
-        pos = bisect.bisect_left(self._idx, idx)
-        if pos == len(self._idx) or self._idx[pos] != idx:
-            return None
-        return self._fn([self._first[pos], *self._more.get(idx, ())])
+            for column in columns:
+                del column[0]
 
     @property
     def span(self) -> float:
         """Seconds of history currently retained."""
-        if not self._idx:
-            return 0.0
-        return (self._idx[-1] - self._idx[0] + 1) * self.bin_width
+        idx = self._idx
+        return (idx[-1] - idx[0] + 1) * self.bin_width if idx else 0.0
 
     def __len__(self) -> int:
         return len(self._idx)
+
+
+class RRDSeries:
+    """Read handle on one series of a :class:`RoundRobinDatabase`."""
+
+    __slots__ = ("database", "_column")
+
+    def __init__(self, database: RoundRobinDatabase, column: int) -> None:
+        self.database = database
+        self._column = column
+
+    def series(self) -> List[Tuple[float, float]]:
+        """Retained (bin start time, consolidated value) pairs."""
+        db = self.database
+        fn, width, more, column = db._fn, db.bin_width, db._more, self._column
+        return [(idx * width,
+                 fn([first, *(row[column] for row in more[idx])] if idx in more else [first]))
+                for idx, first in zip(db._idx, db._first[column])]
+
+    def value_at(self, time: float) -> Optional[float]:
+        """Consolidated value of the bin containing ``time``, or None."""
+        db = self.database
+        idx = int(time // db.bin_width)
+        pos = bisect.bisect_left(db._idx, idx)
+        if pos == len(db._idx) or db._idx[pos] != idx:
+            return None
+        column = self._column
+        return db._fn([db._first[column][pos], *(row[column] for row in db._more.get(idx, ()))])
+
+    @property
+    def samples_seen(self) -> int:
+        return self.database.samples_seen
+
+    @property
+    def samples_dropped(self) -> int:
+        return self.database.samples_dropped

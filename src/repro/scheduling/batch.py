@@ -52,6 +52,8 @@ class BatchScheduler:
         self._queue: List[Job] = []
         #: job_id -> (job, node, body process)
         self._running: Dict[int, tuple] = {}
+        #: vo -> its jobs in ``_running`` (the MonALISA VO sensor's count).
+        self.running_by_vo: Dict[str, int] = {}
         #: Observers called as fn(job) on every terminal transition; the
         #: gatekeeper, ACDC monitor, and app frameworks all subscribe.
         self.on_job_complete: List[Callable[[Job], None]] = []
@@ -71,10 +73,6 @@ class BatchScheduler:
     def running_count(self) -> int:
         """Jobs currently on worker nodes."""
         return len(self._running)
-
-    def running_jobs(self) -> List[Job]:
-        """Snapshot of running jobs."""
-        return [entry[0] for entry in self._running.values()]
 
     # -- submission ----------------------------------------------------------
     def submit(self, job: Job) -> Job:
@@ -98,6 +96,13 @@ class BatchScheduler:
         job.completion = self.engine.event()
         self._queue.append(job)
         self._dispatch()
+        return job
+
+    def refuse(self, job: Job, error: BaseException) -> Job:
+        """End ``job`` (placed at this site) FAILED with ``error`` before
+        it queues, as any failed job ends: ACDC harvests it."""
+        job.mark(JobState.PENDING, self.engine.now)
+        self._finish(job, error)
         return job
 
     def cancel(self, job: Job) -> None:
@@ -144,6 +149,8 @@ class BatchScheduler:
         job.node_id = node.node_id
         job.mark(JobState.ACTIVE, self.engine.now)
         self._running[job.job_id] = (job, node, body)
+        running_by_vo = self.running_by_vo
+        running_by_vo[job.vo] = running_by_vo.get(job.vo, 0) + 1
         self.peak_running = max(self.peak_running, len(self._running))
         self.engine.process(self._supervise(job, node, body), name=f"job-{job.job_id}")
 
@@ -171,7 +178,8 @@ class BatchScheduler:
             error = exc
         finally:
             self.site.cluster.release(node, job.job_id)
-            self._running.pop(job.job_id, None)
+            if self._running.pop(job.job_id, None) is not None:
+                self.running_by_vo[job.vo] -= 1
         self._finish(job, error)
         self._dispatch()
 

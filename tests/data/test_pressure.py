@@ -1,12 +1,13 @@
 """Acceptance tests for the data subsystem (ISSUE acceptance criteria).
 
-Two system-level guarantees:
+Three system-level guarantees:
 
 * enabling management measurably reduces StorageFullError job failures
-  in the disk-pressure scenario at the same seed, and
+  in the disk-pressure scenario at the same seed,
 * enabling management perturbs nothing for workloads that never touch
   it — same-seed runs export byte-identical databases, because every
-  new random draw lives on dedicated ``data.*`` RNG streams.
+  new random draw lives on dedicated ``data.*`` RNG streams, and
+* a full archive fails the jobs that needed it instead of the run.
 """
 
 import pytest
@@ -51,3 +52,20 @@ def test_data_management_is_byte_identical_when_unused():
         return export_database(grid.acdc_db)
 
     assert run(False) == run(True)
+
+
+@pytest.mark.parametrize("managed", [False, True])
+def test_image_strip_the_archive_cannot_take_fails_its_scans(managed):
+    """At seed 5 an SDSS NEO unit needs a 1.5 GB imaging strip while the
+    shrunken FNAL_CMS archive has less free: the run completes, and each
+    scan of a refused strip is a failed job in ACDC with
+    ``StorageFullError`` at the archive, like any other disk-full
+    failure."""
+    grid = Grid3(disk_pressure(seed=5, managed=managed))
+    grid.run_full()
+    scans = [r for r in grid.acdc_db.records() if r.name.startswith("neo-")]
+    assert scans
+    for record in scans:
+        assert not record.succeeded
+        assert record.failure_type == "StorageFullError"
+        assert record.site == "FNAL_CMS"

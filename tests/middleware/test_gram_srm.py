@@ -57,7 +57,7 @@ def test_submit_happy_path(eng, gatekeeper):
     assert gk.managed_count == 1
     assert gk.lrm.jobs == [job]
     assert gk.submissions_accepted == 1
-    assert any(e[1] == "submit" for e in gk.log.since(0)[0])
+    assert any(e[1] == "submit" for e in gk.log)
 
 
 def test_submit_requires_lrm(eng, net, authed):
@@ -235,7 +235,7 @@ def test_every_finished_job_logs_exactly_one_end_line():
         ends = Counter(
             job_id
             for _t, event, job_id, _detail
-            in site.service("gatekeeper").log.since(0)[0]
+            in site.service("gatekeeper").log
             if event in ("done", "failed")
         )
         completed = [job.job_id for job in site.service("lrm").completed]

@@ -134,9 +134,9 @@ def test_monalisa_repository_aggregate(eng):
     writes = [(make_tags(site="B", vo="usatlas"), 3.0),
               (make_tags(site="A", vo="usatlas"), 5.0),
               (make_tags(site="A", vo="uscms"), 2.0)]
-    for tags, value in writes:
-        repo._rrd("vo.cpus_in_use", tags).update(30.0, value)
-    repo._rrd("queue.idle", make_tags(site="A")).update(30.0, 7.0)
+    repo.register_group([("vo.cpus_in_use", tags) for tags, _value in writes]).write(
+        30.0, [value for _tags, value in writes])
+    repo.register_group([("queue.idle", make_tags(site="A"))]).write(30.0, (7.0,))
     matching = repo.series_matching("vo.cpus_in_use")
     assert list(matching) == [tags for tags, _value in writes]
     assert sum(series[-1][1] for series in matching.values()) == 10.0
@@ -144,23 +144,31 @@ def test_monalisa_repository_aggregate(eng):
                if ("vo", "usatlas") in tags) == 8.0
     assert repo.series_matching("absent") == {}
     assert len(repo) == 4
+    with pytest.raises(ValueError):
+        repo.register_group([("queue.idle", make_tags(site="A"))])
 
 
-def write_samples(repository, samples):
+def write_samples(repository, databases, samples):
     """What ``MonALISARepository.ingest`` did: write each sample into
-    its per-series RRD."""
+    its per-series RRD, a one-series database per (name, tags) made on
+    the key's first write."""
     for sample in samples:
-        repository._rrd(sample.name, sample.tags).update(sample.time, sample.value)
+        key = (sample.name, sample.tags)
+        if key not in databases:
+            databases[key] = repository.register_group([key])
+        databases[key].write(sample.time, (sample.value,))
 
 
 class SampleEmittingAgent:
     """The agent's collection as it was when each pass built a
-    ``MetricSample`` per reading for the repository to ingest: the
-    reference the direct-write agent must match."""
+    ``MetricSample`` per reading for the repository to ingest, walking
+    the GRAM log and the running map: the reference the row-writing
+    agent must match."""
 
     def __init__(self, site, vos):
         self.site = site
-        self._gram_log_cursor = 0
+        #: gatekeeper -> log lines read (no line is evicted here).
+        self._gram_log_cursors = {}
         self._tags = make_tags(site=site.name)
         self._vo_tags = {vo: make_tags(site=site.name, vo=vo) for vo in vos}
 
@@ -168,9 +176,9 @@ class SampleEmittingAgent:
         gatekeeper = self.site.services.get("gatekeeper")
         if gatekeeper is None:
             return []
-        new_entries, self._gram_log_cursor = gatekeeper.log.since(
-            self._gram_log_cursor
-        )
+        cursor = self._gram_log_cursors.get(gatekeeper, 0)
+        new_entries = list(gatekeeper.log)[cursor:]
+        self._gram_log_cursors[gatekeeper] = len(gatekeeper.log)
         submits = sum(1 for e in new_entries if e[1] == "submit")
         dones = sum(1 for e in new_entries if e[1] == "done")
         fails = sum(1 for e in new_entries if e[1] in ("failed", "overload_reject"))
@@ -197,7 +205,7 @@ class SampleEmittingAgent:
             return []
         vo_tags = self._vo_tags
         counts = dict.fromkeys(vo_tags, 0)
-        for job in lrm.running_jobs():
+        for job, _node, _body in lrm._running.values():
             if job.vo in counts:
                 counts[job.vo] += 1
         return [
@@ -224,6 +232,7 @@ class SampleEmittingAgent:
 def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
     repo = MonALISARepository(bin_width=30 * MINUTE)
     reference = MonALISARepository(bin_width=30 * MINUTE)
+    reference_databases = {}
     vos = ["usatlas", "uscms", "usatlas", "ivdgl"]
     # SiteA: fully wired, with Ganglia (first value after MonALISA's
     # first pass).  SiteB: no Ganglia, gatekeeper attached later.
@@ -237,7 +246,7 @@ def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
         shadow = SampleEmittingAgent(site, vos)
 
         def collect(agent=agent, shadow=shadow):
-            write_samples(reference, shadow.collect(eng.now))
+            write_samples(reference, reference_databases, shadow.collect(eng.now))
             return agent._collect()
 
         agent.producer.collect = collect
@@ -281,7 +290,7 @@ def test_monalisa_agent_writes_what_sample_ingest_wrote(eng, net):
                 if ("site", "SiteA") in tags]) == 3
 
 
-@pytest.mark.parametrize("broken", ["gatekeeper.load", "lrm.running_jobs"])
+@pytest.mark.parametrize("broken", ["gatekeeper.load", "lrm.running_by_vo"])
 def test_monalisa_collect_with_failing_sensor_writes_nothing(eng, net, monkeypatch, broken):
     site = make_site(eng, net, "SiteA", cpus=2)
     wire_site(eng, site, [("/CN=alice", "grid-usatlas")])
@@ -294,10 +303,13 @@ def test_monalisa_collect_with_failing_sensor_writes_nothing(eng, net, monkeypat
     def fail(*_args):
         raise RuntimeError("sensor down")
 
+    class BrokenCounts(dict):
+        get = fail
+
     if broken == "gatekeeper.load":
         monkeypatch.setattr(Gatekeeper, "load", fail)
     else:
-        monkeypatch.setattr(site.service("lrm"), "running_jobs", fail)
+        monkeypatch.setattr(site.service("lrm"), "running_by_vo", BrokenCounts())
     eng.run(until=6 * MINUTE)
     assert agent.producer.errors == 1
     assert agent.producer.collections == 0

@@ -81,6 +81,12 @@ def test_producer_interval_validation(eng):
 
 # --- RRD -----------------------------------------------------------------
 
+def one_series(bin_width, capacity, consolidation="avg"):
+    """A one-series database and the series' read handle."""
+    database = RoundRobinDatabase(bin_width, capacity, consolidation)
+    return database, database.add_series()
+
+
 def test_rrd_validation():
     with pytest.raises(ValueError):
         RoundRobinDatabase(0.0, 10)
@@ -88,13 +94,19 @@ def test_rrd_validation():
         RoundRobinDatabase(1.0, 0)
     with pytest.raises(ValueError):
         RoundRobinDatabase(1.0, 10, consolidation="median")
+    database, _rrd = one_series(1.0, 10)
+    with pytest.raises(ValueError):
+        database.write(1.0, (1.0, 2.0))  # a row names every series once
+    database.write(1.0, (1.0,))
+    with pytest.raises(ValueError):
+        database.add_series()  # a late series would have no past bins
 
 
 def test_rrd_consolidation_avg():
-    rrd = RoundRobinDatabase(10.0, 100)
-    rrd.update(1.0, 2.0)
-    rrd.update(5.0, 4.0)
-    rrd.update(15.0, 10.0)
+    database, rrd = one_series(10.0, 100)
+    database.write(1.0, (2.0,))
+    database.write(5.0, (4.0,))
+    database.write(15.0, (10.0,))
     assert rrd.series() == [(0.0, 3.0), (10.0, 10.0)]
     assert rrd.value_at(5.0) == 3.0
     assert rrd.value_at(95.0) is None
@@ -102,26 +114,26 @@ def test_rrd_consolidation_avg():
 
 def test_rrd_consolidation_max_sum_last():
     for kind, expect in (("max", 7.0), ("sum", 12.0), ("last", 2.0)):
-        rrd = RoundRobinDatabase(10.0, 10, consolidation=kind)
+        database, rrd = one_series(10.0, 10, consolidation=kind)
         for v in (3.0, 7.0, 2.0):
-            rrd.update(1.0, v)
+            database.write(1.0, (v,))
         assert rrd.series() == [(0.0, expect)]
 
 
 def test_rrd_ring_evicts_oldest():
-    rrd = RoundRobinDatabase(10.0, capacity=3)
+    database, rrd = one_series(10.0, capacity=3)
     for i in range(6):
-        rrd.update(i * 10.0, float(i))
-    assert len(rrd) == 3
+        database.write(i * 10.0, (float(i),))
+    assert len(database) == 3
     assert [t for t, _v in rrd.series()] == [30.0, 40.0, 50.0]
-    assert rrd.span == 30.0
+    assert database.span == 30.0
 
 
 def test_rrd_drops_too_old_samples():
-    rrd = RoundRobinDatabase(10.0, capacity=2)
-    rrd.update(100.0, 1.0)
-    rrd.update(110.0, 1.0)
-    rrd.update(5.0, 99.0)  # older than the retained window
+    database, rrd = one_series(10.0, capacity=2)
+    database.write(100.0, (1.0,))
+    database.write(110.0, (1.0,))
+    database.write(5.0, (99.0,))  # older than the retained window
     assert rrd.samples_dropped == 1
     assert all(v != 99.0 for _t, v in rrd.series())
 
@@ -133,9 +145,9 @@ def test_rrd_drops_too_old_samples():
 def test_rrd_property_series_sorted_and_bounded(times):
     """Property: the retained series is time-sorted and never exceeds
     capacity."""
-    rrd = RoundRobinDatabase(50.0, capacity=5)
+    database, rrd = one_series(50.0, capacity=5)
     for t in times:
-        rrd.update(t, 1.0)
+        database.write(t, (1.0,))
     series = rrd.series()
     assert len(series) <= 5
     assert [t for t, _ in series] == sorted(t for t, _ in series)
@@ -217,17 +229,17 @@ def test_rrd_columns_match_tuple_reference(capacity, consolidation, steps):
     """Property: the column store answers every read exactly as the
     tuple-of-lists layout does, for times that repeat, go backwards and
     fall out of retention, and for every consolidation."""
-    rrd = RoundRobinDatabase(10.0, capacity, consolidation)
+    database, rrd = one_series(10.0, capacity, consolidation)
     ref = _TupleBinsRRD(10.0, capacity, consolidation)
     for t, value in steps:
         # Times inside a bin vary, so a bin's samples arrive at
         # different instants.
         time = t * 7.0
-        rrd.update(time, value)
+        database.write(time, (value,))
         ref.update(time, value)
     assert _same_floats(rrd.series(), ref.series())
-    assert len(rrd) == len(ref)
-    assert rrd.span == ref.span
+    assert len(database) == len(ref)
+    assert database.span == ref.span
     assert rrd.samples_seen == ref.samples_seen
     assert rrd.samples_dropped == ref.samples_dropped
     # Every bin up to one past the newest: retained, evicted, never
@@ -239,31 +251,66 @@ def test_rrd_columns_match_tuple_reference(capacity, consolidation, steps):
     assert rrd.value_at((newest + 1) * 10.0) is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    consolidation=st.sampled_from(sorted(_CONSOLIDATORS)),
+    width=st.integers(min_value=1, max_value=4),
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30),
+                  st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 1e300, 3.0]),
+                           min_size=4, max_size=4)),
+        min_size=1, max_size=60),
+)
+def test_rrd_row_columns_match_one_series_databases(capacity, consolidation, width, steps):
+    """Property: each series of a row-written database reads exactly as
+    a one-series database fed that series' column, for rows that land
+    in an existing bin, go backwards and fall out of retention."""
+    database = RoundRobinDatabase(10.0, capacity, consolidation)
+    rrds = [database.add_series() for _ in range(width)]
+    singles = [one_series(10.0, capacity, consolidation) for _ in range(width)]
+    for t, row in steps:
+        time = t * 7.0
+        database.write(time, tuple(row[:width]))
+        for (single, _rrd), value in zip(singles, row):
+            single.write(time, (value,))
+    newest = int(max(t for t, _row in steps) * 7.0 // 10.0)
+    for rrd, (single, single_rrd) in zip(rrds, singles):
+        assert _same_floats(rrd.series(), single_rrd.series())
+        for idx in range(newest + 2):
+            assert _same_floats(rrd.value_at(idx * 10.0 + 5.0),
+                                single_rrd.value_at(idx * 10.0 + 5.0))
+        assert database.span == single.span
+        assert len(database) == len(single)
+        assert rrd.samples_seen == single_rrd.samples_seen == len(steps)
+        assert rrd.samples_dropped == single_rrd.samples_dropped
+
+
 def test_rrd_out_of_order_value_joins_multi_value_bin_last():
     """A late value for an older, multi-value bin is that bin's newest:
     ``last`` returns it, and the newer bins are untouched."""
-    rrd = RoundRobinDatabase(10.0, 10, consolidation="last")
-    rrd.update(1.0, 1.0)
-    rrd.update(2.0, 2.0)
-    rrd.update(25.0, 9.0)
-    rrd.update(3.0, 5.0)  # arrives after bin 2 opened
+    database, rrd = one_series(10.0, 10, consolidation="last")
+    database.write(1.0, (1.0,))
+    database.write(2.0, (2.0,))
+    database.write(25.0, (9.0,))
+    database.write(3.0, (5.0,))  # arrives after bin 2 opened
     assert rrd.series() == [(0.0, 5.0), (20.0, 9.0)]
     assert rrd.value_at(4.0) == 5.0
     assert rrd.samples_dropped == 0
 
 
 def test_rrd_evicted_multi_value_bin_leaves_nothing_behind():
-    rrd = RoundRobinDatabase(10.0, capacity=2, consolidation="sum")
-    rrd.update(1.0, 1.0)
-    rrd.update(2.0, 2.0)
-    rrd.update(11.0, 3.0)
-    rrd.update(12.0, 4.0)
-    rrd.update(21.0, 5.0)  # evicts bin 0 and its second value
+    database, rrd = one_series(10.0, capacity=2, consolidation="sum")
+    database.write(1.0, (1.0,))
+    database.write(2.0, (2.0,))
+    database.write(11.0, (3.0,))
+    database.write(12.0, (4.0,))
+    database.write(21.0, (5.0,))  # evicts bin 0 and its second value
     assert rrd.series() == [(10.0, 7.0), (20.0, 5.0)]
     assert rrd.value_at(1.0) is None
-    assert list(rrd._more) == [1]
-    rrd.update(31.0, 6.0)  # evicts bin 1 and its second value
-    assert rrd._more == {}
+    assert list(database._more) == [1]
+    database.write(31.0, (6.0,))  # evicts bin 1 and its second value
+    assert database._more == {}
 
 
 def _tracked_objects(rrd):
@@ -282,14 +329,16 @@ def _tracked_objects(rrd):
 
 
 def test_rrd_tracked_objects_do_not_grow_with_bins():
-    """A bin holding one value costs the garbage collector nothing: the
-    count of tracked objects an RRD owns is the same at 100 and 1,000
-    retained bins."""
+    """A bin holding one row costs the garbage collector nothing: the
+    count of tracked objects a three-series database owns is the same
+    at 100 and 1,000 retained bins."""
     counts = []
     for n in (100, 1_000):
-        rrd = RoundRobinDatabase(10.0, capacity=n)
+        database = RoundRobinDatabase(10.0, capacity=n)
+        for _ in range(3):
+            database.add_series()
         for i in range(n):
-            rrd.update(i * 10.0, float(i))
-        assert len(rrd) == n
-        counts.append(_tracked_objects(rrd))
+            database.write(i * 10.0, (float(i), -float(i), 0.5))
+        assert len(database) == n
+        counts.append(_tracked_objects(database))
     assert counts[0] == counts[1]

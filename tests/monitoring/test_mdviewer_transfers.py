@@ -131,8 +131,9 @@ def test_utilisation_series():
     from repro.monitoring.monalisa import MonALISARepository
 
     repo = MonALISARepository(bin_width=HOUR)
-    repo._rrd("vo.cpus_in_use", make_tags(site="A", vo="usatlas")).update(HOUR / 2, 30.0)
-    repo._rrd("vo.cpus_in_use", make_tags(site="B", vo="uscms")).update(HOUR / 2, 20.0)
+    for site, vo, cpus in (("A", "usatlas", 30.0), ("B", "uscms", 20.0)):
+        key = ("vo.cpus_in_use", make_tags(site=site, vo=vo))
+        repo.register_group([key]).write(HOUR / 2, (cpus,))
     mdv = MDViewer(ACDCDatabase(), repository=repo)
     series = mdv.utilisation_series(total_cpus=100)
     assert series == [(0.0, pytest.approx(0.5))]

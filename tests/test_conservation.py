@@ -6,12 +6,22 @@ resource slot is returned, storage accounting stays consistent, and the
 monitoring stack's view agrees with ground truth.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Grid3, Grid3Config
 from repro.core.job import JobState
 from repro.failures import FailureProfile
 from repro.sim import DAY, HOUR
+
+
+def running_by_vo(lrm):
+    """An LRM's running count per VO (zeros dropped), a count by VO over
+    its running map, and its ``running_count``."""
+    counts = {vo: n for vo, n in lrm.running_by_vo.items() if n}
+    truth = Counter(job.vo for job, _node, _body in lrm._running.values())
+    return counts, truth, lrm.running_count
 
 
 @pytest.fixture(scope="module", params=["calm", "hostile"])
@@ -36,6 +46,11 @@ def stressed_grid(request):
         misconfig_probability=misconfig,
     ))
     grid.run_full()
+    # The per-VO running counts while jobs still run, beside a recount.
+    grid.window_end_running = {
+        name: running_by_vo(site.service("lrm"))
+        for name, site in grid.sites.items()
+    }
     # Drain anything still in flight: run past the window until the
     # event heap quiesces (bounded extra time).
     grid.run(days=3)
@@ -111,3 +126,30 @@ def test_condorg_bookkeeping_balances(stressed_grid):
         assert cg.completed + cg.failed == cg.submitted, (
             f"{vo}: {cg.submitted - cg.completed - cg.failed} handles unresolved"
         )
+
+
+def test_running_by_vo_counts_the_running_map(stressed_grid):
+    """MonALISA's VO sensor reads each LRM's running count per VO: it is
+    a count by VO over the running map and sums to ``running_count``,
+    at the window's end (jobs on worker nodes) and after the drain."""
+    after_drain = {name: running_by_vo(site.service("lrm"))
+                   for name, site in stressed_grid.sites.items()}
+    for snapshot in (stressed_grid.window_end_running, after_drain):
+        for name, (counts, truth, running) in snapshot.items():
+            assert counts == truth, name
+            assert sum(counts.values()) == running, name
+    assert sum(running for _c, _t, running
+               in stressed_grid.window_end_running.values()) > 0
+
+
+def test_gram_line_counts_match_the_log(stressed_grid):
+    """MonALISA's GRAM sensor reads each gatekeeper's running line count
+    per event: it is a count over the GRAM log, which evicted no line
+    in these runs."""
+    lines = 0
+    for site in stressed_grid.sites.values():
+        gk = site.service("gatekeeper")
+        assert len(gk.log) < gk.LOG_LIMIT, site.name
+        assert gk.log_lines == Counter(entry[1] for entry in gk.log), site.name
+        lines += len(gk.log)
+    assert lines > 0
